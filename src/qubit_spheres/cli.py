@@ -46,7 +46,7 @@ def _parse_state(args) -> tuple[TwoQubitState, dict]:
     except ValueError as exc:
         raise ValueError(f"--state: {exc}") from None
     amps = [complex(vals[2 * i], vals[2 * i + 1]) for i in range(4)]
-    s = TwoQubitState.from_amplitudes(*amps, policy="renormalize")
+    s = TwoQubitState.from_amplitudes(*amps)
     return s, {"kind": "state", "amplitudes": records.amplitude_list(s)}
 
 

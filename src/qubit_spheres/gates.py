@@ -178,7 +178,7 @@ class Circuit:
 
 @dataclass(frozen=True)
 class TrajectoryStep:
-    """State plus both sphere sets after step `index` (0 = initial state)."""
+    """State after step `index` (0 = initial state) and everything derived from it."""
 
     index: int
     gate: Gate | None
@@ -186,14 +186,15 @@ class TrajectoryStep:
     state: TwoQubitState
     spheres_a: SphereSet
     spheres_b: SphereSet
-    rho_a: DensityMatrix = field(repr=False, default=None)
-    rho_b: DensityMatrix = field(repr=False, default=None)
-    concurrence: float = 0.0
-    coherence_d_a: float = 0.0
-    coherence_d_b: float = 0.0
+    rho_a: DensityMatrix = field(repr=False)
+    rho_b: DensityMatrix = field(repr=False)
+    concurrence: float
+    coherence_d_a: float
+    coherence_d_b: float
 
 
 def _step(index: int, gate: Gate | None, s: TwoQubitState) -> TrajectoryStep:
+    """The one place a state's derived quantities are computed; records only format them."""
     rho_a = reduced_density(s, "A")
     rho_b = reduced_density(s, "B")
     return TrajectoryStep(

@@ -22,7 +22,6 @@ from .quatmath import (
 )
 from .state import DensityMatrix, TwoQubitState
 
-CLAMP_TOL = 1e-12
 VALID_TOL = 1e-9
 
 
@@ -97,12 +96,6 @@ class SphereSet:
         return self.ent.c
 
 
-def _clamped(x: float, lo: float = -1.0, hi: float = 1.0) -> float:
-    if x < lo - CLAMP_TOL or x > hi + CLAMP_TOL:
-        raise ValueError(f"value {x!r} drifted past [{lo}, {hi}] by more than {CLAMP_TOL}")
-    return min(max(x, lo), hi)
-
-
 def quaternion_pair(s: TwoQubitState, a: Assignment) -> tuple[Quaternion, Quaternion]:
     """(alpha + beta*j, gamma + delta*j) for A_BASE; (alpha + gamma*j, beta + delta*j) for B_BASE."""
     if a is Assignment.A_BASE:
@@ -132,11 +125,12 @@ def base_and_entanglement(s: TwoQubitState, a: Assignment
     else:
         b = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
         t = Quaternion(0.0, x2 / b, x3 / b, x4 / b)
-        chi = math.acos(_clamped(t.z))
+        chi = math.atan2(math.hypot(t.x, t.y), t.z)
         xi = math.atan2(t.y, t.x)
 
     c = math.hypot(x2, x3)
-    theta = math.acos(_clamped(x0))
+    # atan2 rather than acos: acos loses half its digits near the poles.
+    theta = math.atan2(math.hypot(x1, b), x0)
     phi = 0.0 if (theta == 0.0 or theta == math.pi) else math.atan2(b, x1)
 
     return (BaseSphere(theta=theta, phi=phi, x1=x1, b=b, x0=x0),

@@ -11,6 +11,9 @@ import numpy as np
 
 from .state import DensityMatrix, TwoQubitState
 
+_SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+
 
 def oracle_reduced_density(s: TwoQubitState, which: str) -> DensityMatrix:
     """Partial trace by literal 4x4 outer-product index summation."""
@@ -31,5 +34,6 @@ def oracle_reduced_density(s: TwoQubitState, which: str) -> DensityMatrix:
 
 
 def oracle_concurrence(s: TwoQubitState) -> float:
-    """2|alpha*delta - beta*gamma| straight from the amplitudes."""
-    return 2.0 * abs(s.alpha * s.delta - s.beta * s.gamma)
+    """Wootters spin-flip form |psi^T (sigma_y x sigma_y) psi| (PRL 80, 2245, 1998)."""
+    psi = s.vector()
+    return float(abs(psi @ _SPIN_FLIP @ psi))

@@ -85,12 +85,6 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def scalar_part(self) -> float:
-        return self.w
-
-    def pure_part(self) -> "Quaternion":
-        return Quaternion(0.0, self.x, self.y, self.z)
-
     def components(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
 
@@ -99,18 +93,6 @@ ONE = Quaternion(1.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-ZERO = Quaternion()
-
-
-def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product under ij=k, jk=i, ki=j."""
-    return a * b
-
-
-def conj(q: Quaternion) -> Quaternion:
-    """Quaternion conjugate; conj(a*b) == conj(b)*conj(a)."""
-    return q.conj()
 
 
 def embed(c: ComplexK) -> Quaternion:

@@ -4,16 +4,10 @@ from __future__ import annotations
 
 import math
 
-from .gates import TrajectoryStep
-from .hopf import Assignment, SphereSet, sphere_set
+from .gates import TrajectoryStep, _step
+from .hopf import SphereSet
 from .jsonfmt import sig15
-from .state import (
-    DensityMatrix,
-    TwoQubitState,
-    coherence_d,
-    concurrence_det,
-    reduced_density,
-)
+from .state import DensityMatrix, TwoQubitState
 
 SCHEMA_VERSION = "1"
 
@@ -66,21 +60,21 @@ def amplitude_list(s: TwoQubitState) -> list[float]:
     return out
 
 
+def _snapshot_fields(step: TrajectoryStep, assignments: tuple[str, ...]) -> dict:
+    spheres = {"A": step.spheres_a, "B": step.spheres_b}
+    return {
+        "amplitudes": amplitude_list(step.state),
+        "assignments": {label: _sphere_block(spheres[label]) for label in assignments},
+        "rho_A": _rho_block(step.rho_a),
+        "rho_B": _rho_block(step.rho_b),
+        "concurrence": sig15(step.concurrence),
+        "coherence_d_A": sig15(step.coherence_d_a),
+        "coherence_d_B": sig15(step.coherence_d_b),
+    }
+
+
 def state_record(s: TwoQubitState, assignments: tuple[str, ...] = ("A", "B")) -> dict:
-    record: dict = {"amplitudes": amplitude_list(s)}
-    blocks = {}
-    for label in assignments:
-        a = Assignment.A_BASE if label == "A" else Assignment.B_BASE
-        blocks[label] = _sphere_block(sphere_set(s, a))
-    record["assignments"] = blocks
-    rho_a = reduced_density(s, "A")
-    rho_b = reduced_density(s, "B")
-    record["rho_A"] = _rho_block(rho_a)
-    record["rho_B"] = _rho_block(rho_b)
-    record["concurrence"] = sig15(concurrence_det(s))
-    record["coherence_d_A"] = sig15(coherence_d(rho_a))
-    record["coherence_d_B"] = sig15(coherence_d(rho_b))
-    return record
+    return _snapshot_fields(_step(0, None, s), assignments)
 
 
 def step_record(step: TrajectoryStep, assignments: tuple[str, ...] = ("A", "B")) -> dict:
@@ -88,7 +82,7 @@ def step_record(step: TrajectoryStep, assignments: tuple[str, ...] = ("A", "B"))
         "step": step.index,
         "gate": None if step.gate is None else step.description,
     }
-    record.update(state_record(step.state, assignments))
+    record.update(_snapshot_fields(step, assignments))
     return record
 
 

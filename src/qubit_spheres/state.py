@@ -22,7 +22,7 @@ class NotNormalizable(ValueError):
 
 
 class NormOutOfTolerance(ValueError):
-    """Strict-mode construction with norm farther than NORM_TOL from 1."""
+    """Construction with a norm farther than NORM_TOL from 1 (or not finite)."""
 
 
 class NegativeRadicand(ValueError):
@@ -42,27 +42,22 @@ class TwoQubitState:
     delta: ComplexK
 
     def __post_init__(self):
-        if abs(self.norm() - 1.0) > NORM_TOL:
+        # Written so that a NaN norm fails the check too.
+        if not abs(self.norm() - 1.0) <= NORM_TOL:
             raise NormOutOfTolerance(
                 f"state norm {self.norm()!r} is not within {NORM_TOL} of 1"
             )
 
     @classmethod
-    def from_amplitudes(cls, a: complex, b: complex, g: complex, d: complex,
-                        policy: str = "renormalize") -> "TwoQubitState":
-        """Build a state, either renormalizing (default) or validating strictly."""
-        if policy not in ("renormalize", "strict"):
-            raise ValueError(f"unknown normalization policy {policy!r}")
+    def from_amplitudes(cls, a: complex, b: complex, g: complex, d: complex
+                        ) -> "TwoQubitState":
+        """Build a state by renormalizing the given amplitudes."""
         a, b, g, d = complex(a), complex(b), complex(g), complex(d)
-        n = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(g) ** 2 + abs(d) ** 2)
+        n = _norm(a, b, g, d)
+        if not math.isfinite(n):
+            raise NotNormalizable(f"amplitude norm {n!r} is not finite")
         if n < ZERO_NORM_TOL:
             raise NotNormalizable(f"amplitude norm {n!r} too small to normalize")
-        if policy == "strict":
-            if abs(n - 1.0) > NORM_TOL:
-                raise NormOutOfTolerance(
-                    f"strict mode: norm {n!r} not within {NORM_TOL} of 1"
-                )
-            return cls(a, b, g, d)
         return cls(a / n, b / n, g / n, d / n)
 
     @classmethod
@@ -93,8 +88,14 @@ class TwoQubitState:
         return np.array([self.alpha, self.beta, self.gamma, self.delta], dtype=complex)
 
     def norm(self) -> float:
-        return math.sqrt(abs(self.alpha) ** 2 + abs(self.beta) ** 2
-                         + abs(self.gamma) ** 2 + abs(self.delta) ** 2)
+        return _norm(self.alpha, self.beta, self.gamma, self.delta)
+
+
+def _norm(a: complex, b: complex, g: complex, d: complex) -> float:
+    # Squares by multiplication: a huge amplitude overflows to inf, where
+    # ** 2 would raise OverflowError.
+    return math.sqrt(abs(a) * abs(a) + abs(b) * abs(b)
+                     + abs(g) * abs(g) + abs(d) * abs(d))
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,20 @@ def random_product_state(rng: np.random.Generator) -> TwoQubitState:
     return TwoQubitState(*(complex(c) for c in k))
 
 
+_RANDOM_GATE_KINDS = tuple(k for k in gates.GATE_KINDS if k != "u4")
+
+
+def _random_gate(rng: np.random.Generator) -> gates.Gate:
+    """Uniform non-u4 kind on a random target; rotation angles uniform in [-2pi, 2pi)."""
+    kind = _RANDOM_GATE_KINDS[int(rng.integers(len(_RANDOM_GATE_KINDS)))]
+    target = "A" if rng.integers(2) == 0 else "B"
+    control = ("B" if target == "A" else "A") if kind.startswith("c") else None
+    angle = None
+    if kind in gates.ROTATION_KINDS:
+        angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+    return gates.Gate(kind=kind, target=target, control=control, angle=angle)
+
+
 def _random_quaternion(rng: np.random.Generator, unit: bool = True) -> Quaternion:
     w, x, y, z = rng.standard_normal(4)
     if unit:
@@ -293,18 +307,8 @@ class _SuiteRunner:
     def gate_invariants(self):
         n = min(self.samples, 500)
         e_uni = 0.0
-        kinds = [k for k in gates.GATE_KINDS if k != "u4"]
         for _ in range(n):
-            kind = kinds[int(self.rng.integers(len(kinds)))]
-            target = "A" if self.rng.integers(2) == 0 else "B"
-            control = None
-            if kind.startswith("c"):
-                control = "B" if target == "A" else "A"
-            angle = None
-            if kind in gates.ROTATION_KINDS:
-                angle = float(self.rng.uniform(-2 * math.pi, 2 * math.pi))
-            u = gates.expand(gates.Gate(kind=kind, target=target,
-                                        control=control, angle=angle))
+            u = gates.expand(_random_gate(self.rng))
             e_uni = max(e_uni, float(np.max(np.abs(u @ u.conj().T - np.eye(4)))))
         self.record("expanded_gate_unitarity", n, e_uni, 1e-12)
 
@@ -342,18 +346,7 @@ class _SuiteRunner:
         n = min(self.samples, 200)
         e_traj = 0.0
         for _ in range(n):
-            gs = []
-            for _ in range(int(self.rng.integers(1, 7))):
-                kind = kinds[int(self.rng.integers(len(kinds)))]
-                target = "A" if self.rng.integers(2) == 0 else "B"
-                control = None
-                if kind.startswith("c"):
-                    control = "B" if target == "A" else "A"
-                angle = None
-                if kind in gates.ROTATION_KINDS:
-                    angle = float(self.rng.uniform(-2 * math.pi, 2 * math.pi))
-                gs.append(gates.Gate(kind=kind, target=target,
-                                     control=control, angle=angle))
+            gs = [_random_gate(self.rng) for _ in range(int(self.rng.integers(1, 7)))]
             for step in gates.run(gates.Circuit(gates=tuple(gs))):
                 e_traj = max(e_traj, abs(step.spheres_a.ent.c - step.spheres_b.ent.c))
         self.record("trajectory_concurrence_match", n, e_traj, 1e-10)

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines on stdout.  Expected values marked "oracle" below were computed with
-the brute-force partial-trace/determinant oracles, independent of the
-sphere-map code path.
+lines on stdout.  ``test_invariant_suite`` runs every ``verify`` invariant
+(the same registry as ``qubit-spheres verify``).  Expected values marked
+"oracle" below were computed with the brute-force partial-trace/determinant
+oracles, independent of the sphere-map code path.
 """
 
 import math
@@ -22,7 +23,13 @@ from qubit_spheres.state import (
     concurrence_det,
     reduced_density,
 )
-from qubit_spheres.verify import random_product_state, random_su2
+from qubit_spheres.verify import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    random_product_state,
+    random_su2,
+    run_suite,
+)
 
 DEG = math.pi / 180
 
@@ -59,6 +66,15 @@ def test_criterion_1_concurrence_law():
             worst = max(worst, abs(steps[-1].concurrence - want))
     report(1, "entangler concurrence = sin(eta)*sin(omega/2) over the grid",
            worst, 1e-9)
+
+
+def test_invariant_suite():
+    suite = run_suite(DEFAULT_SEED, DEFAULT_SAMPLES)
+    for r in suite.results:
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: "
+              f"max error {r.max_error:.3e} (threshold {r.threshold:g})")
+    failed = [r.name for r in suite.results if not r.passed]
+    assert not failed, f"invariants failed: {', '.join(failed)}"
 
 
 def test_criterion_2_entangled_state_reproduction():

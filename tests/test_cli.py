@@ -72,6 +72,14 @@ def test_map_not_normalizable_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("state", ["nan,0,0,0,0,0,0,0", "1e200,0,0,0,0,0,0,0"])
+def test_map_non_finite_norm_exits_2(capsys, state):
+    code, out, err = run_cli(capsys, "map", f"--state={state}", "--format", "text")
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and err.startswith("error:")
+
+
 def test_map_degrees_match_radians(capsys):
     import math
     code, out, _ = run_cli(capsys, "map", "--bell", "psi+")

@@ -21,7 +21,13 @@ from qubit_spheres.hopf import (
 )
 from qubit_spheres.oracles import oracle_concurrence, oracle_reduced_density
 from qubit_spheres.quatmath import Quaternion
-from qubit_spheres.state import TwoQubitState, bloch_vector, reduced_density
+from qubit_spheres.state import (
+    BASIS_NAMES,
+    BELL_NAMES,
+    TwoQubitState,
+    bloch_vector,
+    reduced_density,
+)
 from qubit_spheres.verify import random_product_state, random_su2
 
 R2 = 1 / math.sqrt(2)
@@ -155,6 +161,28 @@ def test_round_trip_random(state_pool, sphere_pool):
         worst = max(worst, amp_error(reconstruct(sa), s),
                     amp_error(reconstruct(sb), s))
     assert worst < 1e-10
+
+
+def test_near_degenerate_round_trip():
+    # Basis, Bell and product states perturbed by eps = 1e-3 ... 1e-15, where
+    # the base poles, b = 0 and chi = 0 make the angles ill-conditioned.
+    rng = np.random.default_rng(41)
+    centres = [TwoQubitState.basis(label).vector() for label in BASIS_NAMES]
+    centres += [TwoQubitState.bell(name).vector() for name in BELL_NAMES]
+    centres += [random_product_state(rng).vector() for _ in range(4)]
+    states = [TwoQubitState(1 + 1e-10, 0j, 0j, 0j)]
+    for v in centres:
+        for k in range(3, 16):
+            for _ in range(4):
+                z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                w = v + 10.0 ** -k * z / np.linalg.norm(z)
+                states.append(TwoQubitState.from_amplitudes(*w))
+    for s in states:
+        for a in Assignment:
+            # reconstruct returns a unit vector, so the input's own norm
+            # defect (up to NORM_TOL) comes back as error.
+            err = amp_error(reconstruct(sphere_set(s, a)), s)
+            assert err <= 1e-12 + abs(s.norm() - 1.0), (s, a, err)
 
 
 def test_s4_norm_and_b_relation(sphere_pool):

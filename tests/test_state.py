@@ -47,12 +47,6 @@ def test_from_amplitudes_renormalizes():
     assert abs(s.delta) > abs(s.alpha)
 
 
-def test_from_amplitudes_strict_mode():
-    TwoQubitState.from_amplitudes(0.6, 0, 0, 0.8, policy="strict")
-    with pytest.raises(NormOutOfTolerance):
-        TwoQubitState.from_amplitudes(0.6, 0, 0, 0.8000001, policy="strict")
-
-
 def test_from_amplitudes_zero_vector():
     with pytest.raises(NotNormalizable):
         TwoQubitState.from_amplitudes(0, 0, 0, 1e-13)
@@ -61,6 +55,8 @@ def test_from_amplitudes_zero_vector():
 def test_constructor_enforces_norm():
     with pytest.raises(NormOutOfTolerance):
         TwoQubitState(1 + 0j, 1 + 0j, 0j, 0j)
+    with pytest.raises(NormOutOfTolerance):
+        TwoQubitState(complex(math.nan), 0j, 0j, 0j)
 
 
 def test_reduced_density_bell():

@@ -47,7 +47,8 @@ def test_oracle_concurrence_values():
 
 
 def test_oracles_do_not_touch_sphere_code():
-    # Structural independence: the oracle module may import only state/numpy.
+    # Structural independence: the oracle module may import only state/numpy,
+    # and must not reuse the determinant formula it cross-checks.
     src = Path(oracles.__file__).read_text(encoding="utf-8")
     tree = ast.parse(src)
     imported = set()
@@ -59,6 +60,7 @@ def test_oracles_do_not_touch_sphere_code():
     assert not any("hopf" in name for name in imported)
     assert not any("gates" in name for name in imported)
     assert "hopf" not in src
+    assert "concurrence_det" not in src
 
 
 def test_run_suite_smoke():
