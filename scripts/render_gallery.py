@@ -7,7 +7,7 @@ Usage: python scripts/render_gallery.py [outdir]   (default: out/)
 import sys
 from pathlib import Path
 
-from qubit_spheres.gates import parse_circuit_file, run
+from qubit_spheres.gates import TrajectoryStep, parse_circuit_file, run
 from qubit_spheres.render import render_to_file
 from qubit_spheres.state import TwoQubitState
 
@@ -19,16 +19,17 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
 
     for label in ("00", "01", "10", "11"):
-        render_to_file(outdir / f"basis_{label}.svg", TwoQubitState.basis(label),
+        render_to_file(outdir / f"basis_{label}.svg",
+                       TrajectoryStep(0, None, TwoQubitState.basis(label)),
                        title=f"basis |{label}>")
     for name in ("phi+", "phi-", "psi+", "psi-"):
         fname = name.replace("+", "_plus").replace("-", "_minus")
-        render_to_file(outdir / f"bell_{fname}.svg", TwoQubitState.bell(name),
+        render_to_file(outdir / f"bell_{fname}.svg",
+                       TrajectoryStep(0, None, TwoQubitState.bell(name)),
                        title=f"bell {name}")
     for circ in sorted((ROOT / "circuits").glob("*.circ")):
         circuit = parse_circuit_file(circ)
-        final = run(circuit)[-1].state
-        render_to_file(outdir / f"{circ.stem}.svg", final,
+        render_to_file(outdir / f"circuit_{circ.stem}.svg", run(circuit)[-1],
                        title="circuit: " + "; ".join(g.describe() for g in circuit.gates))
     print(f"wrote {len(list(outdir.glob('*.svg')))} files to {outdir}/")
 

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import records, render, verify
-from .gates import ParseError, parse_circuit, run
+from .gates import ParseError, TrajectoryStep, parse_circuit_file, run
 from .jsonfmt import dumps
 from .state import (
     BASIS_NAMES,
@@ -101,8 +101,7 @@ def _circuit_input_block(circuit) -> dict:
 
 
 def _cmd_run(args) -> int:
-    with open(args.circuit, "r", encoding="utf-8") as fh:
-        circuit = parse_circuit(fh.read())
+    circuit = parse_circuit_file(args.circuit)
     steps = run(circuit)
     chosen = _assignments(args.assignment)
     if args.steps:
@@ -116,20 +115,19 @@ def _cmd_run(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.circuit is not None:
-        with open(args.circuit, "r", encoding="utf-8") as fh:
-            circuit = parse_circuit(fh.read())
-        steps = run(circuit)
-        s = steps[-1].state
+        circuit = parse_circuit_file(args.circuit)
+        step = run(circuit)[-1]
         title = "circuit: " + "; ".join(g.describe() for g in circuit.gates)
     else:
         s, input_block = _parse_state(args)
+        step = TrajectoryStep(0, None, s)
         if input_block["kind"] == "bell":
             title = f"bell {input_block['name']}"
         elif input_block["kind"] == "basis":
             title = f"basis |{input_block['label']}>"
         else:
             title = "state " + ",".join(f"{v:.4g}" for v in input_block["amplitudes"])
-    render.render_to_file(args.out, s, assignments=_assignments(args.assignment),
+    render.render_to_file(args.out, step, assignments=_assignments(args.assignment),
                           title=title)
     return 0
 

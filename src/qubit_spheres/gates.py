@@ -8,7 +8,8 @@ amplitude ordering.  Circuit files carry angles in degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -178,47 +179,55 @@ class Circuit:
 
 @dataclass(frozen=True)
 class TrajectoryStep:
-    """State after step `index` (0 = initial state) and everything derived from it."""
+    """State after step `index` (0 = initial); derived values are computed on first read."""
 
     index: int
     gate: Gate | None
-    description: str
     state: TwoQubitState
-    spheres_a: SphereSet
-    spheres_b: SphereSet
-    rho_a: DensityMatrix = field(repr=False)
-    rho_b: DensityMatrix = field(repr=False)
-    concurrence: float
-    coherence_d_a: float
-    coherence_d_b: float
 
+    @property
+    def description(self) -> str:
+        return self.gate.describe() if self.gate is not None else "initial"
 
-def _step(index: int, gate: Gate | None, s: TwoQubitState) -> TrajectoryStep:
-    """The one place a state's derived quantities are computed; records only format them."""
-    rho_a = reduced_density(s, "A")
-    rho_b = reduced_density(s, "B")
-    return TrajectoryStep(
-        index=index,
-        gate=gate,
-        description=gate.describe() if gate is not None else "initial",
-        state=s,
-        spheres_a=sphere_set(s, Assignment.A_BASE),
-        spheres_b=sphere_set(s, Assignment.B_BASE),
-        rho_a=rho_a,
-        rho_b=rho_b,
-        concurrence=concurrence_det(s),
-        coherence_d_a=coherence_d(rho_a),
-        coherence_d_b=coherence_d(rho_b),
-    )
+    @cached_property
+    def spheres_a(self) -> SphereSet:
+        return sphere_set(self.state, Assignment.A_BASE)
+
+    @cached_property
+    def spheres_b(self) -> SphereSet:
+        return sphere_set(self.state, Assignment.B_BASE)
+
+    def spheres(self, label: str) -> SphereSet:
+        return self.spheres_a if label == "A" else self.spheres_b
+
+    @cached_property
+    def rho_a(self) -> DensityMatrix:
+        return reduced_density(self.state, "A")
+
+    @cached_property
+    def rho_b(self) -> DensityMatrix:
+        return reduced_density(self.state, "B")
+
+    @cached_property
+    def concurrence(self) -> float:
+        return concurrence_det(self.state)
+
+    @cached_property
+    def coherence_d_a(self) -> float:
+        return coherence_d(self.rho_a)
+
+    @cached_property
+    def coherence_d_b(self) -> float:
+        return coherence_d(self.rho_b)
 
 
 def run(c: Circuit) -> list[TrajectoryStep]:
     """Evolve the circuit gate by gate; step 0 is the initial state."""
     s = c.initial_state()
-    steps = [_step(0, None, s)]
+    steps = [TrajectoryStep(0, None, s)]
     for i, g in enumerate(c.gates, start=1):
         s = apply(s, g)
-        steps.append(_step(i, g, s))
+        steps.append(TrajectoryStep(i, g, s))
     return steps
 
 
@@ -264,13 +273,11 @@ def parse_circuit(text: str, initial: str = "00") -> Circuit:
             pos += 1
         target = tokens[pos]
         pos += 1
-        for label in filter(None, (control, target)):
-            if label not in QUBITS:
-                raise ParseError(line_no, f"qubit label must be A or B, got {label!r}")
-        if controlled and control == target:
-            raise ParseError(line_no, f"{kind}: control equals target ({target})")
         angle = _parse_angle(tokens[pos], line_no) if takes_angle else None
-        gates.append(Gate(kind=kind, target=target, control=control, angle=angle))
+        try:
+            gates.append(Gate(kind=kind, target=target, control=control, angle=angle))
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
     return Circuit(gates=tuple(gates), initial=initial)
 
 

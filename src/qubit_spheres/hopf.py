@@ -105,9 +105,8 @@ def quaternion_pair(s: TwoQubitState, a: Assignment) -> tuple[Quaternion, Quater
             join_complex_pair(s.beta, s.delta))
 
 
-def base_and_entanglement(s: TwoQubitState, a: Assignment
+def base_and_entanglement(q1: Quaternion, q2: Quaternion
                           ) -> tuple[BaseSphere, EntanglementSphere]:
-    q1, q2 = quaternion_pair(s, a)
     x0 = q1.norm_sq() - q2.norm_sq()
     p = 2.0 * (q2 * q1.conj())
 
@@ -164,10 +163,9 @@ def _fiber_bloch(theta_f: float, phi_f: float, zeta_f: float
     return (st * math.cos(az), st * math.sin(az), math.cos(theta_f))
 
 
-def fiber(s: TwoQubitState, a: Assignment, base: BaseSphere,
+def fiber(q1: Quaternion, q2: Quaternion, base: BaseSphere,
           ent: EntanglementSphere) -> FiberSphere:
     """Fiber versor q_f = cos(theta/2)*q1 + sin(theta/2)*e^(-t*phi)*q2, decomposed."""
-    q1, q2 = quaternion_pair(s, a)
     half = 0.5 * base.theta
     q_f = (math.cos(half) * q1
            + math.sin(half) * (exp_pure(ent.t, -base.phi) * q2))
@@ -177,8 +175,9 @@ def fiber(s: TwoQubitState, a: Assignment, base: BaseSphere,
 
 
 def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
-    base, ent = base_and_entanglement(s, a)
-    return SphereSet(assignment=a, base=base, ent=ent, fiber=fiber(s, a, base, ent))
+    q1, q2 = quaternion_pair(s, a)
+    base, ent = base_and_entanglement(q1, q2)
+    return SphereSet(assignment=a, base=base, ent=ent, fiber=fiber(q1, q2, base, ent))
 
 
 def fiber_versor(f: FiberSphere) -> Quaternion:

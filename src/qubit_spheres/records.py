@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .gates import TrajectoryStep, _step
+from .gates import TrajectoryStep
 from .hopf import SphereSet
 from .jsonfmt import sig15
 from .state import DensityMatrix, TwoQubitState
@@ -61,10 +61,9 @@ def amplitude_list(s: TwoQubitState) -> list[float]:
 
 
 def _snapshot_fields(step: TrajectoryStep, assignments: tuple[str, ...]) -> dict:
-    spheres = {"A": step.spheres_a, "B": step.spheres_b}
     return {
         "amplitudes": amplitude_list(step.state),
-        "assignments": {label: _sphere_block(spheres[label]) for label in assignments},
+        "assignments": {label: _sphere_block(step.spheres(label)) for label in assignments},
         "rho_A": _rho_block(step.rho_a),
         "rho_B": _rho_block(step.rho_b),
         "concurrence": sig15(step.concurrence),
@@ -74,7 +73,7 @@ def _snapshot_fields(step: TrajectoryStep, assignments: tuple[str, ...]) -> dict
 
 
 def state_record(s: TwoQubitState, assignments: tuple[str, ...] = ("A", "B")) -> dict:
-    return _snapshot_fields(_step(0, None, s), assignments)
+    return _snapshot_fields(TrajectoryStep(0, None, s), assignments)
 
 
 def step_record(step: TrajectoryStep, assignments: tuple[str, ...] = ("A", "B")) -> dict:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 
-from .hopf import Assignment, SphereSet, sphere_set
-from .state import TwoQubitState
+from .gates import TrajectoryStep
+from .hopf import SphereSet
 
 # Orthographic camera direction (degrees): oblique view with +z up.
 VIEW_AZIMUTH_DEG = -60.0
@@ -169,13 +169,10 @@ def _fiber_cell(cx, cy, ss: SphereSet) -> _Cell:
     return cell
 
 
-def render_svg(s: TwoQubitState, assignments: tuple[str, ...] = ("A", "B"),
+def render_svg(step: TrajectoryStep, assignments: tuple[str, ...] = ("A", "B"),
                title: str = "") -> str:
-    """Render one row of three spheres per requested assignment."""
-    rows = []
-    for label in assignments:
-        a = Assignment.A_BASE if label == "A" else Assignment.B_BASE
-        rows.append(sphere_set(s, a))
+    """Render one row of three spheres per requested assignment of the step's state."""
+    rows = [step.spheres(label) for label in assignments]
 
     width = 3 * CELL + 2 * MARGIN
     height = len(rows) * (CELL + LABEL_H) + 2 * MARGIN + 18
@@ -203,7 +200,7 @@ def render_svg(s: TwoQubitState, assignments: tuple[str, ...] = ("A", "B"),
     return "\n".join(out) + "\n"
 
 
-def render_to_file(path, s: TwoQubitState, assignments=("A", "B"), title="") -> None:
-    svg = render_svg(s, assignments=assignments, title=title)
+def render_to_file(path, step: TrajectoryStep, assignments=("A", "B"), title="") -> None:
+    svg = render_svg(step, assignments=assignments, title=title)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)

@@ -5,9 +5,11 @@ import sys
 import pytest
 
 from conftest import CIRCUIT_DIR, GOLDEN_DIR
-from qubit_spheres import cli
+from qubit_spheres import cli, gates
+from qubit_spheres.hopf import sphere_set
 
 ENTANGLER_CIRC = str(CIRCUIT_DIR / "entangle_60_70.circ")
+Y90_CIRC = str(CIRCUIT_DIR / "entangle_60_70_y90.circ")
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +202,25 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["records"][0]["concurrence"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["render", "--circuit", Y90_CIRC, "--out", "{tmp}/y90.svg"], 2),
+    (["run", Y90_CIRC], 2),
+    (["run", Y90_CIRC, "--steps"], 2 * 4),   # 3 gates: 4 steps, 2 sets each
+    (["map", "--bell", "phi+", "--assignment", "A"], 1),
+])
+def test_each_command_maps_only_what_it_prints(tmp_path, capsys, monkeypatch, argv, calls):
+    counted = []
+
+    def counting_sphere_set(s, a):
+        counted.append(a)
+        return sphere_set(s, a)
+
+    monkeypatch.setattr(gates, "sphere_set", counting_sphere_set)
+    code, _, _ = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 0
+    assert len(counted) == calls
 
 
 # -- golden files -------------------------------------------------------------

@@ -165,20 +165,6 @@ def test_run_custom_initial_state():
     assert steps[0].state.amplitudes() == (0j, 0j, 1 + 0j, 0j)
 
 
-def test_concurrence_sweep_matches_law():
-    worst = 0.0
-    for eta_deg in range(0, 181, 30):
-        for omega_deg in range(0, 361, 60):
-            c = Circuit(gates=(
-                Gate(kind="rx", target="A", angle=eta_deg * DEG),
-                Gate(kind="cry", control="A", target="B", angle=omega_deg * DEG),
-            ))
-            got = run(c)[-1].concurrence
-            want = math.sin(eta_deg * DEG) * math.sin(omega_deg * DEG / 2)
-            worst = max(worst, abs(got - want))
-    assert worst < 1e-9
-
-
 def test_superposition_degree_after_first_gate():
     for eta_deg in (0, 25, 60, 90, 140, 180):
         steps = run(Circuit(gates=(Gate(kind="rx", target="A", angle=eta_deg * DEG),)))
@@ -217,6 +203,12 @@ def test_parse_circuit_bad_angle():
 def test_parse_circuit_unknown_gate():
     with pytest.raises(UnknownGate) as exc:
         parse_circuit("ry B 90\nfrob A 10")
+    assert exc.value.line_no == 2
+
+
+def test_parse_circuit_bad_qubit_label():
+    with pytest.raises(ParseError) as exc:
+        parse_circuit("ry B 90\nry C 10")
     assert exc.value.line_no == 2
 
 

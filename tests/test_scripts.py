@@ -1,0 +1,31 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import CIRCUIT_DIR, REPO_ROOT
+
+SCRIPTS = REPO_ROOT / "scripts"
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+
+
+def test_render_gallery_writes_every_svg(tmp_path):
+    proc = run_script("render_gallery.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    n_circuits = len(list(CIRCUIT_DIR.glob("*.circ")))
+    assert len(list(tmp_path.glob("*.svg"))) == 4 + 4 + n_circuits == 13
+
+
+@pytest.mark.parametrize("name", ["circuit_walkthrough.py", "concurrence_sweep.py"])
+def test_script_runs(name):
+    proc = run_script(name)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
