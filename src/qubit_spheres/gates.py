@@ -88,7 +88,11 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Gate:
-    """One circuit element; rotation kinds carry `angle` (radians), u4 a matrix."""
+    """One circuit element; rotation kinds carry `angle` (radians), u4 a matrix.
+
+    A u4 gate keeps a read-only copy of its matrix and, like every gate,
+    compares and hashes by value.
+    """
 
     kind: str
     target: str | None = None
@@ -102,13 +106,16 @@ class Gate:
         if self.kind == "u4":
             if self.matrix is None:
                 raise ValueError("u4 gate requires a 4x4 matrix")
-            m = np.asarray(self.matrix, dtype=complex)
+            m = np.array(self.matrix, dtype=complex)
             if m.shape != (4, 4):
                 raise ValueError(f"u4 matrix must be 4x4, got shape {m.shape}")
             if np.abs(m @ m.conj().T - np.eye(4)).max() > 1e-12:
                 raise ValueError("u4 matrix is not unitary within 1e-12")
+            m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
             return
+        if self.matrix is not None:
+            raise ValueError(f"{self.kind} takes no matrix")
         if self.target not in QUBITS:
             raise ValueError(f"target must be 'A' or 'B', got {self.target!r}")
         controlled = self.kind.startswith("c")
@@ -124,6 +131,18 @@ class Gate:
             raise ValueError(f"{self.kind} requires an angle")
         if not needs_angle and self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
+
+    def _key(self) -> tuple:
+        m = None if self.matrix is None else tuple(self.matrix.ravel().tolist())
+        return (self.kind, self.target, self.control, self.angle, m)
+
+    def __eq__(self, other):
+        if not isinstance(other, Gate):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def describe(self) -> str:
         if self.kind == "u4":

@@ -4,6 +4,10 @@ The amplitude vector is packed into a pair of quaternions (one per
 base-qubit assignment); the product 2*q2*conj(q1) = x1 + b*t carries the
 base-sphere azimuthal data and the entanglement coordinates, and the fiber
 versor completes an exactly invertible seven-angle parameterization.
+
+The map and its inverse work on quaternion components (``quatmath``'s
+``Components`` tuples); the only ``Quaternion`` a sphere set holds is the
+entanglement axis ``t``.
 """
 
 from __future__ import annotations
@@ -13,12 +17,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .quatmath import (
+    Components,
     J,
     K,
     Quaternion,
-    exp_pure,
-    join_complex_pair,
-    split_complex_pair,
+    conj,
+    exp_axis,
+    hamilton,
+    join_components,
+    norm_sq,
+    split_components,
 )
 from .state import DensityMatrix, TwoQubitState
 
@@ -96,22 +104,27 @@ class SphereSet:
         return self.ent.c
 
 
+def _packed(s: TwoQubitState, a: Assignment) -> tuple[Components, Components]:
+    if a is Assignment.A_BASE:
+        return (join_components(s.alpha, s.beta),
+                join_components(s.gamma, s.delta))
+    return (join_components(s.alpha, s.gamma),
+            join_components(s.beta, s.delta))
+
+
 def quaternion_pair(s: TwoQubitState, a: Assignment) -> tuple[Quaternion, Quaternion]:
     """(alpha + beta*j, gamma + delta*j) for A_BASE; (alpha + gamma*j, beta + delta*j) for B_BASE."""
-    if a is Assignment.A_BASE:
-        return (join_complex_pair(s.alpha, s.beta),
-                join_complex_pair(s.gamma, s.delta))
-    return (join_complex_pair(s.alpha, s.gamma),
-            join_complex_pair(s.beta, s.delta))
+    q1, q2 = _packed(s, a)
+    return Quaternion(*q1), Quaternion(*q2)
 
 
-def base_and_entanglement(q1: Quaternion, q2: Quaternion
+def base_and_entanglement(q1: Components, q2: Components
                           ) -> tuple[BaseSphere, EntanglementSphere]:
-    x0 = q1.norm_sq() - q2.norm_sq()
-    p = 2.0 * (q2 * q1.conj())
+    x0 = norm_sq(q1) - norm_sq(q2)
+    pw, px, py, pz = hamilton(q2, conj(q1))
 
-    x1 = p.w
-    x2, x3, x4 = p.x, p.y, p.z
+    x1 = 2.0 * pw
+    x2, x3, x4 = 2.0 * px, 2.0 * py, 2.0 * pz
     pnorm = math.sqrt(x2 * x2 + x3 * x3 + x4 * x4)
 
     # Hemisphere rule: pick the sign of b so that t stays northern (t_k >= 0);
@@ -123,9 +136,10 @@ def base_and_entanglement(q1: Quaternion, q2: Quaternion
         xi = 0.0
     else:
         b = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
-        t = Quaternion(0.0, x2 / b, x3 / b, x4 / b)
-        chi = math.atan2(math.hypot(t.x, t.y), t.z)
-        xi = math.atan2(t.y, t.x)
+        tx, ty, tz = x2 / b, x3 / b, x4 / b
+        t = Quaternion(0.0, tx, ty, tz)
+        chi = math.atan2(math.hypot(tx, ty), tz)
+        xi = math.atan2(ty, tx)
 
     c = math.hypot(x2, x3)
     # atan2 rather than acos: acos loses half its digits near the poles.
@@ -136,8 +150,8 @@ def base_and_entanglement(q1: Quaternion, q2: Quaternion
             EntanglementSphere(chi=chi, xi=xi, b=b, t=t, c=c, x2=x2, x3=x3, x4=x4))
 
 
-def _fiber_angles(q_f: Quaternion) -> tuple[float, float, float]:
-    ca, cb = split_complex_pair(q_f)
+def _fiber_angles(q_f: Components) -> tuple[float, float, float]:
+    ca, cb = split_components(q_f)
     ma, mb = abs(ca), abs(cb)
     theta_f = 2.0 * math.atan2(mb, ma)
     if ma == 0.0:
@@ -163,29 +177,37 @@ def _fiber_bloch(theta_f: float, phi_f: float, zeta_f: float
     return (st * math.cos(az), st * math.sin(az), math.cos(theta_f))
 
 
-def fiber(q1: Quaternion, q2: Quaternion, base: BaseSphere,
+def fiber(q1: Components, q2: Components, base: BaseSphere,
           ent: EntanglementSphere) -> FiberSphere:
     """Fiber versor q_f = cos(theta/2)*q1 + sin(theta/2)*e^(-t*phi)*q2, decomposed."""
     half = 0.5 * base.theta
-    q_f = (math.cos(half) * q1
-           + math.sin(half) * (exp_pure(ent.t, -base.phi) * q2))
-    theta_f, phi_f, zeta_f = _fiber_angles(q_f)
+    ch, sh = math.cos(half), math.sin(half)
+    qw, qx, qy, qz = q1
+    rw, rx, ry, rz = hamilton(exp_axis(ent.t.components(), -base.phi), q2)
+    theta_f, phi_f, zeta_f = _fiber_angles(
+        (ch * qw + sh * rw, ch * qx + sh * rx, ch * qy + sh * ry, ch * qz + sh * rz))
     return FiberSphere(theta_f=theta_f, phi_f=phi_f, zeta_f=zeta_f,
                        bloch=_fiber_bloch(theta_f, phi_f, zeta_f))
 
 
 def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
-    q1, q2 = quaternion_pair(s, a)
+    q1, q2 = _packed(s, a)
     base, ent = base_and_entanglement(q1, q2)
     return SphereSet(assignment=a, base=base, ent=ent, fiber=fiber(q1, q2, base, ent))
 
 
-def fiber_versor(f: FiberSphere) -> Quaternion:
+_J = J.components()
+_K = K.components()
+
+
+def fiber_versor(f: FiberSphere) -> Components:
     """Rebuild q_f = (cos(theta_f/2) + sin(theta_f/2)*e^(k*phi_f)*j) * e^(k*zeta_f)."""
     half = 0.5 * f.theta_f
-    inner = (Quaternion(math.cos(half))
-             + math.sin(half) * (exp_pure(K, f.phi_f) * J))
-    return inner * exp_pure(K, f.zeta_f)
+    ch, sh = math.cos(half), math.sin(half)
+    w, x, y, z = hamilton(exp_axis(_K, f.phi_f), _J)
+    # (ch, 0, 0, 0) + sh*(w, x, y, z), with the signed zeros that sum gives.
+    return hamilton((ch + sh * w, 0.0 + sh * x, 0.0 + sh * y, 0.0 + sh * z),
+                    exp_axis(_K, f.zeta_f))
 
 
 def _validate(ss: SphereSet) -> None:
@@ -234,10 +256,11 @@ def reconstruct(ss: SphereSet) -> TwoQubitState:
     _validate(ss)
     q_f = fiber_versor(ss.fiber)
     half = 0.5 * ss.base.theta
-    q1 = math.cos(half) * q_f
-    q2 = math.sin(half) * (exp_pure(ss.ent.t, ss.base.phi) * q_f)
-    c1, c2 = split_complex_pair(q1)
-    c3, c4 = split_complex_pair(q2)
+    ch, sh = math.cos(half), math.sin(half)
+    w, x, y, z = q_f
+    rw, rx, ry, rz = hamilton(exp_axis(ss.ent.t.components(), ss.base.phi), q_f)
+    c1, c2 = split_components((ch * w, ch * x, ch * y, ch * z))
+    c3, c4 = split_components((sh * rw, sh * rx, sh * ry, sh * rz))
     if ss.assignment is Assignment.A_BASE:
         amps = (c1, c2, c3, c4)
     else:

@@ -3,6 +3,11 @@
 Basis rules: ij = k, jk = i, ki = j, i^2 = j^2 = k^2 = -1.  Complex
 amplitudes entering the quaternion algebra use *k* as their imaginary
 unit, so ``complex(a, b)`` embeds as the quaternion ``(a, 0, 0, b)``.
+
+Each formula is written once, on plain ``(w, x, y, z)`` float tuples
+(``Components``); the ``Quaternion`` class wraps them.  The sphere maps in
+``hopf`` call the component functions directly, so a state is mapped
+without building intermediate ``Quaternion`` objects.
 """
 
 from __future__ import annotations
@@ -13,11 +18,65 @@ import math
 # to be the quaternion k once embedded.
 ComplexK = complex
 
+Components = tuple[float, float, float, float]
+
 UNIT_TOL = 1e-12
 
 
 class NonUnitPureImaginary(ValueError):
-    """Axis passed to exp_pure is not a unit pure-imaginary quaternion."""
+    """Axis passed to exp_axis (or exp_pure) is not a unit pure-imaginary quaternion."""
+
+
+def hamilton(a: Components, b: Components) -> Components:
+    """Hamilton product a*b (non-commutative)."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
+
+
+def conj(q: Components) -> Components:
+    w, x, y, z = q
+    return (w, -x, -y, -z)
+
+
+def norm_sq(q: Components) -> float:
+    w, x, y, z = q
+    return w * w + x * x + y * y + z * z
+
+
+def exp_axis(t: Components, angle: float) -> Components:
+    """e^(t*angle) = cos(angle) + t*sin(angle) for a unit pure-imaginary t.
+
+    Rejects a non-unit or non-pure axis instead of normalizing, so that
+    convention bugs upstream surface here.
+    """
+    w, x, y, z = t
+    n = math.sqrt(norm_sq(t))
+    if abs(w) > UNIT_TOL or abs(n - 1.0) > UNIT_TOL:
+        raise NonUnitPureImaginary(
+            f"axis must be unit pure-imaginary, got w={w!r}, |t|={n!r}"
+        )
+    c, s = math.cos(angle), math.sin(angle)
+    return (c, s * x, s * y, s * z)
+
+
+def split_components(q: Components) -> tuple[ComplexK, ComplexK]:
+    """Split q = embed(a) + embed(b)*j into the complex-in-k pair (a, b).
+
+    From the basis rules, embed(b)*j = b_re*j - b_im*i, so the components
+    map as a = (w, z) and b = (y, -x).  The inverse is join_components.
+    """
+    w, x, y, z = q
+    return complex(w, z), complex(y, -x)
+
+
+def join_components(a: ComplexK, b: ComplexK) -> Components:
+    """Recompose embed(a) + embed(b)*j; exact inverse of split_components."""
+    a, b = complex(a), complex(b)
+    return (a.real, -b.imag, b.real, a.imag)
 
 
 class Quaternion:
@@ -62,13 +121,7 @@ class Quaternion:
     def __mul__(self, other):
         """Hamilton product (non-commutative); scalars multiply componentwise."""
         if isinstance(other, Quaternion):
-            a, b = self, other
-            return Quaternion(
-                a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-                a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-                a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-                a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-            )
+            return Quaternion(*hamilton(self.components(), other.components()))
         s = float(other)
         return Quaternion(self.w * s, self.x * s, self.y * s, self.z * s)
 
@@ -77,15 +130,15 @@ class Quaternion:
         return Quaternion(self.w * s, self.x * s, self.y * s, self.z * s)
 
     def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return Quaternion(*conj(self.components()))
 
     def norm_sq(self) -> float:
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        return norm_sq(self.components())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def components(self) -> tuple[float, float, float, float]:
+    def components(self) -> Components:
         return (self.w, self.x, self.y, self.z)
 
 
@@ -102,29 +155,15 @@ def embed(c: ComplexK) -> Quaternion:
 
 
 def exp_pure(t: Quaternion, angle: float) -> Quaternion:
-    """e^(t*angle) = cos(angle) + t*sin(angle) for a unit pure-imaginary t.
-
-    Rejects a non-unit or non-pure axis instead of normalizing, so that
-    convention bugs upstream surface here.
-    """
-    if abs(t.w) > UNIT_TOL or abs(t.norm() - 1.0) > UNIT_TOL:
-        raise NonUnitPureImaginary(
-            f"axis must be unit pure-imaginary, got w={t.w!r}, |t|={t.norm()!r}"
-        )
-    c, s = math.cos(angle), math.sin(angle)
-    return Quaternion(c, s * t.x, s * t.y, s * t.z)
+    """e^(t*angle) for a unit pure-imaginary t (see exp_axis)."""
+    return Quaternion(*exp_axis(t.components(), angle))
 
 
 def split_complex_pair(q: Quaternion) -> tuple[ComplexK, ComplexK]:
-    """Split q = embed(a) + embed(b)*j into the complex-in-k pair (a, b).
-
-    From the basis rules, embed(b)*j = b_re*j - b_im*i, so the components
-    map as a = (w, z) and b = (y, -x).  The inverse is join_complex_pair.
-    """
-    return complex(q.w, q.z), complex(q.y, -q.x)
+    """Split q = embed(a) + embed(b)*j into (a, b) (see split_components)."""
+    return split_components(q.components())
 
 
 def join_complex_pair(a: ComplexK, b: ComplexK) -> Quaternion:
     """Recompose embed(a) + embed(b)*j; exact inverse of split_complex_pair."""
-    a, b = complex(a), complex(b)
-    return Quaternion(a.real, -b.imag, b.real, a.imag)
+    return Quaternion(*join_components(a, b))

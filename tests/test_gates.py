@@ -107,6 +107,21 @@ def test_u4_gate():
         Gate(kind="u4")
 
 
+def test_u4_gate_is_a_value():
+    m = np.eye(4, dtype=complex)
+    g = Gate(kind="u4", matrix=m)
+    m[0, 0] = -1.0                      # the caller's array is not the gate's
+    assert np.array_equal(g.matrix, np.eye(4))
+    with pytest.raises(ValueError):
+        g.matrix[0, 0] = -1.0
+    assert g == Gate(kind="u4", matrix=np.eye(4))
+    assert hash(g) == hash(Gate(kind="u4", matrix=np.eye(4)))
+    assert g != Gate(kind="u4", matrix=np.diag([1, 1, 1, -1]))
+    assert len({g, Gate(kind="u4", matrix=np.eye(4)), Gate(kind="x", target="A")}) == 2
+    with pytest.raises(ValueError):
+        Gate(kind="x", target="A", matrix=np.eye(4))
+
+
 def test_bad_wiring():
     with pytest.raises(BadWiring):
         Gate(kind="cx", control="A", target="A")

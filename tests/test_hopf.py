@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import entangler_60_70_state
 from qubit_spheres.gates import bloch_rotation
@@ -9,8 +11,11 @@ from qubit_spheres.hopf import (
     Assignment,
     BaseSphere,
     EntanglementSphere,
+    FiberSphere,
     InvalidSphereSet,
     SphereSet,
+    _fiber_bloch,
+    _validate,
     base_and_entanglement,
     fiber,
     fiber_versor,
@@ -20,7 +25,14 @@ from qubit_spheres.hopf import (
     sphere_set,
 )
 from qubit_spheres.oracles import oracle_concurrence
-from qubit_spheres.quatmath import Quaternion
+from qubit_spheres.quatmath import (
+    J,
+    K,
+    Quaternion,
+    exp_pure,
+    join_complex_pair,
+    split_complex_pair,
+)
 from qubit_spheres.state import (
     BASIS_NAMES,
     BELL_NAMES,
@@ -81,8 +93,7 @@ def test_bell_phi_plus_spheres():
     assert ss.ent.c == pytest.approx(1.0, abs=1e-12)
     assert ss.ent.x4 == pytest.approx(0.0, abs=1e-12)
     # fiber versor is the identity quaternion
-    qf = fiber_versor(ss.fiber)
-    assert qf.components() == pytest.approx((1, 0, 0, 0), abs=1e-12)
+    assert fiber_versor(ss.fiber) == pytest.approx((1, 0, 0, 0), abs=1e-12)
 
 
 def test_bell_both_assignments_same_concurrence():
@@ -154,9 +165,9 @@ def test_round_trip_examples():
             assert amp_error(reconstruct(sphere_set(s, a)), s) < 1e-12
 
 
-def test_near_degenerate_round_trip():
-    # Basis, Bell and product states perturbed by eps = 1e-3 ... 1e-15, where
-    # the base poles, b = 0 and chi = 0 make the angles ill-conditioned.
+def near_degenerate_sweep() -> list[TwoQubitState]:
+    """Basis, Bell and product states perturbed by eps = 1e-3 ... 1e-15, where
+    the base poles, b = 0 and chi = 0 make the angles ill-conditioned."""
     rng = np.random.default_rng(41)
     centres = [TwoQubitState.basis(label).vector() for label in BASIS_NAMES]
     centres += [TwoQubitState.bell(name).vector() for name in BELL_NAMES]
@@ -168,12 +179,65 @@ def test_near_degenerate_round_trip():
                 z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 w = v + 10.0 ** -k * z / np.linalg.norm(z)
                 states.append(TwoQubitState.from_amplitudes(*w))
-    for s in states:
+    return states
+
+
+def assert_round_trip(s: TwoQubitState, a: Assignment):
+    # reconstruct returns a unit vector, so the input's own norm defect (up
+    # to NORM_TOL) comes back as error.
+    err = amp_error(reconstruct(sphere_set(s, a)), s)
+    assert err <= 1e-12 + abs(s.norm() - 1.0), (s, a, err)
+
+
+def test_near_degenerate_round_trip():
+    for s in near_degenerate_sweep():
         for a in Assignment:
-            # reconstruct returns a unit vector, so the input's own norm
-            # defect (up to NORM_TOL) comes back as error.
-            err = amp_error(reconstruct(sphere_set(s, a)), s)
-            assert err <= 1e-12 + abs(s.norm() - 1.0), (s, a, err)
+            assert_round_trip(s, a)
+
+
+# Exact states on each branch of the map: p = 0 and the base poles (basis
+# states), x4 = 0 with p != 0 (real Bell states), and both fiber poles.
+BRANCH_POINTS = ([TwoQubitState.basis(label) for label in BASIS_NAMES]
+                 + [TwoQubitState.bell(name) for name in BELL_NAMES])
+
+
+def test_branch_points_reach_every_branch():
+    hit = set()
+    for s in BRANCH_POINTS:
+        for a in Assignment:
+            ss = sphere_set(s, a)
+            ent, theta, theta_f = ss.ent, ss.base.theta, ss.fiber.theta_f
+            branches = {
+                "p = 0": ent.x2 == ent.x3 == ent.x4 == 0.0,
+                "x4 = 0, p != 0": ent.x4 == 0.0 and ent.b != 0.0,
+                "theta = 0": theta == 0.0,
+                "theta = pi": theta == math.pi,
+                "|ca| = 0": theta_f == math.pi,
+                "|cb| = 0": theta_f == 0.0,
+            }
+            hit.update(name for name, at in branches.items() if at)
+            assert_round_trip(s, a)
+    assert hit == set(branches)
+
+
+product_states = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_product_state(np.random.default_rng(seed)))
+
+
+@st.composite
+def near_degenerate_states(draw):
+    """A branch point, or a basis, Bell or product state perturbed by a
+    log-uniform eps in [1e-15, 1e-3]."""
+    centre = draw(st.one_of(st.sampled_from(BRANCH_POINTS), product_states))
+    eps = draw(st.one_of(st.just(0.0), st.floats(-15.0, -3.0).map(lambda k: 10.0 ** k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return TwoQubitState.from_amplitudes(*(centre.vector() + eps * z / np.linalg.norm(z)))
+
+
+@given(near_degenerate_states(), st.sampled_from(Assignment))
+def test_near_degenerate_round_trip_property(s, a):
+    assert_round_trip(s, a)
 
 
 def test_s4_norm_and_b_relation(sphere_pool):
@@ -198,7 +262,7 @@ def test_concurrence_matches_oracle(state_pool, sphere_pool):
 def test_fiber_versor_is_unit(sphere_pool):
     sets_a, sets_b = sphere_pool
     for ss in (sets_a[:500] + sets_b[:500]):
-        assert fiber_versor(ss.fiber).norm() == pytest.approx(1.0, abs=1e-12)
+        assert Quaternion(*fiber_versor(ss.fiber)).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_from_spheres_examples():
@@ -305,10 +369,125 @@ def test_reconstruct_rejects_southern_chi():
 
 def test_component_functions_compose():
     s = entangler_60_70_state()
-    q1, q2 = quaternion_pair(s, Assignment.A_BASE)
+    q1, q2 = (q.components() for q in quaternion_pair(s, Assignment.A_BASE))
     base, ent = base_and_entanglement(q1, q2)
     fib = fiber(q1, q2, base, ent)
     ss = sphere_set(s, Assignment.A_BASE)
     assert ss.base == base
     assert ss.ent == ent
     assert ss.fiber == fib
+
+
+# -- reference: the map written on Quaternion objects ------------------------
+# Operation for operation what the float kernel in hopf computes; the kernel
+# must reproduce it bit for bit.
+
+def ref_quaternion_pair(s, a):
+    if a is Assignment.A_BASE:
+        return (join_complex_pair(s.alpha, s.beta),
+                join_complex_pair(s.gamma, s.delta))
+    return (join_complex_pair(s.alpha, s.gamma),
+            join_complex_pair(s.beta, s.delta))
+
+
+def ref_base_and_entanglement(q1, q2):
+    x0 = q1.norm_sq() - q2.norm_sq()
+    p = 2.0 * (q2 * q1.conj())
+
+    x1 = p.w
+    x2, x3, x4 = p.x, p.y, p.z
+    pnorm = math.sqrt(x2 * x2 + x3 * x3 + x4 * x4)
+
+    if pnorm == 0.0:
+        b = 0.0
+        t = K
+        chi = 0.0
+        xi = 0.0
+    else:
+        b = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
+        t = Quaternion(0.0, x2 / b, x3 / b, x4 / b)
+        chi = math.atan2(math.hypot(t.x, t.y), t.z)
+        xi = math.atan2(t.y, t.x)
+
+    c = math.hypot(x2, x3)
+    theta = math.atan2(math.hypot(x1, b), x0)
+    phi = 0.0 if (theta == 0.0 or theta == math.pi) else math.atan2(b, x1)
+
+    return (BaseSphere(theta=theta, phi=phi, x1=x1, b=b, x0=x0),
+            EntanglementSphere(chi=chi, xi=xi, b=b, t=t, c=c, x2=x2, x3=x3, x4=x4))
+
+
+def ref_fiber_angles(q_f):
+    ca, cb = split_complex_pair(q_f)
+    ma, mb = abs(ca), abs(cb)
+    theta_f = 2.0 * math.atan2(mb, ma)
+    if ma == 0.0:
+        zeta_f = 0.0
+        phi_f = math.atan2(cb.imag, cb.real)
+    elif mb == 0.0:
+        zeta_f = math.atan2(ca.imag, ca.real)
+        phi_f = zeta_f
+    else:
+        zeta_f = math.atan2(ca.imag, ca.real)
+        phi_f = math.atan2(cb.imag, cb.real) + zeta_f
+        if phi_f > math.pi:
+            phi_f -= 2.0 * math.pi
+        elif phi_f <= -math.pi:
+            phi_f += 2.0 * math.pi
+    return theta_f, phi_f, zeta_f
+
+
+def ref_fiber(q1, q2, base, ent):
+    half = 0.5 * base.theta
+    q_f = (math.cos(half) * q1
+           + math.sin(half) * (exp_pure(ent.t, -base.phi) * q2))
+    theta_f, phi_f, zeta_f = ref_fiber_angles(q_f)
+    return FiberSphere(theta_f=theta_f, phi_f=phi_f, zeta_f=zeta_f,
+                       bloch=_fiber_bloch(theta_f, phi_f, zeta_f))
+
+
+def ref_sphere_set(s, a):
+    q1, q2 = ref_quaternion_pair(s, a)
+    base, ent = ref_base_and_entanglement(q1, q2)
+    return SphereSet(assignment=a, base=base, ent=ent, fiber=ref_fiber(q1, q2, base, ent))
+
+
+def ref_fiber_versor(f):
+    half = 0.5 * f.theta_f
+    inner = (Quaternion(math.cos(half))
+             + math.sin(half) * (exp_pure(K, f.phi_f) * J))
+    return inner * exp_pure(K, f.zeta_f)
+
+
+def ref_reconstruct(ss):
+    _validate(ss)
+    q_f = ref_fiber_versor(ss.fiber)
+    half = 0.5 * ss.base.theta
+    q1 = math.cos(half) * q_f
+    q2 = math.sin(half) * (exp_pure(ss.ent.t, ss.base.phi) * q_f)
+    c1, c2 = split_complex_pair(q1)
+    c3, c4 = split_complex_pair(q2)
+    if ss.assignment is Assignment.A_BASE:
+        amps = (c1, c2, c3, c4)
+    else:
+        amps = (c1, c3, c2, c4)
+    return TwoQubitState(*amps)
+
+
+def assert_matches_reference(states):
+    # repr, not only ==: it tells -0.0 from 0.0, which decides atan2 branches.
+    for s in states:
+        for a in Assignment:
+            ss = sphere_set(s, a)
+            want = ref_sphere_set(s, a)
+            assert ss == want and repr(ss) == repr(want), (s, a)
+            got, want = reconstruct(ss), ref_reconstruct(want)
+            assert got == want and repr(got) == repr(want), (s, a)
+
+
+def test_kernel_matches_reference_on_pool(state_pool):
+    assert_matches_reference(state_pool[:2000])
+
+
+def test_kernel_matches_reference_near_degenerate():
+    assert_matches_reference(near_degenerate_sweep() + BRANCH_POINTS)
