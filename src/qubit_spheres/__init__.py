@@ -22,7 +22,6 @@ from .state import (
     random_state,
     reduced_density,
 )
-from .verify import VerificationReport, run_suite
 
 __version__ = "0.1.0"
 
@@ -59,3 +58,13 @@ __all__ = [
     "sphere_set",
     "split_complex_pair",
 ]
+
+
+def __getattr__(name):
+    # verify needs numpy; it is imported on first use of its names, so that
+    # importing the package (and so every CLI command but verify) does not.
+    if name in ("VerificationReport", "run_suite"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

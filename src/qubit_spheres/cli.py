@@ -7,9 +7,10 @@ All human-facing angles are degrees; JSON field names carry _deg suffixes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-from . import records, render, verify
+from . import records, render
 from .gates import ParseError, TrajectoryStep, parse_circuit_file, run
 from .jsonfmt import dumps
 from .state import (
@@ -40,13 +41,21 @@ def _parse_state(args) -> tuple[TwoQubitState, dict]:
         return TwoQubitState.basis(args.basis), {"kind": "basis", "label": args.basis}
     fields = args.state.split(",")
     if len(fields) != 8:
-        raise ValueError(f"--state needs 8 comma-separated reals, got {len(fields)}")
-    try:
-        vals = [float(f) for f in fields]
-    except ValueError as exc:
-        raise ValueError(f"--state: {exc}") from None
+        raise ValueError(f"--state: needs 8 comma-separated reals, got {len(fields)}")
+    vals = []
+    for i, field in enumerate(fields, start=1):
+        try:
+            v = float(field)
+        except ValueError:
+            raise ValueError(f"--state: field {i} is not a real number: {field!r}") from None
+        if not math.isfinite(v):
+            raise ValueError(f"--state: field {i} is {v!r}")
+        vals.append(v)
     amps = [complex(vals[2 * i], vals[2 * i + 1]) for i in range(4)]
-    s = TwoQubitState.from_amplitudes(*amps)
+    try:
+        s = TwoQubitState.from_amplitudes(*amps)
+    except NotNormalizable as exc:
+        raise NotNormalizable(f"--state: {exc}") from None
     return s, {"kind": "state", "amplitudes": records.amplitude_list(s)}
 
 
@@ -133,7 +142,13 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify.run_suite(seed=args.seed, samples=args.samples)
+    # Imported here: verify needs numpy, which no other command loads.
+    from . import verify
+
+    # An option left out takes run_suite's default.
+    given = {k: v for k, v in (("seed", args.seed), ("samples", args.samples))
+             if v is not None}
+    report = verify.run_suite(**given)
     sys.stdout.write(dumps(report.to_dict()))
     return 0 if report.all_passed else VERIFY_FAIL_EXIT
 
@@ -166,8 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=verify.DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=int, help="pool seed (default: verify.DEFAULT_SEED)")
+    p.add_argument("--samples", type=int,
+                   help="pool size (default: verify.DEFAULT_SAMPLES)")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -179,7 +195,7 @@ def main(argv=None) -> int:
     if args.command == "render" and args.circuit is None and args.state is None \
             and args.bell is None and args.basis is None:
         parser.error("render needs --state, --bell, --basis or --circuit")
-    if args.command == "verify" and args.samples < 1:
+    if args.command == "verify" and args.samples is not None and args.samples < 1:
         parser.error(f"--samples must be >= 1, got {args.samples}")
     try:
         return args.func(args)

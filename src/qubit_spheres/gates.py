@@ -7,11 +7,11 @@ amplitude ordering.  Circuit files carry angles in degrees.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .hopf import Assignment, SphereSet, sphere_set
 from .state import (
@@ -22,6 +22,9 @@ from .state import (
     reduced_density,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ROTATION_KINDS = ("rx", "ry", "rz", "crx", "cry", "crz")
 FIXED_SINGLE_KINDS = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 FIXED_CONTROLLED_KINDS = ("cx", "cy", "cz")
@@ -29,22 +32,39 @@ GATE_KINDS = ROTATION_KINDS + FIXED_SINGLE_KINDS + FIXED_CONTROLLED_KINDS + ("u4
 
 QUBITS = ("A", "B")
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-_PAULI = {"x": _SX, "y": _SY, "z": _SZ}
+# Every single-qubit gate is a 2x2 table ((u00, u01), (u10, u11)) of Python
+# complex entries.  `apply` computes with it directly; `rotation`, `expand`
+# and `bloch_rotation` build their numpy arrays from it.
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
-_FIXED_1Q = {
-    "x": _SX,
-    "y": _SY,
-    "z": _SZ,
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "s": np.diag([1, 1j]).astype(complex),
-    "sdg": np.diag([1, -1j]).astype(complex),
-    "t": np.diag([1, np.exp(1j * math.pi / 4)]).astype(complex),
-    "tdg": np.diag([1, np.exp(-1j * math.pi / 4)]).astype(complex),
+_I2: Matrix2 = ((1 + 0j, 0j), (0j, 1 + 0j))
+_PAULI: dict[str, Matrix2] = {
+    "x": ((0j, 1 + 0j), (1 + 0j, 0j)),
+    "y": ((0j, -1j), (1j, 0j)),
+    "z": ((1 + 0j, 0j), (0j, -1 + 0j)),
 }
+_H = 1 / math.sqrt(2)
+_FIXED_1Q: dict[str, Matrix2] = {
+    **_PAULI,
+    "h": ((complex(_H), complex(_H)), (complex(_H), complex(-_H))),
+    "s": ((1 + 0j, 0j), (0j, 1j)),
+    "sdg": ((1 + 0j, 0j), (0j, -1j)),
+    "t": ((1 + 0j, 0j), (0j, cmath.exp(1j * math.pi / 4))),
+    "tdg": ((1 + 0j, 0j), (0j, cmath.exp(-1j * math.pi / 4))),
+}
+
+
+def _rotation_table(axis: str, angle: float) -> Matrix2:
+    """cos(angle/2)*I - (1j*sin(angle/2))*sigma, entry by entry.
+
+    `complex(c)` multiplies as a full complex product, the way numpy
+    multiplies a complex array by a real (Python 3.14 multiplies a bare float
+    component-wise), so signed zeros come out as in the numpy construction.
+    """
+    half = 0.5 * angle
+    c, s = complex(math.cos(half)), 1j * math.sin(half)
+    p = _PAULI[axis]
+    return tuple(tuple(c * _I2[i][j] - s * p[i][j] for j in range(2)) for i in range(2))
 
 
 class BadWiring(ValueError):
@@ -69,15 +89,18 @@ class BadAngle(ParseError):
 
 def rotation(axis: str, angle: float) -> np.ndarray:
     """2x2 unitary exp(-i*angle*sigma_axis/2); determinant 1."""
+    import numpy as np
+
     if axis not in _PAULI:
         raise ValueError(f"axis must be one of ('x', 'y', 'z'), got {axis!r}")
-    half = 0.5 * angle
-    return math.cos(half) * _I2 - 1j * math.sin(half) * _PAULI[axis]
+    return np.array(_rotation_table(axis, angle))
 
 
 def bloch_rotation(u: np.ndarray) -> np.ndarray:
     """SO(3) action of a 2x2 unitary on Bloch vectors: R_ij = Tr(s_i U s_j U+)/2."""
-    paulis = (_SX, _SY, _SZ)
+    import numpy as np
+
+    paulis = [np.array(_PAULI[axis]) for axis in "xyz"]
     udag = u.conj().T
     r = np.empty((3, 3))
     for i in range(3):
@@ -106,10 +129,16 @@ class Gate:
         if self.kind == "u4":
             if self.matrix is None:
                 raise ValueError("u4 gate requires a 4x4 matrix")
+            import numpy as np
+
             m = np.array(self.matrix, dtype=complex)
             if m.shape != (4, 4):
                 raise ValueError(f"u4 matrix must be 4x4, got shape {m.shape}")
-            if np.abs(m @ m.conj().T - np.eye(4)).max() > 1e-12:
+            # A non-finite or overflowing entry gives a NaN or inf error,
+            # which the check is written to reject too.
+            with np.errstate(over="ignore", invalid="ignore"):
+                err = np.abs(m @ m.conj().T - np.eye(4)).max()
+            if not err <= 1e-12:
                 raise ValueError("u4 matrix is not unitary within 1e-12")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
@@ -131,6 +160,8 @@ class Gate:
             raise ValueError(f"{self.kind} requires an angle")
         if not needs_angle and self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
+        if needs_angle and not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind} angle {self.angle!r} is not finite")
 
     def _key(self) -> tuple:
         m = None if self.matrix is None else tuple(self.matrix.ravel().tolist())
@@ -156,30 +187,48 @@ class Gate:
         return " ".join(parts)
 
 
-def _single_qubit_matrix(g: Gate) -> np.ndarray:
+def _table(g: Gate) -> Matrix2:
+    """The 2x2 table of a gate's single-qubit part (the target's, if controlled)."""
     base = g.kind[1:] if g.kind.startswith("c") else g.kind
     if base in ("rx", "ry", "rz"):
-        return rotation(base[1], g.angle)
+        return _rotation_table(base[1], g.angle)
     return _FIXED_1Q[base]
 
 
 def expand(g: Gate) -> np.ndarray:
     """4x4 unitary of the gate in the (|00>,|01>,|10>,|11>) ordering."""
+    import numpy as np
+
     if g.kind == "u4":
         return g.matrix.copy()
-    u = _single_qubit_matrix(g)
+    u = np.array(_table(g))
+    i2 = np.array(_I2)
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     if g.control is None:
-        return np.kron(u, _I2) if g.target == "A" else np.kron(_I2, u)
+        return np.kron(u, i2) if g.target == "A" else np.kron(i2, u)
     if g.control == "A":
-        return np.kron(p0, _I2) + np.kron(p1, u)
-    return np.kron(_I2, p0) + np.kron(u, p1)
+        return np.kron(p0, i2) + np.kron(p1, u)
+    return np.kron(i2, p0) + np.kron(u, p1)
 
 
 def apply(s: TwoQubitState, g: Gate) -> TwoQubitState:
-    v = expand(g) @ s.vector()
-    return TwoQubitState(*(complex(c) for c in v))
+    """The state after gate g: the 2x2 table acts on the target's index of
+    the (a, b) amplitude grid, on the control = 1 half for a controlled gate."""
+    if g.kind == "u4":
+        v = g.matrix @ s.vector()
+        return TwoQubitState(*(complex(c) for c in v))
+    (u00, u01), (u10, u11) = _table(g)
+    a00, a01, a10, a11 = s.amplitudes()
+    if g.target == "A":
+        if g.control != "B":
+            a00, a10 = u00 * a00 + u01 * a10, u10 * a00 + u11 * a10
+        a01, a11 = u00 * a01 + u01 * a11, u10 * a01 + u11 * a11
+    else:
+        if g.control != "A":
+            a00, a01 = u00 * a00 + u01 * a01, u10 * a00 + u11 * a01
+        a10, a11 = u00 * a10 + u01 * a11, u10 * a10 + u11 * a11
+    return TwoQubitState(a00, a01, a10, a11)
 
 
 @dataclass(frozen=True)

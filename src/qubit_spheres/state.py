@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .quatmath import ComplexK
+
+if TYPE_CHECKING:
+    import numpy as np
 
 NORM_TOL = 1e-9
 ZERO_NORM_TOL = 1e-12
@@ -85,6 +87,8 @@ class TwoQubitState:
         return (self.alpha, self.beta, self.gamma, self.delta)
 
     def vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.alpha, self.beta, self.gamma, self.delta], dtype=complex)
 
     def norm(self) -> float:
@@ -108,6 +112,8 @@ class DensityMatrix:
     rho11: ComplexK
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.rho00, self.rho01], [self.rho10, self.rho11]],
                         dtype=complex)
 
@@ -183,6 +189,8 @@ def random_state(seed) -> TwoQubitState:
 
     Accepts an int seed or a numpy Generator (for drawing sequences).
     """
+    import numpy as np
+
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     n = np.linalg.norm(v)

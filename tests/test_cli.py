@@ -1,10 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import CIRCUIT_DIR, GOLDEN_DIR
+from conftest import CIRCUIT_DIR, GOLDEN_DIR, REPO_ROOT
 from qubit_spheres import cli, gates
 from qubit_spheres.hopf import sphere_set
 
@@ -80,6 +81,20 @@ def test_map_non_finite_norm_exits_2(capsys, state):
     assert code == 2
     assert out == ""
     assert err.count("error:") == 1 and err.startswith("error:")
+    assert "--state" in err
+
+
+@pytest.mark.parametrize("state,message", [
+    ("nan,0,0,0,0,0,0,0", "--state: field 1 is nan"),
+    ("1,0,0,-inf,0,0,0,0", "--state: field 4 is -inf"),
+    ("1,0,0,x,0,0,0,0", "--state: field 4 is not a real number: 'x'"),
+    ("1e200,0,0,0,0,0,0,0", "--state: amplitude norm inf is not finite"),
+    ("0,0,0,0,0,0,0,0", "--state: amplitude norm 0.0 too small to normalize"),
+])
+def test_map_state_errors_name_the_field(capsys, state, message):
+    code, _, err = run_cli(capsys, "map", f"--state={state}")
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def test_map_degrees_match_radians(capsys):
@@ -202,6 +217,47 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["records"][0]["concurrence"] == pytest.approx(1.0, abs=1e-12)
+
+
+def _python(*args, importtime=False):
+    """`python [-X importtime] ARGS` with the package's src on the path, from the repo root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    flags = ["-X", "importtime"] if importtime else []
+    return subprocess.run([sys.executable, *flags, *args],
+                          capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+
+
+def _imported(stderr: str) -> set[str]:
+    """Module names in `-X importtime` output (lines "import time: self | cum | name")."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["map", "--bell", "phi+"],
+    ["run", ENTANGLER_CIRC, "--steps"],
+    ["render", "--bell", "phi+", "--out", "{tmp}/bell.svg"],
+])
+def test_commands_without_arrays_do_not_import_numpy(tmp_path, argv):
+    proc = _python("-m", "qubit_spheres", *(arg.format(tmp=tmp_path) for arg in argv),
+                   importtime=True)
+    assert proc.returncode == 0
+    names = _imported(proc.stderr)
+    assert "qubit_spheres.cli" in names
+    assert sorted(n for n in names if n.split(".")[0] == "numpy") == []
+
+
+def test_verify_loads_numpy_on_demand():
+    proc = _python("-m", "qubit_spheres", "verify", "--samples", "10", importtime=True)
+    assert proc.returncode == 0
+    assert "numpy" in _imported(proc.stderr)
+    proc = _python("-c", "import sys, qubit_spheres\n"
+                         "assert 'numpy' not in sys.modules\n"
+                         "from qubit_spheres import *\n"
+                         "assert isinstance(run_suite(seed=1, samples=5), VerificationReport)\n")
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv,calls", [

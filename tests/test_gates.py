@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qubit_spheres.gates import (
+    GATE_KINDS,
+    ROTATION_KINDS,
     BadAngle,
     BadWiring,
     Circuit,
@@ -17,10 +19,63 @@ from qubit_spheres.gates import (
     rotation,
     run,
 )
-from qubit_spheres.state import TwoQubitState, bloch_vector
+from qubit_spheres.state import TwoQubitState, bloch_vector, random_state
 
 DEG = math.pi / 180
 C_60_70 = 0.496731764892154
+
+# Reference gate kernel: the numpy construction `gates` used before its 2x2
+# table (cos*I2 - 1j*sin*sigma, fixed gates as arrays, np.kron expansion).
+_REF_I2 = np.eye(2, dtype=complex)
+_REF_PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+_REF_FIXED = {
+    **_REF_PAULI,
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "s": np.diag([1, 1j]).astype(complex),
+    "sdg": np.diag([1, -1j]).astype(complex),
+    "t": np.diag([1, np.exp(1j * math.pi / 4)]).astype(complex),
+    "tdg": np.diag([1, np.exp(-1j * math.pi / 4)]).astype(complex),
+}
+REF_ANGLES = (0.0, -0.0, 1e-300, 0.3, -0.3, 1.2, -2.5, math.pi, -math.pi,
+              2 * math.pi, -2 * math.pi, 3 * math.pi, 6.1, -6.1)
+
+
+def ref_rotation(axis, angle):
+    half = 0.5 * angle
+    return math.cos(half) * _REF_I2 - 1j * math.sin(half) * _REF_PAULI[axis]
+
+
+def ref_expand(g):
+    base = g.kind[1:] if g.kind.startswith("c") else g.kind
+    u = ref_rotation(base[1], g.angle) if base in ("rx", "ry", "rz") else _REF_FIXED[base]
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    p1 = np.diag([0.0, 1.0]).astype(complex)
+    if g.control is None:
+        return np.kron(u, _REF_I2) if g.target == "A" else np.kron(_REF_I2, u)
+    if g.control == "A":
+        return np.kron(p0, _REF_I2) + np.kron(p1, u)
+    return np.kron(_REF_I2, p0) + np.kron(u, p1)
+
+
+def entry_reprs(m):
+    """Shape, dtype and every entry's repr: equal only if bit-identical, signed zeros too."""
+    return m.shape, m.dtype, [repr(complex(x)) for x in m.ravel()]
+
+
+def every_gate():
+    """Every non-u4 kind on every wiring, rotations at every REF_ANGLES angle."""
+    for kind in GATE_KINDS:
+        if kind == "u4":
+            continue
+        wirings = ((("A", "B"), ("B", "A")) if kind.startswith("c")
+                   else ((None, "A"), (None, "B")))
+        for control, target in wirings:
+            for angle in (REF_ANGLES if kind in ROTATION_KINDS else (None,)):
+                yield Gate(kind=kind, target=target, control=control, angle=angle)
 
 
 def test_rotation_identity_and_double_cover():
@@ -48,6 +103,28 @@ def test_z_from_y_identity(mu_deg):
     lhs = rotation("z", mu)
     rhs = rotation("x", 90 * DEG) @ rotation("y", mu) @ rotation("x", -90 * DEG)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_rotation_matches_reference_bit_for_bit():
+    for axis in "xyz":
+        for angle in REF_ANGLES:
+            assert entry_reprs(rotation(axis, angle)) == entry_reprs(ref_rotation(axis, angle))
+
+
+def test_expand_matches_reference_bit_for_bit():
+    for g in every_gate():
+        assert entry_reprs(expand(g)) == entry_reprs(ref_expand(g)), g.describe()
+
+
+def test_apply_matches_expanded_matrix():
+    # The 2x2 sums round differently from the 4x4 product, by a few ulp at most.
+    rng = np.random.default_rng(20251)
+    states = [random_state(rng) for _ in range(40)]
+    for g in every_gate():
+        for s in states:
+            want = expand(g) @ s.vector()
+            got = apply(s, g).amplitudes()
+            assert max(abs(x - complex(y)) for x, y in zip(got, want)) <= 4 * 2.0**-52
 
 
 def test_expand_rx_on_a():
@@ -105,6 +182,22 @@ def test_u4_gate():
         Gate(kind="u4", matrix=np.ones((4, 4)))
     with pytest.raises(ValueError):
         Gate(kind="u4")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+def test_u4_rejects_non_finite_or_overflowing_entries(bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="not unitary"):
+        Gate(kind="u4", matrix=m)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rotation_gate_rejects_non_finite_angle(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        Gate(kind="rx", target="A", angle=bad)
+    with pytest.raises(ValueError, match="not finite"):
+        Gate(kind="cry", control="A", target="B", angle=bad)
 
 
 def test_u4_gate_is_a_value():
