@@ -11,15 +11,9 @@ import math
 import sys
 
 from . import records, render
-from .gates import ParseError, TrajectoryStep, parse_circuit_file, run
+from .gates import TrajectoryStep, parse_circuit_file, run
 from .jsonfmt import dumps
-from .state import (
-    BASIS_NAMES,
-    BELL_NAMES,
-    NormOutOfTolerance,
-    NotNormalizable,
-    TwoQubitState,
-)
+from .state import BASIS_NAMES, BELL_NAMES, NotNormalizable, TwoQubitState
 
 USAGE_EXIT = 2
 VERIFY_FAIL_EXIT = 1
@@ -199,7 +193,7 @@ def main(argv=None) -> int:
         parser.error(f"--samples must be >= 1, got {args.samples}")
     try:
         return args.func(args)
-    except (ParseError, NotNormalizable, NormOutOfTolerance, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .hopf import Assignment, SphereSet, sphere_set
 from .state import (
+    BASIS_NAMES,
     DensityMatrix,
     TwoQubitState,
     coherence_d,
@@ -109,29 +109,29 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True)
-class Gate:
+# The class form of NamedTuple forbids overriding __new__, hence the
+# functional bases of Gate and Circuit.
+class Gate(NamedTuple("Gate", [
+        ("kind", str), ("target", str | None), ("control", str | None),
+        ("angle", float | None), ("matrix", tuple[tuple[complex, ...], ...] | None)])):
     """One circuit element; rotation kinds carry `angle` (radians), u4 a matrix.
 
-    A u4 gate keeps a read-only copy of its matrix and, like every gate,
-    compares and hashes by value.
+    A u4 gate keeps its matrix as a 4x4 tuple of complex rows, so every gate
+    is immutable and compares and hashes by value.
     """
 
-    kind: str
-    target: str | None = None
-    control: str | None = None
-    angle: float | None = None
-    matrix: np.ndarray | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "u4":
-            if self.matrix is None:
+    def __new__(cls, kind: str, target: str | None = None, control: str | None = None,
+                angle: float | None = None, matrix=None):
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if kind == "u4":
+            if matrix is None:
                 raise ValueError("u4 gate requires a 4x4 matrix")
             import numpy as np
 
-            m = np.array(self.matrix, dtype=complex)
+            m = np.array(matrix, dtype=complex)
             if m.shape != (4, 4):
                 raise ValueError(f"u4 matrix must be 4x4, got shape {m.shape}")
             # A non-finite or overflowing entry gives a NaN or inf error,
@@ -140,40 +140,31 @@ class Gate:
                 err = np.abs(m @ m.conj().T - np.eye(4)).max()
             if not err <= 1e-12:
                 raise ValueError("u4 matrix is not unitary within 1e-12")
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
-            return
-        if self.matrix is not None:
-            raise ValueError(f"{self.kind} takes no matrix")
-        if self.target not in QUBITS:
-            raise ValueError(f"target must be 'A' or 'B', got {self.target!r}")
-        controlled = self.kind.startswith("c")
+            return tuple.__new__(cls, (kind, target, control, angle,
+                                       tuple(map(tuple, m.tolist()))))
+        if matrix is not None:
+            raise ValueError(f"{kind} takes no matrix")
+        if target not in QUBITS:
+            raise ValueError(f"target must be 'A' or 'B', got {target!r}")
+        controlled = kind.startswith("c")
         if controlled:
-            if self.control not in QUBITS:
-                raise ValueError(f"control must be 'A' or 'B', got {self.control!r}")
-            if self.control == self.target:
-                raise BadWiring(f"{self.kind}: control equals target ({self.target})")
-        elif self.control is not None:
-            raise ValueError(f"{self.kind} takes no control qubit")
-        needs_angle = self.kind in ROTATION_KINDS
-        if needs_angle and self.angle is None:
-            raise ValueError(f"{self.kind} requires an angle")
-        if not needs_angle and self.angle is not None:
-            raise ValueError(f"{self.kind} takes no angle")
-        if needs_angle and not math.isfinite(self.angle):
-            raise ValueError(f"{self.kind} angle {self.angle!r} is not finite")
+            if control not in QUBITS:
+                raise ValueError(f"control must be 'A' or 'B', got {control!r}")
+            if control == target:
+                raise BadWiring(f"{kind}: control equals target ({target})")
+        elif control is not None:
+            raise ValueError(f"{kind} takes no control qubit")
+        needs_angle = kind in ROTATION_KINDS
+        if needs_angle and angle is None:
+            raise ValueError(f"{kind} requires an angle")
+        if not needs_angle and angle is not None:
+            raise ValueError(f"{kind} takes no angle")
+        if needs_angle and not math.isfinite(angle):
+            raise ValueError(f"{kind} angle {angle!r} is not finite")
+        return tuple.__new__(cls, (kind, target, control, angle, matrix))
 
-    def _key(self) -> tuple:
-        m = None if self.matrix is None else tuple(self.matrix.ravel().tolist())
-        return (self.kind, self.target, self.control, self.angle, m)
-
-    def __eq__(self, other):
-        if not isinstance(other, Gate):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    # namedtuple's own _make (and so _replace) would skip __new__.
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def describe(self) -> str:
         if self.kind == "u4":
@@ -200,7 +191,7 @@ def expand(g: Gate) -> np.ndarray:
     import numpy as np
 
     if g.kind == "u4":
-        return g.matrix.copy()
+        return np.array(g.matrix)
     u = np.array(_table(g))
     i2 = np.array(_I2)
     p0 = np.diag([1.0, 0.0]).astype(complex)
@@ -216,7 +207,9 @@ def apply(s: TwoQubitState, g: Gate) -> TwoQubitState:
     """The state after gate g: the 2x2 table acts on the target's index of
     the (a, b) amplitude grid, on the control = 1 half for a controlled gate."""
     if g.kind == "u4":
-        v = g.matrix @ s.vector()
+        import numpy as np
+
+        v = np.array(g.matrix) @ s.vector()
         return TwoQubitState(*(complex(c) for c in v))
     (u00, u01), (u10, u11) = _table(g)
     a00, a01, a10, a11 = s.amplitudes()
@@ -231,27 +224,28 @@ def apply(s: TwoQubitState, g: Gate) -> TwoQubitState:
     return TwoQubitState(a00, a01, a10, a11)
 
 
-@dataclass(frozen=True)
-class Circuit:
-    gates: tuple[Gate, ...]
-    initial: str = "00"
+class Circuit(NamedTuple("Circuit", [("gates", tuple[Gate, ...]), ("initial", str)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if self.initial not in ("00", "01", "10", "11"):
-            raise ValueError(f"initial state label must be a basis label, got {self.initial!r}")
+    def __new__(cls, gates, initial: str = "00"):
+        gates = tuple(gates)
+        if initial not in BASIS_NAMES:
+            raise ValueError(f"initial state label must be a basis label, got {initial!r}")
+        return tuple.__new__(cls, (gates, initial))
+
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def initial_state(self) -> TwoQubitState:
         return TwoQubitState.basis(self.initial)
 
 
-@dataclass(frozen=True)
 class TrajectoryStep:
     """State after step `index` (0 = initial); derived values are computed on first read."""
 
-    index: int
-    gate: Gate | None
-    state: TwoQubitState
+    def __init__(self, index: int, gate: Gate | None, state: TwoQubitState):
+        self.index = index
+        self.gate = gate
+        self.state = state
 
     @property
     def description(self) -> str:

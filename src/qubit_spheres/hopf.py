@@ -13,8 +13,8 @@ entanglement axis ``t``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .quatmath import (
     Components,
@@ -52,8 +52,7 @@ class Assignment(Enum):
         return "B" if self is Assignment.A_BASE else "A"
 
 
-@dataclass(frozen=True)
-class BaseSphere:
+class BaseSphere(NamedTuple):
     """Polar/azimuthal angles plus Cartesian (x1, b, x0) of the base qubit."""
 
     theta: float
@@ -63,8 +62,7 @@ class BaseSphere:
     x0: float
 
 
-@dataclass(frozen=True)
-class EntanglementSphere:
+class EntanglementSphere(NamedTuple):
     """Unit axis t (angles chi, xi) and the inner sphere of radius |b|.
 
     The inner-sphere point is (x2, x3, x4) = b*t; the concurrence is the
@@ -82,8 +80,7 @@ class EntanglementSphere:
     x4: float
 
 
-@dataclass(frozen=True)
-class FiberSphere:
+class FiberSphere(NamedTuple):
     """Fiber versor angles; the Bloch point is plotted at azimuth phi_f - 2*zeta_f."""
 
     theta_f: float
@@ -92,8 +89,7 @@ class FiberSphere:
     bloch: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class SphereSet:
+class SphereSet(NamedTuple):
     assignment: Assignment
     base: BaseSphere
     ent: EntanglementSphere

@@ -185,6 +185,8 @@ def render_svg(step: TrajectoryStep, assignments: tuple[str, ...] = ("A", "B"),
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     if title:
+        # '>' is legal in XML text and stays as written (e.g. "basis |00>").
+        title = title.replace("&", "&amp;").replace("<", "&lt;")
         out.append(
             f'<text x="{MARGIN}" y="{MARGIN + 4}" class="title">{title}</text>')
     for r, ss in enumerate(rows):

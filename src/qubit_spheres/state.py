@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .quatmath import ComplexK
 
@@ -31,24 +30,26 @@ class NegativeRadicand(ValueError):
     """Square-root argument below -1e-12; the density matrix is invalid."""
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
+# The class form of NamedTuple forbids overriding __new__, hence the
+# functional base.
+class TwoQubitState(NamedTuple("TwoQubitState", [
+        ("alpha", ComplexK), ("beta", ComplexK), ("gamma", ComplexK), ("delta", ComplexK)])):
     """Amplitudes of |00>, |01>, |10>, |11>; unit norm, global phase kept.
 
     Qubit A is the most-significant factor: index = 2*a + b.
     """
 
-    alpha: ComplexK
-    beta: ComplexK
-    gamma: ComplexK
-    delta: ComplexK
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, alpha: ComplexK, beta: ComplexK, gamma: ComplexK, delta: ComplexK):
+        n = _norm(alpha, beta, gamma, delta)
         # Written so that a NaN norm fails the check too.
-        if not abs(self.norm() - 1.0) <= NORM_TOL:
-            raise NormOutOfTolerance(
-                f"state norm {self.norm()!r} is not within {NORM_TOL} of 1"
-            )
+        if not abs(n - 1.0) <= NORM_TOL:
+            raise NormOutOfTolerance(f"state norm {n!r} is not within {NORM_TOL} of 1")
+        return tuple.__new__(cls, (alpha, beta, gamma, delta))
+
+    # namedtuple's own _make (and so _replace) would skip __new__.
+    _make = classmethod(lambda cls, it: cls(*it))
 
     @classmethod
     def from_amplitudes(cls, a: complex, b: complex, g: complex, d: complex
@@ -102,8 +103,7 @@ def _norm(a: complex, b: complex, g: complex, d: complex) -> float:
                      + abs(g) * abs(g) + abs(d) * abs(d))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(NamedTuple):
     """2x2 reduced density matrix of one qubit (Hermitian, trace 1)."""
 
     rho00: ComplexK

@@ -9,7 +9,7 @@ of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 10_000
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     name: str
     samples: int
     max_error: float
@@ -41,8 +40,7 @@ class InvariantResult:
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     seed: int
     samples: int
     results: tuple[InvariantResult, ...]

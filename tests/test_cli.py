@@ -247,6 +247,7 @@ def test_commands_without_arrays_do_not_import_numpy(tmp_path, argv):
     names = _imported(proc.stderr)
     assert "qubit_spheres.cli" in names
     assert sorted(n for n in names if n.split(".")[0] == "numpy") == []
+    assert "dataclasses" not in names
 
 
 def test_verify_loads_numpy_on_demand():

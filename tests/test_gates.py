@@ -19,7 +19,7 @@ from qubit_spheres.gates import (
     rotation,
     run,
 )
-from qubit_spheres.state import TwoQubitState, bloch_vector, random_state
+from qubit_spheres.state import NormOutOfTolerance, TwoQubitState, bloch_vector, random_state
 
 DEG = math.pi / 180
 C_60_70 = 0.496731764892154
@@ -87,22 +87,6 @@ def test_rotation_determinant_one():
     for axis in "xyz":
         for angle in (0.3, 1.2, -2.5):
             assert np.linalg.det(rotation(axis, angle)) == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("mu_deg", [30, 90, 137])
-def test_x_from_y_identity(mu_deg):
-    mu = mu_deg * DEG
-    lhs = rotation("x", mu)
-    rhs = rotation("z", -90 * DEG) @ rotation("y", mu) @ rotation("z", 90 * DEG)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-@pytest.mark.parametrize("mu_deg", [30, 90, 137])
-def test_z_from_y_identity(mu_deg):
-    mu = mu_deg * DEG
-    lhs = rotation("z", mu)
-    rhs = rotation("x", 90 * DEG) @ rotation("y", mu) @ rotation("x", -90 * DEG)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_rotation_matches_reference_bit_for_bit():
@@ -205,7 +189,7 @@ def test_u4_gate_is_a_value():
     g = Gate(kind="u4", matrix=m)
     m[0, 0] = -1.0                      # the caller's array is not the gate's
     assert np.array_equal(g.matrix, np.eye(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         g.matrix[0, 0] = -1.0
     assert g == Gate(kind="u4", matrix=np.eye(4))
     assert hash(g) == hash(Gate(kind="u4", matrix=np.eye(4)))
@@ -213,6 +197,15 @@ def test_u4_gate_is_a_value():
     assert len({g, Gate(kind="u4", matrix=np.eye(4)), Gate(kind="x", target="A")}) == 2
     with pytest.raises(ValueError):
         Gate(kind="x", target="A", matrix=np.eye(4))
+
+
+def test_replace_and_make_keep_the_checks():
+    with pytest.raises(NormOutOfTolerance):
+        TwoQubitState.basis("00")._replace(alpha=2)
+    with pytest.raises(ValueError, match="not finite"):
+        Gate(kind="rx", target="A", angle=0.5)._replace(angle=math.nan)
+    with pytest.raises(ValueError, match="basis label"):
+        Circuit._make(((), "22"))
 
 
 def test_bad_wiring():

@@ -329,16 +329,6 @@ def test_base_y_rotation_equivariance():
             assert after.base.x0 == pytest.approx(x0w, abs=1e-10)
 
 
-def test_separability_conditions():
-    rng = np.random.default_rng(31)
-    for _ in range(300):
-        s = random_product_state(rng)
-        for a in Assignment:
-            ss = sphere_set(s, a)
-            assert ss.ent.c <= 1e-10
-            assert ss.ent.chi <= 1e-8 or abs(ss.ent.b) <= 1e-10
-
-
 def test_reconstruct_rejects_invalid_set():
     ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)
     broken = SphereSet(

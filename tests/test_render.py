@@ -1,4 +1,5 @@
 import math
+import xml.etree.ElementTree as ET
 
 from conftest import entangler_60_70_state
 from qubit_spheres.gates import TrajectoryStep
@@ -62,3 +63,11 @@ def test_render_single_assignment_height():
 def test_render_title_escaped_content():
     svg = render_svg(step(TwoQubitState.basis("00")), assignments=("A",), title="basis |00>")
     assert "basis |00&gt;" in svg or "basis |00>" in svg
+
+
+def test_render_title_with_markup_characters_is_well_formed():
+    for title in ("R&D", "a<b", "<&>"):
+        svg = render_svg(step(TwoQubitState.basis("00")), assignments=("A",), title=title)
+        root = ET.fromstring(svg.encode("utf-8"))
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert title in texts
