@@ -11,7 +11,7 @@ from .hopf import (
     rho_from_spheres,
     sphere_set,
 )
-from .quatmath import ComplexK, Quaternion, embed, exp_pure, split_complex_pair
+from .quatmath import ComplexK
 from .state import (
     DensityMatrix,
     TwoQubitState,
@@ -34,7 +34,6 @@ __all__ = [
     "EntanglementSphere",
     "FiberSphere",
     "Gate",
-    "Quaternion",
     "SphereSet",
     "TrajectoryStep",
     "TwoQubitState",
@@ -44,9 +43,7 @@ __all__ = [
     "coherence_d",
     "concurrence_det",
     "concurrence_from_rho",
-    "embed",
     "expand",
-    "exp_pure",
     "parse_circuit",
     "random_state",
     "reconstruct",
@@ -56,7 +53,6 @@ __all__ = [
     "run",
     "run_suite",
     "sphere_set",
-    "split_complex_pair",
 ]
 
 

@@ -17,6 +17,7 @@ from .state import (
     BASIS_NAMES,
     DensityMatrix,
     TwoQubitState,
+    _check_qubit,
     coherence_d,
     concurrence_det,
     reduced_density,
@@ -260,7 +261,7 @@ class TrajectoryStep:
         return sphere_set(self.state, Assignment.B_BASE)
 
     def spheres(self, label: str) -> SphereSet:
-        return self.spheres_a if label == "A" else self.spheres_b
+        return self.spheres_a if _check_qubit(label) == "A" else self.spheres_b
 
     @cached_property
     def rho_a(self) -> DensityMatrix:
@@ -320,8 +321,7 @@ def parse_circuit(text: str, initial: str = "00") -> Circuit:
         kind = tokens[0].lower()
         if kind == "u4" or kind not in GATE_KINDS:
             raise UnknownGate(line_no, f"unknown gate {tokens[0]!r}")
-        controlled = kind in FIXED_CONTROLLED_KINDS or (
-            kind in ROTATION_KINDS and kind.startswith("c"))
+        controlled = kind.startswith("c")
         takes_angle = kind in ROTATION_KINDS
         expected = 1 + (2 if controlled else 1) + (1 if takes_angle else 0)
         if len(tokens) != expected:

@@ -6,8 +6,9 @@ base-sphere azimuthal data and the entanglement coordinates, and the fiber
 versor completes an exactly invertible seven-angle parameterization.
 
 The map and its inverse work on quaternion components (``quatmath``'s
-``Components`` tuples); the only ``Quaternion`` a sphere set holds is the
-entanglement axis ``t``.
+``Components`` tuples).  The entanglement axis ``t`` is stored as the
+point (tx, ty, tz) of S^2; ``fiber`` and ``reconstruct`` pass the pure
+quaternion (0, tx, ty, tz) to ``exp_axis``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .quatmath import (
     Components,
     J,
     K,
-    Quaternion,
     conj,
     exp_axis,
     hamilton,
@@ -63,7 +63,7 @@ class BaseSphere(NamedTuple):
 
 
 class EntanglementSphere(NamedTuple):
-    """Unit axis t (angles chi, xi) and the inner sphere of radius |b|.
+    """Unit axis t = (tx, ty, tz) (angles chi, xi) and the inner sphere of radius |b|.
 
     The inner-sphere point is (x2, x3, x4) = b*t; the concurrence is the
     radius c = hypot(x2, x3) = |b|*sin(chi) of its horizontal circle, and
@@ -73,7 +73,7 @@ class EntanglementSphere(NamedTuple):
     chi: float
     xi: float
     b: float
-    t: Quaternion
+    t: tuple[float, float, float]
     c: float
     x2: float
     x3: float
@@ -100,18 +100,13 @@ class SphereSet(NamedTuple):
         return self.ent.c
 
 
-def _packed(s: TwoQubitState, a: Assignment) -> tuple[Components, Components]:
+def quaternion_pair(s: TwoQubitState, a: Assignment) -> tuple[Components, Components]:
+    """(alpha + beta*j, gamma + delta*j) for A_BASE; (alpha + gamma*j, beta + delta*j) for B_BASE."""
     if a is Assignment.A_BASE:
         return (join_components(s.alpha, s.beta),
                 join_components(s.gamma, s.delta))
     return (join_components(s.alpha, s.gamma),
             join_components(s.beta, s.delta))
-
-
-def quaternion_pair(s: TwoQubitState, a: Assignment) -> tuple[Quaternion, Quaternion]:
-    """(alpha + beta*j, gamma + delta*j) for A_BASE; (alpha + gamma*j, beta + delta*j) for B_BASE."""
-    q1, q2 = _packed(s, a)
-    return Quaternion(*q1), Quaternion(*q2)
 
 
 def base_and_entanglement(q1: Components, q2: Components
@@ -127,13 +122,13 @@ def base_and_entanglement(q1: Components, q2: Components
     # ties (x4 == 0, p != 0) take b > 0, and p == 0 collapses to t = k.
     if pnorm == 0.0:
         b = 0.0
-        t = K
+        t = K[1:]
         chi = 0.0
         xi = 0.0
     else:
         b = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
         tx, ty, tz = x2 / b, x3 / b, x4 / b
-        t = Quaternion(0.0, tx, ty, tz)
+        t = (tx, ty, tz)
         chi = math.atan2(math.hypot(tx, ty), tz)
         xi = math.atan2(ty, tx)
 
@@ -179,7 +174,7 @@ def fiber(q1: Components, q2: Components, base: BaseSphere,
     half = 0.5 * base.theta
     ch, sh = math.cos(half), math.sin(half)
     qw, qx, qy, qz = q1
-    rw, rx, ry, rz = hamilton(exp_axis(ent.t.components(), -base.phi), q2)
+    rw, rx, ry, rz = hamilton(exp_axis((0.0, *ent.t), -base.phi), q2)
     theta_f, phi_f, zeta_f = _fiber_angles(
         (ch * qw + sh * rw, ch * qx + sh * rx, ch * qy + sh * ry, ch * qz + sh * rz))
     return FiberSphere(theta_f=theta_f, phi_f=phi_f, zeta_f=zeta_f,
@@ -187,23 +182,19 @@ def fiber(q1: Components, q2: Components, base: BaseSphere,
 
 
 def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
-    q1, q2 = _packed(s, a)
+    q1, q2 = quaternion_pair(s, a)
     base, ent = base_and_entanglement(q1, q2)
     return SphereSet(assignment=a, base=base, ent=ent, fiber=fiber(q1, q2, base, ent))
-
-
-_J = J.components()
-_K = K.components()
 
 
 def fiber_versor(f: FiberSphere) -> Components:
     """Rebuild q_f = (cos(theta_f/2) + sin(theta_f/2)*e^(k*phi_f)*j) * e^(k*zeta_f)."""
     half = 0.5 * f.theta_f
     ch, sh = math.cos(half), math.sin(half)
-    w, x, y, z = hamilton(exp_axis(_K, f.phi_f), _J)
+    w, x, y, z = hamilton(exp_axis(K, f.phi_f), J)
     # (ch, 0, 0, 0) + sh*(w, x, y, z), with the signed zeros that sum gives.
     return hamilton((ch + sh * w, 0.0 + sh * x, 0.0 + sh * y, 0.0 + sh * z),
-                    exp_axis(_K, f.zeta_f))
+                    exp_axis(K, f.zeta_f))
 
 
 def _validate(ss: SphereSet) -> None:
@@ -222,15 +213,15 @@ def _validate(ss: SphereSet) -> None:
     if not (-VALID_TOL <= ent.chi <= math.pi / 2 + VALID_TOL):
         raise InvalidSphereSet(f"chi {ent.chi!r} outside [0, pi/2]")
     sc, cc = math.sin(ent.chi), math.cos(ent.chi)
-    err = max(abs(ent.t.w),
-              abs(ent.t.x - sc * math.cos(ent.xi)),
-              abs(ent.t.y - sc * math.sin(ent.xi)),
-              abs(ent.t.z - cc))
+    tx, ty, tz = ent.t
+    err = max(abs(tx - sc * math.cos(ent.xi)),
+              abs(ty - sc * math.sin(ent.xi)),
+              abs(tz - cc))
     if err > VALID_TOL:
         bad("t/(chi, xi) consistency", err)
-    err = max(abs(ent.x2 - ent.b * ent.t.x),
-              abs(ent.x3 - ent.b * ent.t.y),
-              abs(ent.x4 - ent.b * ent.t.z),
+    err = max(abs(ent.x2 - ent.b * tx),
+              abs(ent.x3 - ent.b * ty),
+              abs(ent.x4 - ent.b * tz),
               abs(ent.c - math.hypot(ent.x2, ent.x3)),
               abs(ent.b * ent.b - ent.x4 * ent.x4 - ent.c * ent.c),
               abs(ent.b - base.b))
@@ -254,7 +245,7 @@ def reconstruct(ss: SphereSet) -> TwoQubitState:
     half = 0.5 * ss.base.theta
     ch, sh = math.cos(half), math.sin(half)
     w, x, y, z = q_f
-    rw, rx, ry, rz = hamilton(exp_axis(ss.ent.t.components(), ss.base.phi), q_f)
+    rw, rx, ry, rz = hamilton(exp_axis((0.0, *ss.ent.t), ss.base.phi), q_f)
     c1, c2 = split_components((ch * w, ch * x, ch * y, ch * z))
     c3, c4 = split_components((sh * rw, sh * rx, sh * ry, sh * rz))
     if ss.assignment is Assignment.A_BASE:

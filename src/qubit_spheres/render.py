@@ -148,7 +148,7 @@ def _ent_cell(cx, cy, ss: SphereSet) -> _Cell:
     cell.outline(RADIUS * babs, _INNER)
     # Horizontal concurrence circle of radius c at height x4 on the inner sphere.
     cell.circle3d(ent.c, ent.x4, _CONC)
-    cell.arrow3d((ent.t.x, ent.t.y, ent.t.z), _TVEC)
+    cell.arrow3d(ent.t, _TVEC)
     cell.point3d((ent.x2, ent.x3, ent.x4), "#2e8b57")
     cell.text(24, f"ENTANGLEMENT({ss.assignment.base_qubit})", "title")
     cell.text(40, f"chi={_deg(ent.chi)}deg xi={_deg(ent.xi)}deg c={_fmt(ent.c)}")

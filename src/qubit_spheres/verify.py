@@ -20,11 +20,13 @@ from .quatmath import (
     I,
     J,
     K,
-    Quaternion,
-    embed,
-    exp_pure,
-    join_complex_pair,
-    split_complex_pair,
+    Components,
+    conj,
+    exp_axis,
+    hamilton,
+    join_components,
+    norm_sq,
+    split_components,
 )
 from .state import TwoQubitState
 
@@ -75,9 +77,7 @@ class VerificationReport(NamedTuple):
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-random SU(2) matrix from a uniform unit quaternion."""
-    w, x, y, z = rng.standard_normal(4)
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    w, x, y, z = w / n, x / n, y / n, z / n
+    w, x, y, z = _random_quaternion(rng)
     return np.array([[w - 1j * z, -y - 1j * x],
                      [y - 1j * x, w + 1j * z]], dtype=complex)
 
@@ -105,12 +105,16 @@ def _random_gate(rng: np.random.Generator) -> gates.Gate:
     return gates.Gate(kind=kind, target=target, control=control, angle=angle)
 
 
-def _random_quaternion(rng: np.random.Generator, unit: bool = True) -> Quaternion:
+def _random_quaternion(rng: np.random.Generator, unit: bool = True) -> Components:
     w, x, y, z = rng.standard_normal(4)
     if unit:
         n = math.sqrt(w * w + x * x + y * y + z * z)
         w, x, y, z = w / n, x / n, y / n, z / n
-    return Quaternion(w, x, y, z)
+    return float(w), float(x), float(y), float(z)
+
+
+def _max_diff(p: Components, q: Components) -> float:
+    return max(abs(u - v) for u, v in zip(p, q))
 
 
 def _amp_error(s1: TwoQubitState, s2: TwoQubitState) -> float:
@@ -152,22 +156,18 @@ class _SuiteRunner:
             a = _random_quaternion(self.rng, unit=False)
             b = _random_quaternion(self.rng, unit=False)
             c = _random_quaternion(self.rng, unit=False)
-            lhs, rhs = (a * b) * c, a * (b * c)
-            e_assoc = max(e_assoc, *(abs(u - v) for u, v in
-                                     zip(lhs.components(), rhs.components())))
+            e_assoc = max(e_assoc, _max_diff(hamilton(hamilton(a, b), c),
+                                             hamilton(a, hamilton(b, c))))
             au, bu = _random_quaternion(self.rng), _random_quaternion(self.rng)
-            e_norm = max(e_norm, abs((au * bu).norm() - au.norm() * bu.norm()))
-            lhs, rhs = (au * bu).conj(), bu.conj() * au.conj()
-            e_conj = max(e_conj, *(abs(u - v) for u, v in
-                                   zip(lhs.components(), rhs.components())))
-            ca, cb = split_complex_pair(a)
-            rq = join_complex_pair(ca, cb)
-            e_split = max(e_split, *(abs(u - v) for u, v in
-                                     zip(a.components(), rq.components())))
+            e_norm = max(e_norm, abs(math.sqrt(norm_sq(hamilton(au, bu)))
+                                     - math.sqrt(norm_sq(au)) * math.sqrt(norm_sq(bu))))
+            e_conj = max(e_conj, _max_diff(conj(hamilton(au, bu)),
+                                           hamilton(conj(bu), conj(au))))
+            e_split = max(e_split, _max_diff(a, join_components(*split_components(a))))
             z = complex(*self.rng.standard_normal(2))
-            lhs, rhs = J * embed(z), embed(z.conjugate()) * J
-            e_comm = max(e_comm, *(abs(u - v) for u, v in
-                                   zip(lhs.components(), rhs.components())))
+            # join_components(z, 0) embeds z with k as its imaginary unit.
+            e_comm = max(e_comm, _max_diff(hamilton(J, join_components(z, 0.0)),
+                                           hamilton(join_components(z.conjugate(), 0.0), J)))
         self.record("quaternion_associativity", n, e_assoc, 1e-12)
         self.record("quaternion_norm_multiplicative", n, e_norm, 1e-12)
         self.record("quaternion_conj_antihomomorphism", n, e_conj, 1e-15)
@@ -289,13 +289,12 @@ class _SuiteRunner:
                 # rebuild the full quaternion product 2*q2*conj(q1).  The i/j
                 # part carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
                 q1, q2 = hopf.quaternion_pair(s, a)
-                p = 2.0 * (q2 * q1.conj())
+                p = tuple(2.0 * v for v in hamilton(q2, conj(q1)))
                 ent = ss.ent
-                rebuilt = (Quaternion(ss.base.x1)
-                           + (ent.b * math.sin(ent.chi)) * (exp_pure(K, ent.xi) * I)
-                           + ent.x4 * K)
-                e_outer = max(e_outer, *(abs(u - v) for u, v in
-                                         zip(rebuilt.components(), p.components())))
+                r = ent.b * math.sin(ent.chi)
+                ew, ex, ey, ez = hamilton(exp_axis(K, ent.xi), I)
+                rebuilt = (ss.base.x1 + r * ew, r * ex, r * ey, r * ez + ent.x4)
+                e_outer = max(e_outer, _max_diff(rebuilt, p))
         n2 = 2 * len(self.pool)
         self.record("rho_from_spheres_vs_partial_trace", n2, e_rho, 1e-12)
         self.record("outer_product_structure", n2, e_outer, 1e-12)

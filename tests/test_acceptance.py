@@ -57,17 +57,6 @@ def entangler(eta_deg: float, omega_deg: float, extra: Gate | None = None) -> Ci
     return Circuit(gates=tuple(gates))
 
 
-def test_criterion_1_concurrence_law():
-    worst = 0.0
-    for eta_deg in range(0, 181, 10):
-        for omega_deg in range(0, 361, 20):
-            steps = run(entangler(eta_deg, omega_deg))
-            want = math.sin(eta_deg * DEG) * math.sin(omega_deg * DEG / 2)
-            worst = max(worst, abs(steps[-1].concurrence - want))
-    report(1, "entangler concurrence = sin(eta)*sin(omega/2) over the grid",
-           worst, 1e-9)
-
-
 def test_invariant_suite():
     suite = run_suite(DEFAULT_SEED, DEFAULT_SAMPLES)
     for r in suite.results:
@@ -196,21 +185,6 @@ def test_criterion_8_local_unitary_invariance(state_pool):
         worst = max(worst, abs(concurrence_det(s2) - concurrence_det(s)))
     report(8, "local unitaries leave the concurrence unchanged (10^3 triples)",
            worst, 1e-10)
-
-
-def test_criterion_9_rotation_identities():
-    rng = np.random.default_rng(777)
-    worst = 0.0
-    for _ in range(20):
-        mu = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        lhs = rotation("x", mu)
-        rhs = rotation("z", -90 * DEG) @ rotation("y", mu) @ rotation("z", 90 * DEG)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        lhs = rotation("z", mu)
-        rhs = rotation("x", 90 * DEG) @ rotation("y", mu) @ rotation("x", -90 * DEG)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    report(9, "both rotation identities as matrix equalities (20 angles)",
-           worst, 1e-12)
 
 
 def test_criterion_10_density_matrix_agreement(state_pool, sphere_pool):

@@ -84,17 +84,22 @@ def test_map_non_finite_norm_exits_2(capsys, state):
     assert "--state" in err
 
 
-@pytest.mark.parametrize("state,message", [
-    ("nan,0,0,0,0,0,0,0", "--state: field 1 is nan"),
-    ("1,0,0,-inf,0,0,0,0", "--state: field 4 is -inf"),
-    ("1,0,0,x,0,0,0,0", "--state: field 4 is not a real number: 'x'"),
-    ("1e200,0,0,0,0,0,0,0", "--state: amplitude norm inf is not finite"),
-    ("0,0,0,0,0,0,0,0", "--state: amplitude norm 0.0 too small to normalize"),
-])
-def test_map_state_errors_name_the_field(capsys, state, message):
+STATE_ERRORS = [
+    ("nan,0,0,0,0,0,0,0", "ValueError", "--state: field 1 is nan"),
+    ("1,0,0,-inf,0,0,0,0", "ValueError", "--state: field 4 is -inf"),
+    ("1,0,0,x,0,0,0,0", "ValueError", "--state: field 4 is not a real number: 'x'"),
+    ("1e200,0,0,0,0,0,0,0", "NotNormalizable", "--state: amplitude norm inf is not finite"),
+    ("0,0,0,0,0,0,0,0", "NotNormalizable",
+     "--state: amplitude norm 0.0 too small to normalize"),
+]
+
+
+@pytest.mark.parametrize("state,error_class,message", STATE_ERRORS,
+                         ids=[f"{state}-{message}" for state, _, message in STATE_ERRORS])
+def test_map_state_errors_name_the_field(capsys, state, error_class, message):
     code, _, err = run_cli(capsys, "map", f"--state={state}")
     assert code == 2
-    assert err == f"error: {message}\n"
+    assert err == f"error: {error_class}: {message}\n"
 
 
 def test_map_degrees_match_radians(capsys):
@@ -147,10 +152,12 @@ def test_run_z_rotation_zeroes_x4(capsys):
 
 def test_run_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.circ"
-    bad.write_text("rx A sixty\n")
-    code, _, err = run_cli(capsys, "run", str(bad))
-    assert code == 2
-    assert "line 1" in err
+    for text, message in (("rx A sixty\n", "BadAngle: line 1: bad angle 'sixty'"),
+                          ("foo A\n", "UnknownGate: line 1: unknown gate 'foo'")):
+        bad.write_text(text)
+        code, _, err = run_cli(capsys, "run", str(bad))
+        assert code == 2
+        assert err == f"error: {message}\n"
 
 
 def test_run_missing_file_exit_code(capsys):

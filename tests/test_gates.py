@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qubit_spheres import records
 from qubit_spheres.gates import (
     GATE_KINDS,
     ROTATION_KINDS,
@@ -259,6 +260,17 @@ def test_run_records_both_assignments():
     for step in steps:
         assert step.spheres_a.ent.c == pytest.approx(step.spheres_b.ent.c, abs=1e-10)
         assert step.concurrence == pytest.approx(step.spheres_a.ent.c, abs=1e-10)
+
+
+def test_spheres_rejects_an_unknown_label():
+    step = run(parse_circuit("rx A 60\ncry A B 70\n"))[-1]
+    assert step.spheres("A") is step.spheres_a
+    assert step.spheres("B") is step.spheres_b
+    for label in ("C", "a", "X"):
+        with pytest.raises(ValueError, match="qubit label must be 'A' or 'B'"):
+            step.spheres(label)
+    with pytest.raises(ValueError, match="qubit label must be 'A' or 'B'"):
+        records.state_record(step.state, ("A", "X"))
 
 
 def test_run_custom_initial_state():

@@ -24,14 +24,15 @@ from qubit_spheres.hopf import (
     rho_from_spheres,
     sphere_set,
 )
-from qubit_spheres.oracles import oracle_concurrence
 from qubit_spheres.quatmath import (
     J,
     K,
-    Quaternion,
-    exp_pure,
-    join_complex_pair,
-    split_complex_pair,
+    conj,
+    exp_axis,
+    hamilton,
+    join_components,
+    norm_sq,
+    split_components,
 )
 from qubit_spheres.state import (
     BASIS_NAMES,
@@ -51,25 +52,24 @@ def amp_error(s1, s2):
 
 def test_quaternion_pair_basis():
     q1, q2 = quaternion_pair(TwoQubitState.basis("00"), Assignment.A_BASE)
-    assert q1 == Quaternion(1, 0, 0, 0)
-    assert q2 == Quaternion(0, 0, 0, 0)
+    assert q1 == (1, 0, 0, 0)
+    assert q2 == (0, 0, 0, 0)
 
 
 def test_quaternion_pair_bell():
     q1, q2 = quaternion_pair(TwoQubitState.bell("phi+"), Assignment.A_BASE)
-    assert q1.components() == pytest.approx((R2, 0, 0, 0))
-    assert q2.components() == pytest.approx((0, 0, R2, 0))
+    assert q1 == pytest.approx((R2, 0, 0, 0))
+    assert q2 == pytest.approx((0, 0, R2, 0))
 
 
 def test_quaternion_pair_b_base_recomposition(state_pool):
     # (alpha + gamma*j, beta + delta*j): check the packing by unpacking.
-    from qubit_spheres.quatmath import split_complex_pair
     for s in state_pool[:100]:
         q1, q2 = quaternion_pair(s, Assignment.B_BASE)
-        a, g = split_complex_pair(q1)
-        b, d = split_complex_pair(q2)
+        a, g = split_components(q1)
+        b, d = split_components(q2)
         assert (a, b, g, d) == s.amplitudes()
-        assert q1.norm_sq() + q2.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert norm_sq(q1) + norm_sq(q2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_basis_00_spheres():
@@ -80,7 +80,7 @@ def test_basis_00_spheres():
     assert ss.ent.b == 0.0
     assert ss.ent.chi == 0.0
     assert ss.ent.xi == 0.0
-    assert ss.ent.t == Quaternion(0, 0, 0, 1)
+    assert ss.ent.t == (0, 0, 1)
     assert ss.ent.c == 0.0
     assert ss.fiber.theta_f == pytest.approx(0.0, abs=1e-12)
     assert ss.fiber.zeta_f == pytest.approx(0.0, abs=1e-12)
@@ -128,9 +128,10 @@ def test_base_sphere_angles_match_cartesian(sphere_pool):
         assert ss.base.b == pytest.approx(st * math.sin(ss.base.phi), abs=1e-12)
         assert ss.base.x0 == pytest.approx(ct, abs=1e-12)
         sc, cc = math.sin(ss.ent.chi), math.cos(ss.ent.chi)
-        assert ss.ent.t.x == pytest.approx(sc * math.cos(ss.ent.xi), abs=1e-12)
-        assert ss.ent.t.y == pytest.approx(sc * math.sin(ss.ent.xi), abs=1e-12)
-        assert ss.ent.t.z == pytest.approx(cc, abs=1e-12)
+        tx, ty, tz = ss.ent.t
+        assert tx == pytest.approx(sc * math.cos(ss.ent.xi), abs=1e-12)
+        assert ty == pytest.approx(sc * math.sin(ss.ent.xi), abs=1e-12)
+        assert tz == pytest.approx(cc, abs=1e-12)
         assert ss.ent.x2 == pytest.approx(ss.ent.b * sc * math.cos(ss.ent.xi), abs=1e-12)
         assert ss.ent.c == pytest.approx(abs(ss.ent.b) * sc, abs=1e-12)
         assert ss.ent.x4 == pytest.approx(ss.ent.b * cc, abs=1e-12)
@@ -251,18 +252,10 @@ def test_s4_norm_and_b_relation(sphere_pool):
         assert 0.0 <= ss.ent.chi <= math.pi / 2 + 1e-12
 
 
-def test_concurrence_matches_oracle(state_pool, sphere_pool):
-    sets_a, sets_b = sphere_pool
-    for s, sa, sb in zip(state_pool[:1000], sets_a, sets_b):
-        want = oracle_concurrence(s)
-        assert abs(sa.ent.b) * math.sin(sa.ent.chi) == pytest.approx(want, abs=1e-10)
-        assert abs(sb.ent.b) * math.sin(sb.ent.chi) == pytest.approx(want, abs=1e-10)
-
-
 def test_fiber_versor_is_unit(sphere_pool):
     sets_a, sets_b = sphere_pool
     for ss in (sets_a[:500] + sets_b[:500]):
-        assert Quaternion(*fiber_versor(ss.fiber)).norm() == pytest.approx(1.0, abs=1e-12)
+        assert math.sqrt(norm_sq(fiber_versor(ss.fiber))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_from_spheres_examples():
@@ -359,7 +352,7 @@ def test_reconstruct_rejects_southern_chi():
 
 def test_component_functions_compose():
     s = entangler_60_70_state()
-    q1, q2 = (q.components() for q in quaternion_pair(s, Assignment.A_BASE))
+    q1, q2 = quaternion_pair(s, Assignment.A_BASE)
     base, ent = base_and_entanglement(q1, q2)
     fib = fiber(q1, q2, base, ent)
     ss = sphere_set(s, Assignment.A_BASE)
@@ -368,36 +361,46 @@ def test_component_functions_compose():
     assert ss.fiber == fib
 
 
-# -- reference: the map written on Quaternion objects ------------------------
-# Operation for operation what the float kernel in hopf computes; the kernel
-# must reproduce it bit for bit.
+# -- reference: the map written as quaternion expressions ---------------------
+# The map as a chain of quaternion operations, each one a separate call in
+# expression order: `a * b` is hamilton(a, b), `s * q` is scale(s, q) and
+# `p + q` is add(p, q).  The kernel in hopf fuses these steps; it must
+# reproduce them bit for bit.
+
+def scale(s, q):
+    return tuple(v * s for v in q)
+
+
+def add(p, q):
+    return tuple(u + v for u, v in zip(p, q))
+
 
 def ref_quaternion_pair(s, a):
     if a is Assignment.A_BASE:
-        return (join_complex_pair(s.alpha, s.beta),
-                join_complex_pair(s.gamma, s.delta))
-    return (join_complex_pair(s.alpha, s.gamma),
-            join_complex_pair(s.beta, s.delta))
+        return (join_components(s.alpha, s.beta),
+                join_components(s.gamma, s.delta))
+    return (join_components(s.alpha, s.gamma),
+            join_components(s.beta, s.delta))
 
 
 def ref_base_and_entanglement(q1, q2):
-    x0 = q1.norm_sq() - q2.norm_sq()
-    p = 2.0 * (q2 * q1.conj())
+    x0 = norm_sq(q1) - norm_sq(q2)
+    p = scale(2.0, hamilton(q2, conj(q1)))
 
-    x1 = p.w
-    x2, x3, x4 = p.x, p.y, p.z
+    x1 = p[0]
+    x2, x3, x4 = p[1:]
     pnorm = math.sqrt(x2 * x2 + x3 * x3 + x4 * x4)
 
     if pnorm == 0.0:
         b = 0.0
-        t = K
+        t = K[1:]
         chi = 0.0
         xi = 0.0
     else:
         b = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
-        t = Quaternion(0.0, x2 / b, x3 / b, x4 / b)
-        chi = math.atan2(math.hypot(t.x, t.y), t.z)
-        xi = math.atan2(t.y, t.x)
+        t = (x2 / b, x3 / b, x4 / b)
+        chi = math.atan2(math.hypot(t[0], t[1]), t[2])
+        xi = math.atan2(t[1], t[0])
 
     c = math.hypot(x2, x3)
     theta = math.atan2(math.hypot(x1, b), x0)
@@ -408,7 +411,7 @@ def ref_base_and_entanglement(q1, q2):
 
 
 def ref_fiber_angles(q_f):
-    ca, cb = split_complex_pair(q_f)
+    ca, cb = split_components(q_f)
     ma, mb = abs(ca), abs(cb)
     theta_f = 2.0 * math.atan2(mb, ma)
     if ma == 0.0:
@@ -429,8 +432,8 @@ def ref_fiber_angles(q_f):
 
 def ref_fiber(q1, q2, base, ent):
     half = 0.5 * base.theta
-    q_f = (math.cos(half) * q1
-           + math.sin(half) * (exp_pure(ent.t, -base.phi) * q2))
+    q_f = add(scale(math.cos(half), q1),
+              scale(math.sin(half), hamilton(exp_axis((0.0, *ent.t), -base.phi), q2)))
     theta_f, phi_f, zeta_f = ref_fiber_angles(q_f)
     return FiberSphere(theta_f=theta_f, phi_f=phi_f, zeta_f=zeta_f,
                        bloch=_fiber_bloch(theta_f, phi_f, zeta_f))
@@ -444,19 +447,19 @@ def ref_sphere_set(s, a):
 
 def ref_fiber_versor(f):
     half = 0.5 * f.theta_f
-    inner = (Quaternion(math.cos(half))
-             + math.sin(half) * (exp_pure(K, f.phi_f) * J))
-    return inner * exp_pure(K, f.zeta_f)
+    inner = add((math.cos(half), 0.0, 0.0, 0.0),
+                scale(math.sin(half), hamilton(exp_axis(K, f.phi_f), J)))
+    return hamilton(inner, exp_axis(K, f.zeta_f))
 
 
 def ref_reconstruct(ss):
     _validate(ss)
     q_f = ref_fiber_versor(ss.fiber)
     half = 0.5 * ss.base.theta
-    q1 = math.cos(half) * q_f
-    q2 = math.sin(half) * (exp_pure(ss.ent.t, ss.base.phi) * q_f)
-    c1, c2 = split_complex_pair(q1)
-    c3, c4 = split_complex_pair(q2)
+    q1 = scale(math.cos(half), q_f)
+    q2 = scale(math.sin(half), hamilton(exp_axis((0.0, *ss.ent.t), ss.base.phi), q_f))
+    c1, c2 = split_components(q1)
+    c3, c4 = split_components(q2)
     if ss.assignment is Assignment.A_BASE:
         amps = (c1, c2, c3, c4)
     else:
