@@ -292,6 +292,10 @@ def test_each_command_maps_only_what_it_prints(tmp_path, capsys, monkeypatch, ar
 GOLDEN_CASES = [
     ("map_bell_phi_plus.json", ["map", "--bell", "phi+"]),
     ("run_entangle_60_70.json", ["run", ENTANGLER_CIRC, "--steps"]),
+    ("map_state.json", ["map", "--state=0.6,-0,0,0.3,-0.5,0.2,0.1,-0.4"]),
+    ("map_basis_10_b.json", ["map", "--basis", "10", "--assignment", "B"]),
+    ("map_bell_psi_minus.txt", ["map", "--bell", "psi-", "--format", "text"]),
+    ("run_entangle_60_70_y90_a.json", ["run", Y90_CIRC, "--steps", "--assignment", "A"]),
 ]
 
 
