@@ -57,30 +57,27 @@ def _assignments(flag: str) -> tuple[str, ...]:
     return ("A", "B") if flag == "both" else (flag,)
 
 
-def _print_text_record(record: dict, out) -> None:
-    amps = record["amplitudes"]
-    names = ("alpha", "beta", "gamma", "delta")
+def _print_text_record(record: records.Record, out) -> None:
+    """A state record's leaves by position: 8 amplitude parts, 17 per assignment, ..., 3 scalars."""
+    v = [float(leaf) for leaf in record.leaves]
     print("amplitudes:", file=out)
-    for i, name in enumerate(names):
-        print(f"  {name:<6} {amps[2 * i]:+.9f} {amps[2 * i + 1]:+.9f}i", file=out)
-    for label, block in record["assignments"].items():
-        base, ent, fib = block["base"], block["entanglement"], block["fiber"]
+    for i, name in enumerate(("alpha", "beta", "gamma", "delta")):
+        print(f"  {name:<6} {v[2 * i]:+.9f} {v[2 * i + 1]:+.9f}i", file=out)
+    for k, label in enumerate(record.assignments):
+        (theta, phi, x1, b, x0, chi, xi, c, x2, x3, x4,
+         theta_f, phi_f, zeta_f, *bloch) = v[8 + 17 * k:25 + 17 * k]
         print(f"assignment {label}:", file=out)
-        print(f"  base          theta={base['theta_deg']:9.4f} deg  "
-              f"phi={base['phi_deg']:9.4f} deg  "
-              f"(x1,b,x0)=({base['x1']:.6f}, {base['b']:.6f}, {base['x0']:.6f})",
-              file=out)
-        print(f"  entanglement  chi={ent['chi_deg']:11.4f} deg  "
-              f"xi={ent['xi_deg']:10.4f} deg  c={ent['c']:.6f}  "
-              f"(x2,x3,x4)=({ent['x2']:.6f}, {ent['x3']:.6f}, {ent['x4']:.6f})",
-              file=out)
-        bloch = ", ".join(f"{v:.6f}" for v in fib["bloch"])
-        print(f"  fiber         theta_f={fib['theta_f_deg']:7.4f} deg  "
-              f"phi_f={fib['phi_f_deg']:8.4f} deg  "
-              f"zeta_f={fib['zeta_f_deg']:8.4f} deg  bloch=({bloch})", file=out)
-    print(f"concurrence:   {record['concurrence']:.9f}", file=out)
-    print(f"coherence d_A: {record['coherence_d_A']:.9f}", file=out)
-    print(f"coherence d_B: {record['coherence_d_B']:.9f}", file=out)
+        print(f"  base          theta={theta:9.4f} deg  phi={phi:9.4f} deg  "
+              f"(x1,b,x0)=({x1:.6f}, {b:.6f}, {x0:.6f})", file=out)
+        print(f"  entanglement  chi={chi:11.4f} deg  xi={xi:10.4f} deg  c={c:.6f}  "
+              f"(x2,x3,x4)=({x2:.6f}, {x3:.6f}, {x4:.6f})", file=out)
+        bloch = ", ".join(f"{u:.6f}" for u in bloch)
+        print(f"  fiber         theta_f={theta_f:7.4f} deg  phi_f={phi_f:8.4f} deg  "
+              f"zeta_f={zeta_f:8.4f} deg  bloch=({bloch})", file=out)
+    concurrence, d_a, d_b = v[-3:]
+    print(f"concurrence:   {concurrence:.9f}", file=out)
+    print(f"coherence d_A: {d_a:.9f}", file=out)
+    print(f"coherence d_B: {d_b:.9f}", file=out)
 
 
 def _cmd_map(args) -> int:

@@ -1,89 +1,73 @@
-"""Build the JSON output records emitted by the CLI (fixed field order)."""
+"""Build the JSON output records emitted by the CLI (fixed field order).
+
+A record holds a snapshot's leaves, already written as JSON text, in the
+field order of its layout, and the template of that layout, built once per
+assignment choice; ``jsonfmt.dumps`` fills one with the other.
+"""
 
 from __future__ import annotations
 
-import math
+import json
+from functools import cache
+from math import degrees
+from typing import NamedTuple
 
 from .gates import TrajectoryStep
-from .hopf import SphereSet
-from .jsonfmt import sig15
-from .state import DensityMatrix, TwoQubitState
+from .jsonfmt import LEAF, Document, numbers, sig15, template
+from .state import TwoQubitState
 
 SCHEMA_VERSION = "1"
 
 
-def _deg(x: float) -> float:
-    return sig15(math.degrees(x))
+# A snapshot's JSON leaves in field order, and the template they fill.
+Record = NamedTuple("Record", [("assignments", tuple), ("leaves", tuple), ("template", str)])
 
 
-def _sphere_block(ss: SphereSet) -> dict:
-    base, ent, fib = ss.base, ss.ent, ss.fiber
-    return {
-        "base": {
-            "theta_deg": _deg(base.theta),
-            "phi_deg": _deg(base.phi),
-            "x1": sig15(base.x1),
-            "b": sig15(base.b),
-            "x0": sig15(base.x0),
-        },
-        "entanglement": {
-            "chi_deg": _deg(ent.chi),
-            "xi_deg": _deg(ent.xi),
-            "c": sig15(ent.c),
-            "x2": sig15(ent.x2),
-            "x3": sig15(ent.x3),
-            "x4": sig15(ent.x4),
-        },
-        "fiber": {
-            "theta_f_deg": _deg(fib.theta_f),
-            "phi_f_deg": _deg(fib.phi_f),
-            "zeta_f_deg": _deg(fib.zeta_f),
-            "bloch": [sig15(v) for v in fib.bloch],
-        },
+@cache
+def _template(with_step: bool, assignments: tuple[str, ...]) -> str:
+    sphere = {
+        "base": dict.fromkeys(("theta_deg", "phi_deg", "x1", "b", "x0"), LEAF),
+        "entanglement": dict.fromkeys(("chi_deg", "xi_deg", "c", "x2", "x3", "x4"), LEAF),
+        "fiber": {**dict.fromkeys(("theta_f_deg", "phi_f_deg", "zeta_f_deg"), LEAF),
+                  "bloch": [LEAF] * 3},
     }
+    rho = dict.fromkeys(("rho00", "rho01", "rho10", "rho11"), [LEAF, LEAF])
+    return template({
+        **({"step": LEAF, "gate": LEAF} if with_step else {}),
+        "amplitudes": [LEAF] * 8,
+        "assignments": dict.fromkeys(assignments, sphere),
+        "rho_A": rho, "rho_B": rho,
+        **dict.fromkeys(("concurrence", "coherence_d_A", "coherence_d_B"), LEAF),
+    })
 
 
-def _rho_block(rho: DensityMatrix) -> dict:
-    return {
-        "rho00": [sig15(rho.rho00.real), sig15(rho.rho00.imag)],
-        "rho01": [sig15(rho.rho01.real), sig15(rho.rho01.imag)],
-        "rho10": [sig15(rho.rho10.real), sig15(rho.rho10.imag)],
-        "rho11": [sig15(rho.rho11.real), sig15(rho.rho11.imag)],
-    }
+def _numbers(step: TrajectoryStep, assignments: tuple[str, ...]) -> list[str]:
+    """The snapshot's number leaves in the field order of _template."""
+    values = [p for amp in step.state for p in (amp.real, amp.imag)]
+    for label in assignments:
+        _, base, ent, fib = step.spheres(label)
+        values += (degrees(base.theta), degrees(base.phi), base.x1, base.b, base.x0,
+                   degrees(ent.chi), degrees(ent.xi), ent.c, ent.x2, ent.x3, ent.x4,
+                   degrees(fib.theta_f), degrees(fib.phi_f), degrees(fib.zeta_f), *fib.bloch)
+    values += [p for z in (*step.rho_a, *step.rho_b) for p in (z.real, z.imag)]
+    values += (step.concurrence, step.coherence_d_a, step.coherence_d_b)
+    return numbers(values)
 
 
 def amplitude_list(s: TwoQubitState) -> list[float]:
-    out: list[float] = []
-    for amp in s.amplitudes():
-        out.append(sig15(amp.real))
-        out.append(sig15(amp.imag))
-    return out
+    return [sig15(p) for amp in s for p in (amp.real, amp.imag)]
 
 
-def _snapshot_fields(step: TrajectoryStep, assignments: tuple[str, ...]) -> dict:
-    return {
-        "amplitudes": amplitude_list(step.state),
-        "assignments": {label: _sphere_block(step.spheres(label)) for label in assignments},
-        "rho_A": _rho_block(step.rho_a),
-        "rho_B": _rho_block(step.rho_b),
-        "concurrence": sig15(step.concurrence),
-        "coherence_d_A": sig15(step.coherence_d_a),
-        "coherence_d_B": sig15(step.coherence_d_b),
-    }
+def state_record(s: TwoQubitState, assignments: tuple[str, ...] = ("A", "B")) -> Record:
+    leaves = _numbers(TrajectoryStep(0, None, s), assignments)
+    return Record(assignments, tuple(leaves), _template(False, assignments))
 
 
-def state_record(s: TwoQubitState, assignments: tuple[str, ...] = ("A", "B")) -> dict:
-    return _snapshot_fields(TrajectoryStep(0, None, s), assignments)
+def step_record(step: TrajectoryStep, assignments: tuple[str, ...] = ("A", "B")) -> Record:
+    gate = json.dumps(None if step.gate is None else step.description)
+    leaves = (str(step.index), gate, *_numbers(step, assignments))
+    return Record(assignments, leaves, _template(True, assignments))
 
 
-def step_record(step: TrajectoryStep, assignments: tuple[str, ...] = ("A", "B")) -> dict:
-    record: dict = {
-        "step": step.index,
-        "gate": None if step.gate is None else step.description,
-    }
-    record.update(_snapshot_fields(step, assignments))
-    return record
-
-
-def document(input_block: dict, records: list[dict]) -> dict:
-    return {"version": SCHEMA_VERSION, "input": input_block, "records": records}
+def document(input_block: dict, records: list[Record]) -> Document:
+    return Document({"version": SCHEMA_VERSION, "input": input_block}, records)
