@@ -58,7 +58,7 @@ def _assignments(flag: str) -> tuple[str, ...]:
 
 
 def _print_text_record(record: records.Record, out) -> None:
-    """A state record's leaves by position: 8 amplitude parts, 17 per assignment, ..., 3 scalars."""
+    """A state record's leaves by position: 8 amplitude parts, then 17 per assignment."""
     v = [float(leaf) for leaf in record.leaves]
     print("amplitudes:", file=out)
     for i, name in enumerate(("alpha", "beta", "gamma", "delta")):

@@ -29,7 +29,7 @@ def numbers(values) -> list[str]:
     """
     text = ("%.15g " * len(values)) % tuple(values)
     if "n" in text:
-        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+        raise ValueError("Out of range float values are not JSON compliant")
     return [repr(float(s)) if "e" in s else s if "." in s else "0.0" if s == "-0" else s + ".0"
             for s in text.split()]
 
