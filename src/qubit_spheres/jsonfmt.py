@@ -28,7 +28,7 @@ def numbers(values) -> list[str]:
     An exponent text (1e+15, a subnormal's) takes repr's own path.
     """
     text = ("%.15g " * len(values)) % tuple(values)
-    if "n" in text:
+    if "n" in text:   # "nan", "inf" or "-inf"
         raise ValueError("Out of range float values are not JSON compliant")
     return [repr(float(s)) if "e" in s else s if "." in s else "0.0" if s == "-0" else s + ".0"
             for s in text.split()]
