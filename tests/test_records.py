@@ -88,7 +88,8 @@ def _random_circuits(seed, count=51):
     for i in range(count):
         lines = []
         for j in range(rng.randint(1, 10)):
-            kind = PARSEABLE_KINDS[i % 17] if j == 0 else rng.choice(PARSEABLE_KINDS)
+            first = PARSEABLE_KINDS[i % len(PARSEABLE_KINDS)]
+            kind = first if j == 0 else rng.choice(PARSEABLE_KINDS)
             qubits = rng.sample(("A", "B"), 2)
             parts = [kind] + (qubits if kind.startswith("c") else qubits[:1])
             if kind in ROTATION_KINDS:
