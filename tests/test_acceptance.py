@@ -16,6 +16,7 @@ from conftest import CIRCUIT_DIR, GOLDEN_DIR
 from qubit_spheres import cli
 from qubit_spheres.gates import Circuit, Gate, bloch_rotation, rotation, run
 from qubit_spheres.hopf import Assignment, reconstruct, rho_from_spheres, sphere_set
+from qubit_spheres.jsonfmt import dumps
 from qubit_spheres.oracles import oracle_reduced_density
 from qubit_spheres.state import (
     TwoQubitState,
@@ -64,6 +65,9 @@ def test_invariant_suite():
               f"max error {r.max_error:.3e} (threshold {r.threshold:g})")
     failed = [r.name for r in suite.results if not r.passed]
     assert not failed, f"invariants failed: {', '.join(failed)}"
+    # The whole report, every max_error included, as `verify --seed 42` prints it.
+    golden = (GOLDEN_DIR / "verify_seed42.json").read_text(encoding="utf-8")
+    assert dumps(suite.to_dict()) == golden
 
 
 def test_criterion_2_entangled_state_reproduction():
