@@ -98,16 +98,13 @@ def rotation(axis: str, angle: float) -> np.ndarray:
 
 
 def bloch_rotation(u: np.ndarray) -> np.ndarray:
-    """SO(3) action of a 2x2 unitary on Bloch vectors: R_ij = Tr(s_i U s_j U+)/2."""
+    """SO(3) action of 2x2 unitaries (..., 2, 2) on Bloch vectors: R_ij = Tr(s_i U s_j U+)/2."""
     import numpy as np
 
-    paulis = [np.array(_PAULI[axis]) for axis in "xyz"]
-    udag = u.conj().T
-    r = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            r[i, j] = 0.5 * np.trace(paulis[i] @ u @ paulis[j] @ udag).real
-    return r
+    paulis = np.array([_PAULI[axis] for axis in "xyz"])
+    u = np.asarray(u)[..., None, None, :, :]
+    p = paulis[:, None] @ u @ paulis @ np.conj(u).swapaxes(-1, -2)
+    return 0.5 * (p[..., 0, 0] + p[..., 1, 1]).real
 
 
 # The class form of NamedTuple forbids overriding __new__, hence the

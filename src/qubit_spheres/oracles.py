@@ -15,22 +15,22 @@ _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-def oracle_reduced_density(s: TwoQubitState, which: str) -> DensityMatrix:
-    """Partial trace by literal 4x4 outer-product index summation."""
+def partial_trace(m: np.ndarray, which: str) -> np.ndarray:
+    """Reduced density matrices (n, 2, 2) of qubit `which` for the amplitude
+    grids m[:, a, b] = <ab|psi>: rho[a, b] = sum_c g[a, c] conj(g[b, c]), g
+    the grid with `which`'s index first, as elementwise sums (so a matrix
+    rounds the same alone as in a batch)."""
     if which not in ("A", "B"):
         raise ValueError(f"qubit label must be 'A' or 'B', got {which!r}")
-    psi = s.vector()
-    outer = np.outer(psi, psi.conj())
-    rho = np.zeros((2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                if which == "A":
-                    rho[a, b] += outer[2 * a + c, 2 * b + c]
-                else:
-                    rho[a, b] += outer[2 * c + a, 2 * c + b]
-    return DensityMatrix(rho00=complex(rho[0, 0]), rho01=complex(rho[0, 1]),
-                         rho10=complex(rho[1, 0]), rho11=complex(rho[1, 1]))
+    g = m if which == "A" else m.transpose(0, 2, 1)
+    return (g[:, :, None, 0] * g[:, None, :, 0].conj()
+            + g[:, :, None, 1] * g[:, None, :, 1].conj())
+
+
+def oracle_reduced_density(s: TwoQubitState, which: str) -> DensityMatrix:
+    """Partial trace of one state (partial_trace on a one-row batch)."""
+    rho = partial_trace(s.vector().reshape(1, 2, 2), which)
+    return DensityMatrix(*(complex(v) for v in rho.ravel()))
 
 
 def oracle_concurrence(s: TwoQubitState) -> float:

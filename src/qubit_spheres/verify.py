@@ -1,9 +1,11 @@
 """Executable invariant suite: every library-level property, run on random data.
 
 The suite draws one deterministic pool of Haar-random states per seed and
-checks each invariant against it (gate/unitary checks use smaller derived
-pools).  All reductions are max/count only, so the report is independent
-of evaluation order.
+makes one pass over it through the scalar kernel the CLI runs, writing the
+outputs into arrays.  Each pool invariant is an array of per-sample errors
+against the array oracles; a failing one names its worst sample as a
+witness.  Other checks use smaller derived draws.  All reductions are max
+only, so the report is independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -16,22 +18,17 @@ import numpy as np
 from . import gates, hopf, oracles, state
 from .hopf import Assignment
 from .jsonfmt import sig15
-from .quatmath import (
-    I,
-    J,
-    K,
-    Components,
-    conj,
-    exp_axis,
-    hamilton,
-    join_components,
-    norm_sq,
-    split_components,
-)
+from .quatmath import I, J, conj, hamilton, join_components, norm_sq, split_components
 from .state import TwoQubitState
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 10_000
+
+_ASSIGNMENTS = tuple(Assignment)
+
+# Columns of a sphere-set row (_sphere_row).
+THETA, PHI, X1, BASE_B, X0, CHI, XI, B, C, X2, X3, X4 = range(12)
+BLOCH = slice(12, 15)
 
 
 class InvariantResult(NamedTuple):
@@ -40,6 +37,9 @@ class InvariantResult(NamedTuple):
     max_error: float
     threshold: float
     passed: bool
+    # A failing pool invariant's worst sample: its pool index, the base qubit
+    # of its assignment (or None) and its amplitudes as a `map --state` value.
+    witness: dict | None = None
 
 
 class VerificationReport(NamedTuple):
@@ -69,6 +69,7 @@ class VerificationReport(NamedTuple):
                     "max_error": sig15(r.max_error),
                     "threshold": r.threshold,
                     "passed": r.passed,
+                    **({} if r.witness is None else {"witness": r.witness}),
                 }
                 for r in self.results
             ],
@@ -77,18 +78,287 @@ class VerificationReport(NamedTuple):
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-random SU(2) matrix from a uniform unit quaternion."""
-    w, x, y, z = _random_quaternion(rng)
-    return np.array([[w - 1j * z, -y - 1j * x],
-                     [y - 1j * x, w + 1j * z]], dtype=complex)
+    return _su2(_unit(rng.standard_normal((1, 4))))[0]
 
 
 def random_product_state(rng: np.random.Generator) -> TwoQubitState:
-    va = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    vb = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    va /= np.linalg.norm(va)
-    vb /= np.linalg.norm(vb)
-    k = np.kron(va, vb)
-    return TwoQubitState(*(complex(c) for c in k))
+    return TwoQubitState(*_product_amplitudes(rng, 1)[0].tolist())
+
+
+def _su2(q: np.ndarray) -> np.ndarray:
+    """SU(2) matrices (n, 2, 2) of unit quaternions (n, 4) = (w, x, y, z)."""
+    w, x, y, z = q.T
+    return np.stack([np.stack([w - 1j * z, -y - 1j * x], -1),
+                     np.stack([y - 1j * x, w + 1j * z], -1)], -2)
+
+
+def _unit(q: np.ndarray) -> np.ndarray:
+    """Quaternion rows (n, 4) scaled to unit norm."""
+    w, x, y, z = q.T
+    return q / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
+
+
+def _gaussian_states(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n normalized complex Gaussian vectors (n, dim), each drawn and scaled as
+    state.random_state draws its 4: dim real then dim imaginary parts, over
+    np.linalg.norm of the row (an axis norm rounds some rows differently)."""
+    x = rng.standard_normal((n, 2, dim))
+    v = x[:, 0] + 1j * x[:, 1]
+    norms = np.array([np.linalg.norm(row) for row in v])
+    if norms.min() < state.ZERO_NORM_TOL:
+        raise state.NotNormalizable("degenerate random draw")
+    return v / norms[:, None]
+
+
+def _product_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
+    v = _gaussian_states(rng, 2 * n, 2)  # the factor of A, then of B
+    return (v[0::2, :, None] * v[1::2, None, :]).reshape(n, 4)
+
+
+def _act(u: np.ndarray, amps: np.ndarray, on_a) -> np.ndarray:
+    """Amplitudes (n, 4) after the one-qubit unitaries u (n, 2, 2), each on
+    qubit A where `on_a` holds and on B elsewhere.  A batched matmul of
+    kron(u, 1) or kron(1, u) makes the BLAS product of one state alone, bit
+    for bit; a sum over the (a, b) amplitude grid rounds differently."""
+    eye = np.eye(2, dtype=complex)[None]
+    full = np.where(np.asarray(on_a)[:, None, None], np.kron(u, eye), np.kron(eye, u))
+    return np.matmul(full, amps[:, :, None])[:, :, 0]
+
+
+def _sphere_row(ss: hopf.SphereSet) -> tuple[float, ...]:
+    """A sphere set's floats: base, entanglement (without t), fiber Bloch point."""
+    chi, xi, b, _, c, x2, x3, x4 = ss.ent
+    return (*ss.base, chi, xi, b, c, x2, x3, x4, *ss.fiber.bloch)
+
+
+def _map_states(amps: np.ndarray, ks) -> np.ndarray:
+    """Sphere-set rows of the states `amps`, row i under the ks[i]-th Assignment."""
+    return np.array([_sphere_row(hopf.sphere_set(TwoQubitState(*v), _ASSIGNMENTS[k]))
+                     for v, k in zip(amps.tolist(), ks)])
+
+
+def _elementwise(f, a: np.ndarray) -> np.ndarray:
+    """f (a math function) applied to every element of a."""
+    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+class _SuiteRunner:
+    def __init__(self, seed: int, samples: int):
+        self.rng = np.random.default_rng(seed)
+        self.samples = samples
+        self.results: list[InvariantResult] = []
+        self.amps = _gaussian_states(self.rng, samples, 4)
+        self._map_pool()
+
+    def _map_pool(self):
+        """The one pass: each pool state through the scalar kernel under both
+        assignments.  Index [i, k] is pool state i under the k-th Assignment;
+        the state functions take that assignment's base qubit."""
+        n = self.samples
+        self.conc = np.empty((n, 2))             # concurrence_det, oracle_concurrence
+        self.rho_stats = np.empty((n, 2, 5))     # concurrence_from_rho, coherence_d, bloch
+        self.spheres = np.empty((n, 2, 15))      # _sphere_row(sphere_set)
+        self.quats = np.empty((n, 2, 8))         # quaternion_pair
+        self.rec = np.empty((n, 2, 4), complex)  # reconstruct
+        self.rho = np.empty((n, 2, 4), complex)  # rho_from_spheres
+        for i, amps in enumerate(self.amps.tolist()):
+            s = TwoQubitState(*amps)
+            self.conc[i] = state.concurrence_det(s), oracles.oracle_concurrence(s)
+            for k, a in enumerate(_ASSIGNMENTS):
+                rho = state.reduced_density(s, a.base_qubit)
+                self.rho_stats[i, k] = (state.concurrence_from_rho(rho), state.coherence_d(rho),
+                                        *state.bloch_vector(rho))
+                ss = hopf.sphere_set(s, a)
+                self.spheres[i, k] = _sphere_row(ss)
+                q1, q2 = hopf.quaternion_pair(s, a)
+                self.quats[i, k] = q1 + q2
+                self.rec[i, k] = hopf.reconstruct(ss)
+                self.rho[i, k] = hopf.rho_from_spheres(ss)
+
+    def record(self, name: str, n: int, max_error: float, threshold: float,
+               witness: dict | None = None):
+        max_error = float(max_error)
+        self.results.append(InvariantResult(name, n, max_error, threshold,
+                                            max_error <= threshold, witness))
+
+    def check(self, name: str, threshold: float, err: np.ndarray, samples: int | None = None,
+              alternating: bool = False):
+        """Record a pool invariant from its per-sample errors: err[i] of pool
+        state i, err[i, k] of state i under the k-th Assignment, or with
+        `alternating`, err[i] of state i under the (i % 2)-th.  NaN fails."""
+        worst = max(float(err.max()), 0.0)
+        witness = None
+        if not worst <= threshold:
+            i, k = divmod(int(err.argmax()), 2) if err.ndim == 2 else (int(err.argmax()), None)
+            k = i % 2 if alternating else k
+            witness = {"sample": i, "assignment": None if k is None else _ASSIGNMENTS[k].value,
+                       "state": ",".join(repr(v) for c in self.amps[i].tolist()
+                                         for v in (c.real, c.imag))}
+        self.record(name, err.size if samples is None else samples, worst, threshold, witness)
+
+    # -- quaternion algebra ------------------------------------------------
+
+    def quaternion_invariants(self):
+        n = min(self.samples, 1000)
+        # Per sample: a, b, c, then au and bu made unit, then z.
+        d = self.rng.standard_normal((n, 22))
+        a, b, c = d[:, 0:4].T, d[:, 4:8].T, d[:, 8:12].T
+        au, bu = _unit(d[:, 12:16]).T, _unit(d[:, 16:20]).T
+        e_assoc = np.subtract(hamilton(hamilton(a, b), c), hamilton(a, hamilton(b, c)))
+        e_norm = np.abs(np.sqrt(norm_sq(hamilton(au, bu)))
+                        - np.sqrt(norm_sq(au)) * np.sqrt(norm_sq(bu)))
+        e_conj = np.subtract(conj(hamilton(au, bu)), hamilton(conj(bu), conj(au)))
+        e_split = np.subtract([join_components(*split_components(q)) for q in a.T.tolist()], a.T)
+        zs = [complex(*z) for z in d[:, 20:22].tolist()]
+        # join_components(z, 0) embeds z with k as its imaginary unit.
+        e_comm = np.subtract([hamilton(J, join_components(z, 0.0)) for z in zs],
+                             [hamilton(join_components(z.conjugate(), 0.0), J) for z in zs])
+        self.record("quaternion_associativity", n, np.abs(e_assoc).max(), 1e-12)
+        self.record("quaternion_norm_multiplicative", n, e_norm.max(), 1e-12)
+        self.record("quaternion_conj_antihomomorphism", n, np.abs(e_conj).max(), 1e-15)
+        self.record("quaternion_split_roundtrip", n, np.abs(e_split).max(), 0.0)
+        self.record("quaternion_j_commutation", n, np.abs(e_comm).max(), 0.0)
+
+    # -- state-level properties --------------------------------------------
+
+    def state_invariants(self):
+        c = self.conc[:, :1]
+        c_rho, d, rx, ry, rz = np.moveaxis(self.rho_stats, -1, 0)
+        # Both qubits of each state, counted as one sample.
+        n = self.samples
+        self.check("concurrence_triple_agreement", 1e-10, np.abs(c_rho - c), n)
+        self.check("coherence_complementarity", 1e-12, np.abs(d * d + c * c - 1.0), n)
+        self.check("bloch_vector_norm", 1e-10,
+                   np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)), n)
+
+        n = min(self.samples, 1000)
+        # Per sample: a quaternion, then whether the unitary acts on qubit A.
+        draws = [(self.rng.standard_normal(4), self.rng.integers(2) == 0) for _ in range(n)]
+        moved = _act(_su2(_unit(np.array([q for q, _ in draws]))), self.amps[:n],
+                     [on_a for _, on_a in draws])
+        c2 = np.array([state.concurrence_det(TwoQubitState(*v)) for v in moved.tolist()])
+        self.check("local_unitary_concurrence_invariance", 1e-10, np.abs(c2 - self.conc[:n, 0]))
+
+    # -- sphere map ----------------------------------------------------------
+
+    def hopf_invariants(self):
+        diff = self.rec - self.amps[:, None, :]
+        self.check("round_trip_reconstruction", 1e-10,
+                   np.hypot(diff.real, diff.imag).max(axis=2))
+        # x ** 2 as Python's float power (libm pow) rounds it: x * x differs
+        # in the last bit for about one double in a thousand.
+        sq = np.moveaxis(np.float_power(self.spheres, 2), -1, 0)
+        s4 = sq[X0] + sq[X1] + sq[X2] + sq[X3] + sq[X4]
+        self.check("unit_s4_norm", 1e-12, np.abs(s4 - 1.0))
+        self.check("b_squared_decomposition", 1e-12, np.abs(sq[B] - sq[X4] - sq[C]))
+        b, c, chi = self.spheres[..., B], self.spheres[..., C], self.spheres[..., CHI]
+        c_ref = self.conc[:, 1:]
+        self.check("concurrence_consistency", 1e-10,
+                   np.maximum(np.abs(np.abs(b) * _elementwise(math.sin, chi) - c_ref),
+                              np.abs(c - c_ref)))
+        self.check("chi_northern_hemisphere", 1e-12, np.maximum(chi - math.pi / 2, -chi))
+
+    def equivariance_invariants(self):
+        n = min(self.samples, 1000)
+        ks = np.arange(n) % 2  # state i is mapped under A_BASE if i is even, else B_BASE
+        before = self.spheres[np.arange(n), ks]
+
+        # A fiber-qubit unitary: on B under A_BASE, on A under B_BASE.
+        u = _su2(_unit(self.rng.standard_normal((n, 4))))
+        after = _map_states(_act(u, self.amps[:n], ks == 1), ks)
+        local = [X0, X1, BASE_B, THETA, X2, X3, X4, CHI]
+        self.check("fiber_unitary_base_locality", 1e-12,
+                   np.abs(after[:, local] - before[:, local]).max(axis=1), alternating=True)
+        want = np.matmul(gates.bloch_rotation(u), before[:, BLOCH, None])[:, :, 0]
+        self.check("fiber_unitary_bloch_rotation", 1e-9,
+                   np.abs(after[:, BLOCH] - want).max(axis=1), alternating=True)
+
+        mu = self.rng.uniform(-math.pi, math.pi, n)
+        u = np.array([gates.rotation("y", m) for m in mu.tolist()])
+        after = _map_states(_act(u, self.amps[:n], ks == 0), ks)
+        fixed = [B, X2, X3, X4, CHI, C]
+        self.check("base_yrotation_fixes_entanglement", 1e-12,
+                   np.abs(after[:, fixed] - before[:, fixed]).max(axis=1), alternating=True)
+        sin_mu, cos_mu = _elementwise(math.sin, mu), _elementwise(math.cos, mu)
+        x0, x1 = before[:, X0], before[:, X1]
+        self.check("base_yrotation_plane_rotation", 1e-10, np.maximum(
+            np.abs(after[:, X1] - (x0 * sin_mu + x1 * cos_mu)),
+            np.abs(after[:, X0] - (x0 * cos_mu - x1 * sin_mu))), alternating=True)
+
+    def separability_invariants(self):
+        n = min(self.samples, 1000)
+        rows = _map_states(np.repeat(_product_amplitudes(self.rng, n), 2, axis=0), [0, 1] * n)
+        # Disjunction, normalized: chi below 1e-8 or |b| below 1e-10.
+        e_cond = np.minimum(rows[:, CHI] / 1e-8, np.abs(rows[:, B]) / 1e-10)
+        self.record("separable_concurrence_zero", 2 * n, rows[:, C].max(), 1e-10)
+        self.record("separable_chi_or_b_zero", 2 * n, e_cond.max(), 1.0)
+
+    # -- oracle cross-checks -------------------------------------------------
+
+    def oracle_invariants(self):
+        grid = self.amps.reshape(-1, 2, 2)
+        ref = np.stack([oracles.partial_trace(grid, a.base_qubit).reshape(-1, 4)
+                        for a in _ASSIGNMENTS], axis=1)
+        self.check("rho_from_spheres_vs_partial_trace", 1e-12,
+                   np.abs(self.rho - ref).max(axis=2))
+        # Off-diagonal structure: x1 + b*sin(chi)*e^(k*xi)*i + x4*k must
+        # rebuild the full quaternion product 2*q2*conj(q1).  The i/j part
+        # carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
+        q = np.moveaxis(self.quats, -1, 0)
+        p = [2.0 * v for v in hamilton(q[4:], conj(q[:4]))]
+        sp = self.spheres
+        r = sp[..., B] * _elementwise(math.sin, sp[..., CHI])
+        sin_xi = _elementwise(math.sin, sp[..., XI])
+        # e^(k*xi) as exp_axis(K, xi) writes it, times i.
+        ew, ex, ey, ez = hamilton((_elementwise(math.cos, sp[..., XI]), sin_xi * 0.0,
+                                   sin_xi * 0.0, sin_xi * 1.0), I)
+        rebuilt = (sp[..., X1] + r * ew, r * ex, r * ey, r * ez + sp[..., X4])
+        self.check("outer_product_structure", 1e-12, np.abs(np.subtract(rebuilt, p)).max(axis=0))
+
+    # -- gates ----------------------------------------------------------------
+
+    def gate_invariants(self):
+        n = min(self.samples, 500)
+        u = np.array([gates.expand(_random_gate(self.rng)) for _ in range(n)])
+        e_uni = np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(4)).max()
+        self.record("expanded_gate_unitarity", n, e_uni, 1e-12)
+
+        mu = self.rng.uniform(-2 * math.pi, 2 * math.pi, 20).tolist()
+        rx, ry, rz = (np.array([gates.rotation(axis, m) for m in mu]) for axis in "xyz")
+        e_x = rx - gates.rotation("z", -math.pi / 2) @ ry @ gates.rotation("z", math.pi / 2)
+        e_z = rz - gates.rotation("x", math.pi / 2) @ ry @ gates.rotation("x", -math.pi / 2)
+        self.record("rotation_identities", 20, max(np.abs(e_x).max(), np.abs(e_z).max()), 1e-12)
+
+        grid = [(math.radians(eta), math.radians(omega))
+                for eta in range(0, 181, 10) for omega in range(0, 361, 20)]
+        e_sweep = e_sup = 0.0
+        for eta, omega in grid:
+            steps = gates.run(gates.Circuit(gates=(
+                gates.Gate(kind="rx", target="A", angle=eta),
+                gates.Gate(kind="cry", control="A", target="B", angle=omega))))
+            e_sweep = max(e_sweep, abs(steps[-1].concurrence - math.sin(eta) * math.sin(omega / 2)))
+            r = state.bloch_vector(steps[1].rho_a)
+            e_sup = max(e_sup, abs(math.hypot(r[0], r[1]) - math.sin(eta)))
+        self.record("entangler_concurrence_law", len(grid), e_sweep, 1e-9)
+        self.record("entangler_superposition_degree", len(grid), e_sup, 1e-12)
+
+        n = min(self.samples, 200)
+        e_traj = 0.0
+        for _ in range(n):
+            gs = [_random_gate(self.rng) for _ in range(int(self.rng.integers(1, 7)))]
+            for step in gates.run(gates.Circuit(gates=tuple(gs))):
+                e_traj = max(e_traj, abs(step.spheres_a.ent.c - step.spheres_b.ent.c))
+        self.record("trajectory_concurrence_match", n, e_traj, 1e-10)
+
+    def run(self) -> tuple[InvariantResult, ...]:
+        self.quaternion_invariants()
+        self.state_invariants()
+        self.hopf_invariants()
+        self.equivariance_invariants()
+        self.separability_invariants()
+        self.oracle_invariants()
+        self.gate_invariants()
+        return tuple(self.results)
 
 
 _RANDOM_GATE_KINDS = tuple(k for k in gates.GATE_KINDS if k != "u4")
@@ -103,269 +373,6 @@ def _random_gate(rng: np.random.Generator) -> gates.Gate:
     if kind in gates.ROTATION_KINDS:
         angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
     return gates.Gate(kind=kind, target=target, control=control, angle=angle)
-
-
-def _random_quaternion(rng: np.random.Generator, unit: bool = True) -> Components:
-    w, x, y, z = rng.standard_normal(4)
-    if unit:
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        w, x, y, z = w / n, x / n, y / n, z / n
-    return float(w), float(x), float(y), float(z)
-
-
-def _max_diff(p: Components, q: Components) -> float:
-    return max(abs(u - v) for u, v in zip(p, q))
-
-
-def _amp_error(s1: TwoQubitState, s2: TwoQubitState) -> float:
-    return max(abs(a - b) for a, b in zip(s1.amplitudes(), s2.amplitudes()))
-
-
-def _apply_matrix(s: TwoQubitState, u4: np.ndarray) -> TwoQubitState:
-    v = u4 @ s.vector()
-    return TwoQubitState(*(complex(c) for c in v))
-
-
-def _one_qubit_op(u: np.ndarray, which: str) -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    return np.kron(u, eye) if which == "A" else np.kron(eye, u)
-
-
-class _SuiteRunner:
-    def __init__(self, seed: int, samples: int):
-        self.rng = np.random.default_rng(seed)
-        self.samples = samples
-        self.results: list[InvariantResult] = []
-        self.pool = [state.random_state(self.rng) for _ in range(samples)]
-        self.sets = {
-            Assignment.A_BASE: [hopf.sphere_set(s, Assignment.A_BASE) for s in self.pool],
-            Assignment.B_BASE: [hopf.sphere_set(s, Assignment.B_BASE) for s in self.pool],
-        }
-
-    def record(self, name: str, n: int, max_error: float, threshold: float):
-        self.results.append(InvariantResult(
-            name=name, samples=n, max_error=float(max_error),
-            threshold=threshold, passed=max_error <= threshold))
-
-    # -- quaternion algebra ------------------------------------------------
-
-    def quaternion_invariants(self):
-        n = min(self.samples, 1000)
-        e_assoc = e_norm = e_conj = e_split = e_comm = 0.0
-        for _ in range(n):
-            a = _random_quaternion(self.rng, unit=False)
-            b = _random_quaternion(self.rng, unit=False)
-            c = _random_quaternion(self.rng, unit=False)
-            e_assoc = max(e_assoc, _max_diff(hamilton(hamilton(a, b), c),
-                                             hamilton(a, hamilton(b, c))))
-            au, bu = _random_quaternion(self.rng), _random_quaternion(self.rng)
-            e_norm = max(e_norm, abs(math.sqrt(norm_sq(hamilton(au, bu)))
-                                     - math.sqrt(norm_sq(au)) * math.sqrt(norm_sq(bu))))
-            e_conj = max(e_conj, _max_diff(conj(hamilton(au, bu)),
-                                           hamilton(conj(bu), conj(au))))
-            e_split = max(e_split, _max_diff(a, join_components(*split_components(a))))
-            z = complex(*self.rng.standard_normal(2))
-            # join_components(z, 0) embeds z with k as its imaginary unit.
-            e_comm = max(e_comm, _max_diff(hamilton(J, join_components(z, 0.0)),
-                                           hamilton(join_components(z.conjugate(), 0.0), J)))
-        self.record("quaternion_associativity", n, e_assoc, 1e-12)
-        self.record("quaternion_norm_multiplicative", n, e_norm, 1e-12)
-        self.record("quaternion_conj_antihomomorphism", n, e_conj, 1e-15)
-        self.record("quaternion_split_roundtrip", n, e_split, 0.0)
-        self.record("quaternion_j_commutation", n, e_comm, 0.0)
-
-    # -- state-level properties --------------------------------------------
-
-    def state_invariants(self):
-        e_triple = e_compl = e_bloch = 0.0
-        for s in self.pool:
-            c = state.concurrence_det(s)
-            for which in ("A", "B"):
-                rho = state.reduced_density(s, which)
-                e_triple = max(e_triple, abs(state.concurrence_from_rho(rho) - c))
-                d = state.coherence_d(rho)
-                e_compl = max(e_compl, abs(d * d + c * c - 1.0))
-                r = state.bloch_vector(rho)
-                e_bloch = max(e_bloch, abs(sum(v * v for v in r) - (1.0 - c * c)))
-        self.record("concurrence_triple_agreement", len(self.pool), e_triple, 1e-10)
-        self.record("coherence_complementarity", len(self.pool), e_compl, 1e-12)
-        self.record("bloch_vector_norm", len(self.pool), e_bloch, 1e-10)
-
-        n = min(self.samples, 1000)
-        e_lu = 0.0
-        for i in range(n):
-            s = self.pool[i % len(self.pool)]
-            u = random_su2(self.rng)
-            which = "A" if self.rng.integers(2) == 0 else "B"
-            s2 = _apply_matrix(s, _one_qubit_op(u, which))
-            e_lu = max(e_lu, abs(state.concurrence_det(s2) - state.concurrence_det(s)))
-        self.record("local_unitary_concurrence_invariance", n, e_lu, 1e-10)
-
-    # -- sphere map ----------------------------------------------------------
-
-    def hopf_invariants(self):
-        e_round = e_s4 = e_bsq = e_conc = e_chi = 0.0
-        for i, s in enumerate(self.pool):
-            c_ref = oracles.oracle_concurrence(s)
-            for a in Assignment:
-                ss = self.sets[a][i]
-                e_round = max(e_round, _amp_error(hopf.reconstruct(ss), s))
-                base, ent = ss.base, ss.ent
-                s4 = (base.x0 ** 2 + base.x1 ** 2 + ent.x2 ** 2
-                      + ent.x3 ** 2 + ent.x4 ** 2)
-                e_s4 = max(e_s4, abs(s4 - 1.0))
-                e_bsq = max(e_bsq, abs(ent.b ** 2 - ent.x4 ** 2 - ent.c ** 2))
-                e_conc = max(e_conc, abs(abs(ent.b) * math.sin(ent.chi) - c_ref),
-                             abs(ent.c - c_ref))
-                e_chi = max(e_chi, ent.chi - math.pi / 2, -ent.chi)
-        n2 = 2 * len(self.pool)
-        self.record("round_trip_reconstruction", n2, e_round, 1e-10)
-        self.record("unit_s4_norm", n2, e_s4, 1e-12)
-        self.record("b_squared_decomposition", n2, e_bsq, 1e-12)
-        self.record("concurrence_consistency", n2, e_conc, 1e-10)
-        self.record("chi_northern_hemisphere", n2, e_chi, 1e-12)
-
-    def equivariance_invariants(self):
-        n = min(self.samples, 1000)
-        e_loc = e_rot = 0.0
-        for i in range(n):
-            s = self.pool[i % len(self.pool)]
-            a = Assignment.A_BASE if i % 2 == 0 else Assignment.B_BASE
-            before = self.sets[a][i % len(self.pool)]
-            u = random_su2(self.rng)
-            s2 = _apply_matrix(s, _one_qubit_op(u, a.fiber_qubit))
-            after = hopf.sphere_set(s2, a)
-            e_loc = max(e_loc, self._base_ent_distance(before, after))
-            r = gates.bloch_rotation(u)
-            want = r @ np.array(before.fiber.bloch)
-            got = np.array(after.fiber.bloch)
-            e_rot = max(e_rot, float(np.max(np.abs(got - want))))
-        self.record("fiber_unitary_base_locality", n, e_loc, 1e-12)
-        self.record("fiber_unitary_bloch_rotation", n, e_rot, 1e-9)
-
-        e_fix = e_plane = 0.0
-        for i in range(n):
-            s = self.pool[i % len(self.pool)]
-            a = Assignment.A_BASE if i % 2 == 0 else Assignment.B_BASE
-            before = self.sets[a][i % len(self.pool)]
-            mu = float(self.rng.uniform(-math.pi, math.pi))
-            u = gates.rotation("y", mu)
-            s2 = _apply_matrix(s, _one_qubit_op(u, a.base_qubit))
-            after = hopf.sphere_set(s2, a)
-            eb, ea = before.ent, after.ent
-            e_fix = max(e_fix, abs(ea.b - eb.b), abs(ea.x2 - eb.x2),
-                        abs(ea.x3 - eb.x3), abs(ea.x4 - eb.x4),
-                        abs(ea.chi - eb.chi), abs(ea.c - eb.c))
-            x1w = before.base.x0 * math.sin(mu) + before.base.x1 * math.cos(mu)
-            x0w = before.base.x0 * math.cos(mu) - before.base.x1 * math.sin(mu)
-            e_plane = max(e_plane, abs(after.base.x1 - x1w), abs(after.base.x0 - x0w))
-        self.record("base_yrotation_fixes_entanglement", n, e_fix, 1e-12)
-        self.record("base_yrotation_plane_rotation", n, e_plane, 1e-10)
-
-    def separability_invariants(self):
-        n = min(self.samples, 1000)
-        e_c = e_cond = 0.0
-        for _ in range(n):
-            s = random_product_state(self.rng)
-            for a in Assignment:
-                ss = hopf.sphere_set(s, a)
-                e_c = max(e_c, ss.ent.c)
-                # Disjunction, normalized: chi below 1e-8 or |b| below 1e-10.
-                e_cond = max(e_cond, min(ss.ent.chi / 1e-8, abs(ss.ent.b) / 1e-10))
-        self.record("separable_concurrence_zero", 2 * n, e_c, 1e-10)
-        self.record("separable_chi_or_b_zero", 2 * n, e_cond, 1.0)
-
-    # -- oracle cross-checks -------------------------------------------------
-
-    def oracle_invariants(self):
-        e_rho = e_outer = 0.0
-        for i, s in enumerate(self.pool):
-            for a in Assignment:
-                ss = self.sets[a][i]
-                got = hopf.rho_from_spheres(ss).as_array()
-                ref = oracles.oracle_reduced_density(s, a.base_qubit).as_array()
-                e_rho = max(e_rho, float(np.max(np.abs(got - ref))))
-                # Off-diagonal structure: x1 + b*sin(chi)*e^(k*xi)*i + x4*k must
-                # rebuild the full quaternion product 2*q2*conj(q1).  The i/j
-                # part carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
-                q1, q2 = hopf.quaternion_pair(s, a)
-                p = tuple(2.0 * v for v in hamilton(q2, conj(q1)))
-                ent = ss.ent
-                r = ent.b * math.sin(ent.chi)
-                ew, ex, ey, ez = hamilton(exp_axis(K, ent.xi), I)
-                rebuilt = (ss.base.x1 + r * ew, r * ex, r * ey, r * ez + ent.x4)
-                e_outer = max(e_outer, _max_diff(rebuilt, p))
-        n2 = 2 * len(self.pool)
-        self.record("rho_from_spheres_vs_partial_trace", n2, e_rho, 1e-12)
-        self.record("outer_product_structure", n2, e_outer, 1e-12)
-
-    # -- gates ----------------------------------------------------------------
-
-    def gate_invariants(self):
-        n = min(self.samples, 500)
-        e_uni = 0.0
-        for _ in range(n):
-            u = gates.expand(_random_gate(self.rng))
-            e_uni = max(e_uni, float(np.max(np.abs(u @ u.conj().T - np.eye(4)))))
-        self.record("expanded_gate_unitarity", n, e_uni, 1e-12)
-
-        e_id = 0.0
-        for _ in range(20):
-            mu = float(self.rng.uniform(-2 * math.pi, 2 * math.pi))
-            lhs = gates.rotation("x", mu)
-            rhs = (gates.rotation("z", -math.pi / 2) @ gates.rotation("y", mu)
-                   @ gates.rotation("z", math.pi / 2))
-            e_id = max(e_id, float(np.max(np.abs(lhs - rhs))))
-            lhs = gates.rotation("z", mu)
-            rhs = (gates.rotation("x", math.pi / 2) @ gates.rotation("y", mu)
-                   @ gates.rotation("x", -math.pi / 2))
-            e_id = max(e_id, float(np.max(np.abs(lhs - rhs))))
-        self.record("rotation_identities", 20, e_id, 1e-12)
-
-        e_sweep = e_sup = 0.0
-        count = 0
-        for eta_deg in range(0, 181, 10):
-            for omega_deg in range(0, 361, 20):
-                eta, omega = math.radians(eta_deg), math.radians(omega_deg)
-                circuit = gates.Circuit(gates=(
-                    gates.Gate(kind="rx", target="A", angle=eta),
-                    gates.Gate(kind="cry", control="A", target="B", angle=omega),
-                ))
-                steps = gates.run(circuit)
-                want = math.sin(eta) * math.sin(omega / 2)
-                e_sweep = max(e_sweep, abs(steps[-1].concurrence - want))
-                r = state.bloch_vector(steps[1].rho_a)
-                e_sup = max(e_sup, abs(math.hypot(r[0], r[1]) - math.sin(eta)))
-                count += 1
-        self.record("entangler_concurrence_law", count, e_sweep, 1e-9)
-        self.record("entangler_superposition_degree", count, e_sup, 1e-12)
-
-        n = min(self.samples, 200)
-        e_traj = 0.0
-        for _ in range(n):
-            gs = [_random_gate(self.rng) for _ in range(int(self.rng.integers(1, 7)))]
-            for step in gates.run(gates.Circuit(gates=tuple(gs))):
-                e_traj = max(e_traj, abs(step.spheres_a.ent.c - step.spheres_b.ent.c))
-        self.record("trajectory_concurrence_match", n, e_traj, 1e-10)
-
-    @staticmethod
-    def _base_ent_distance(before, after) -> float:
-        b0, b1 = before.base, after.base
-        e0, e1 = before.ent, after.ent
-        return max(abs(b1.x0 - b0.x0), abs(b1.x1 - b0.x1), abs(b1.b - b0.b),
-                   abs(b1.theta - b0.theta),
-                   abs(e1.x2 - e0.x2), abs(e1.x3 - e0.x3), abs(e1.x4 - e0.x4),
-                   abs(e1.chi - e0.chi))
-
-    def run(self) -> tuple[InvariantResult, ...]:
-        self.quaternion_invariants()
-        self.state_invariants()
-        self.hopf_invariants()
-        self.equivariance_invariants()
-        self.separability_invariants()
-        self.oracle_invariants()
-        self.gate_invariants()
-        return tuple(self.results)
 
 
 def run_suite(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES

@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qubit_spheres.hopf import Assignment, sphere_set
 from qubit_spheres.state import TwoQubitState, random_state
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -30,11 +29,3 @@ def entangler_60_70_state() -> TwoQubitState:
 def state_pool():
     rng = np.random.default_rng(POOL_SEED)
     return [random_state(rng) for _ in range(POOL_SIZE)]
-
-
-@pytest.fixture(scope="session")
-def sphere_pool(state_pool):
-    """Sphere sets for the whole pool, both assignments (computed once)."""
-    sets_a = [sphere_set(s, Assignment.A_BASE) for s in state_pool]
-    sets_b = [sphere_set(s, Assignment.B_BASE) for s in state_pool]
-    return sets_a, sets_b

@@ -12,23 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CIRCUIT_DIR, GOLDEN_DIR
+from conftest import CIRCUIT_DIR, GOLDEN_DIR, POOL_SEED
 from qubit_spheres import cli
 from qubit_spheres.gates import Circuit, Gate, bloch_rotation, rotation, run
-from qubit_spheres.hopf import Assignment, reconstruct, rho_from_spheres, sphere_set
+from qubit_spheres.hopf import Assignment, sphere_set
 from qubit_spheres.jsonfmt import dumps
-from qubit_spheres.oracles import oracle_reduced_density
-from qubit_spheres.state import (
-    TwoQubitState,
-    coherence_d,
-    concurrence_det,
-    reduced_density,
-)
+from qubit_spheres.state import TwoQubitState
 from qubit_spheres.verify import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     random_product_state,
-    random_su2,
     run_suite,
 )
 
@@ -68,6 +61,11 @@ def test_invariant_suite():
     # The whole report, every max_error included, as `verify --seed 42` prints it.
     golden = (GOLDEN_DIR / "verify_seed42.json").read_text(encoding="utf-8")
     assert dumps(suite.to_dict()) == golden
+
+    # The second pool seed: the state_pool fixture's 10^4 states.
+    second = run_suite(POOL_SEED, DEFAULT_SAMPLES)
+    failed = [r.name for r in second.results if not r.passed]
+    assert not failed, f"invariants failed on seed {POOL_SEED}: {', '.join(failed)}"
 
 
 def test_criterion_2_entangled_state_reproduction():
@@ -133,74 +131,6 @@ def test_criterion_4_base_changing_rotations():
     phi_x = math.degrees(after_x.spheres_a.base.phi)
     report(4, "base azimuth after rx A -90 vs oracle +90 deg",
            abs(phi_x - PHI_AFTER_XM90_DEG), 1e-9)
-
-
-def test_criterion_5_round_trip(state_pool, sphere_pool):
-    sets_a, sets_b = sphere_pool
-    worst = 0.0
-    for s, sa, sb in zip(state_pool, sets_a, sets_b):
-        for ss in (sa, sb):
-            rec = reconstruct(ss)
-            worst = max(worst, max(abs(u - v) for u, v in
-                                   zip(rec.amplitudes(), s.amplitudes())))
-    report(5, "round-trip reconstruction over 10^4 states x 2 assignments",
-           worst, 1e-10)
-
-
-def test_criterion_6_concurrence_triple_agreement(state_pool, sphere_pool):
-    sets_a, sets_b = sphere_pool
-    worst = 0.0
-    for s, sa, sb in zip(state_pool, sets_a, sets_b):
-        c_det = concurrence_det(s)
-        for which in ("A", "B"):
-            rho = reduced_density(s, which)
-            c_rho = math.sqrt(max(0.0, 2.0 * (1.0 - rho.purity())))
-            worst = max(worst, abs(c_rho - c_det))
-        for ss in (sa, sb):
-            worst = max(worst, abs(abs(ss.ent.b) * math.sin(ss.ent.chi) - c_det))
-    report(6, "concurrence: determinant = sqrt(2(1-Tr rho^2)) = |b|sin(chi)",
-           worst, 1e-10)
-
-
-def test_criterion_7_complementarity(state_pool, sphere_pool):
-    sets_a, sets_b = sphere_pool
-    worst_d = worst_b = 0.0
-    for s, sa, sb in zip(state_pool, sets_a, sets_b):
-        c = concurrence_det(s)
-        for which in ("A", "B"):
-            d = coherence_d(reduced_density(s, which))
-            worst_d = max(worst_d, abs(d * d + c * c - 1.0))
-        for ss in (sa, sb):
-            worst_b = max(worst_b, abs(ss.ent.b ** 2 - ss.ent.x4 ** 2 - ss.ent.c ** 2))
-    report(7, "coherence complementarity d^2 + c^2 = 1", worst_d, 1e-12)
-    report(7, "inner-sphere relation b^2 = x4^2 + c^2", worst_b, 1e-12)
-
-
-def test_criterion_8_local_unitary_invariance(state_pool):
-    rng = np.random.default_rng(424242)
-    worst = 0.0
-    eye = np.eye(2, dtype=complex)
-    for i in range(1000):
-        s = state_pool[i]
-        u = random_su2(rng)
-        which = "A" if rng.integers(2) == 0 else "B"
-        full = np.kron(u, eye) if which == "A" else np.kron(eye, u)
-        s2 = TwoQubitState(*(complex(c) for c in full @ s.vector()))
-        worst = max(worst, abs(concurrence_det(s2) - concurrence_det(s)))
-    report(8, "local unitaries leave the concurrence unchanged (10^3 triples)",
-           worst, 1e-10)
-
-
-def test_criterion_10_density_matrix_agreement(state_pool, sphere_pool):
-    sets_a, sets_b = sphere_pool
-    worst = 0.0
-    for s, sa, sb in zip(state_pool, sets_a, sets_b):
-        for a, ss in ((Assignment.A_BASE, sa), (Assignment.B_BASE, sb)):
-            got = rho_from_spheres(ss).as_array()
-            ref = oracle_reduced_density(s, a.base_qubit).as_array()
-            worst = max(worst, float(np.max(np.abs(got - ref))))
-    report(10, "rho_from_spheres vs partial-trace oracle (pins x4 sign)",
-           worst, 1e-12)
 
 
 def test_criterion_11_separability_and_mes_endpoints():

@@ -290,6 +290,8 @@ def test_bloch_rotation_oracle():
     r = bloch_rotation(rotation("y", 90 * DEG))
     assert np.allclose(r, [[0, 0, 1], [0, 1, 0], [-1, 0, 0]], atol=1e-12)
     assert np.allclose(bloch_rotation(np.eye(2, dtype=complex)), np.eye(3), atol=1e-15)
+    us = np.stack([rotation("y", 90 * DEG), rotation("x", 0.3), np.eye(2, dtype=complex)])
+    assert all((r == bloch_rotation(u)).all() for r, u in zip(bloch_rotation(us), us))
 
 
 def test_parse_circuit_basic():

@@ -120,9 +120,13 @@ def test_entangled_state_b_base_concurrence():
     assert ss.ent.c == pytest.approx(0.496731764892154, abs=1e-12)
 
 
-def test_base_sphere_angles_match_cartesian(sphere_pool):
-    sets_a, sets_b = sphere_pool
-    for ss in (sets_a[:500] + sets_b[:500]):
+def pool_sets(states) -> list:
+    """Sphere sets of `states` under A_BASE, then under B_BASE."""
+    return [sphere_set(s, a) for a in Assignment for s in states]
+
+
+def test_base_sphere_angles_match_cartesian(state_pool):
+    for ss in pool_sets(state_pool[:500]):
         st, ct = math.sin(ss.base.theta), math.cos(ss.base.theta)
         assert ss.base.x1 == pytest.approx(st * math.cos(ss.base.phi), abs=1e-12)
         assert ss.base.b == pytest.approx(st * math.sin(ss.base.phi), abs=1e-12)
@@ -241,9 +245,8 @@ def test_near_degenerate_round_trip_property(s, a):
     assert_round_trip(s, a)
 
 
-def test_s4_norm_and_b_relation(sphere_pool):
-    sets_a, sets_b = sphere_pool
-    for ss in (sets_a[:1000] + sets_b[:1000]):
+def test_s4_norm_and_b_relation(state_pool):
+    for ss in pool_sets(state_pool[:1000]):
         n = (ss.base.x0 ** 2 + ss.base.x1 ** 2 + ss.ent.x2 ** 2
              + ss.ent.x3 ** 2 + ss.ent.x4 ** 2)
         assert n == pytest.approx(1.0, abs=1e-12)
@@ -252,9 +255,8 @@ def test_s4_norm_and_b_relation(sphere_pool):
         assert 0.0 <= ss.ent.chi <= math.pi / 2 + 1e-12
 
 
-def test_fiber_versor_is_unit(sphere_pool):
-    sets_a, sets_b = sphere_pool
-    for ss in (sets_a[:500] + sets_b[:500]):
+def test_fiber_versor_is_unit(state_pool):
+    for ss in pool_sets(state_pool[:500]):
         assert math.sqrt(norm_sq(fiber_versor(ss.fiber))) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -269,10 +271,10 @@ def test_rho_from_spheres_examples():
     assert abs(rho.rho01.imag) == pytest.approx(0.709406479916222 / 2, abs=1e-12)
 
 
-def test_bloch_vector_consistent_with_sphere_coords(state_pool, sphere_pool):
+def test_bloch_vector_consistent_with_sphere_coords(state_pool):
     # (rx, ry, rz) of the reduced matrix equals (x1, x4, x0).
-    sets_a, _ = sphere_pool
-    for s, ss in zip(state_pool[:300], sets_a):
+    for s in state_pool[:300]:
+        ss = sphere_set(s, Assignment.A_BASE)
         r = bloch_vector(reduced_density(s, "A"))
         assert r == pytest.approx((ss.base.x1, ss.ent.x4, ss.base.x0), abs=1e-12)
 

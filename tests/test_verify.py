@@ -1,13 +1,14 @@
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import entangler_60_70_state
-from qubit_spheres import oracles
+from qubit_spheres import cli, oracles, verify
 from qubit_spheres.jsonfmt import dumps
-from qubit_spheres.state import TwoQubitState
+from qubit_spheres.state import TwoQubitState, random_state
 from qubit_spheres.verify import run_suite
 
 C_60_70 = 0.496731764892154
@@ -26,6 +27,29 @@ def test_oracle_reduced_density_basis_01():
     assert rho.rho11 == pytest.approx(0.0)
     rho = oracles.oracle_reduced_density(TwoQubitState.basis("01"), "B")
     assert rho.rho11 == pytest.approx(1.0)
+
+
+def test_partial_trace_matches_index_summation_bit_for_bit(state_pool):
+    # The literal 4x4 outer-product summation, one state at a time.
+    batch = np.array([s.vector() for s in state_pool[:2000]])
+    for which in ("A", "B"):
+        rhos = oracles.partial_trace(batch.reshape(-1, 2, 2), which)
+        for psi, rho in zip(batch, rhos):
+            outer = np.outer(psi, psi.conj())
+            ref = np.zeros((2, 2), dtype=complex)
+            for a in range(2):
+                for b in range(2):
+                    for c in range(2):
+                        ref[a, b] += (outer[2 * a + c, 2 * b + c] if which == "A"
+                                      else outer[2 * c + a, 2 * c + b])
+            assert rho.tobytes() == ref.tobytes()
+
+
+def test_pool_is_the_random_state_sequence():
+    for seed in range(1, 11):
+        rng = np.random.default_rng(seed)
+        want = np.array([random_state(rng).amplitudes() for _ in range(500)])
+        assert verify._gaussian_states(np.random.default_rng(seed), 500, 4).tobytes() == want.tobytes()
 
 
 def test_oracle_reduced_density_self_consistency(state_pool):
@@ -95,3 +119,33 @@ def test_report_shape():
     for entry in d["invariants"]:
         assert set(entry) == {"name", "samples", "max_error", "threshold", "passed"}
         assert entry["max_error"] >= 0.0
+
+
+def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
+    seed, bad = 5, 7
+    reconstruct = verify.hopf.reconstruct
+    calls = []
+
+    def perturbed(ss):
+        # The pass reconstructs state i under A_BASE, then under B_BASE.
+        calls.append(ss)
+        s = reconstruct(ss)
+        if len(calls) == 2 * bad + 2:
+            return TwoQubitState.from_amplitudes(s.alpha + 1e-6, *s[1:])
+        return s
+
+    monkeypatch.setattr(verify.hopf, "reconstruct", perturbed)
+    assert cli.main(["verify", "--seed", str(seed), "--samples", "50"]) == 1
+    entries = json.loads(capsys.readouterr().out)["invariants"]
+    monkeypatch.undo()
+    failed = [e for e in entries if not e["passed"]]
+    assert [e["name"] for e in failed] == ["round_trip_reconstruction"]
+    assert all("witness" not in e for e in entries if e["passed"])
+    witness = failed[0]["witness"]
+    assert (witness["sample"], witness["assignment"]) == (bad, "B")
+
+    rng = np.random.default_rng(seed)
+    want = [random_state(rng) for _ in range(bad + 1)][bad]
+    assert cli.main(["map", f"--state={witness['state']}"]) == 0
+    amps = json.loads(capsys.readouterr().out)["records"][0]["amplitudes"]
+    assert amps == pytest.approx([v for c in want for v in (c.real, c.imag)], abs=1e-15)
