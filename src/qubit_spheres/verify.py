@@ -350,6 +350,15 @@ class _SuiteRunner:
                 e_traj = max(e_traj, abs(step.spheres_a.ent.c - step.spheres_b.ent.c))
         self.record("trajectory_concurrence_match", n, e_traj, 1e-10)
 
+        # Drawn last, so that no other invariant's inputs move.
+        n = min(self.samples, 500)
+        gs = [_random_gate(self.rng) for _ in range(n)]
+        got = np.array([gates.apply(TwoQubitState(*v), g)
+                        for v, g in zip(self.amps[:n].tolist(), gs)])
+        diff = got - np.matmul(np.array([gates.expand(g) for g in gs]),
+                               self.amps[:n, :, None])[:, :, 0]
+        self.check("gate_apply_matches_kron", 1e-12, np.hypot(diff.real, diff.imag).max(axis=1))
+
     def run(self) -> tuple[InvariantResult, ...]:
         self.quaternion_invariants()
         self.state_invariants()
