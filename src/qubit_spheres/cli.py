@@ -180,9 +180,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_state_value(argv: list[str]) -> list[str]:
+    """`--state V` as `--state=V`, so that argparse takes a V starting with '-'
+    (a negative first real part) as the value rather than as an option."""
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--state" and not argv[i + 1].startswith("--") and argv[i + 1] != "-h":
+            argv[i:i + 2] = [f"--state={argv[i + 1]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_state_value(list(sys.argv[1:] if argv is None else argv)))
     if args.command == "render" and args.circuit is None and args.state is None \
             and args.bell is None and args.basis is None:
         parser.error("render needs --state, --bell, --basis or --circuit")

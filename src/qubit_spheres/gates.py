@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 ROTATION_KINDS = ("rx", "ry", "rz", "crx", "cry", "crz")
 FIXED_SINGLE_KINDS = ("x", "y", "z", "h", "s", "sdg", "t", "tdg")
 FIXED_CONTROLLED_KINDS = ("cx", "cy", "cz")
-GATE_KINDS = ROTATION_KINDS + FIXED_SINGLE_KINDS + FIXED_CONTROLLED_KINDS + ("u4",)
+GATE_KINDS = ROTATION_KINDS + FIXED_SINGLE_KINDS + FIXED_CONTROLLED_KINDS
 
 QUBITS = ("A", "B")
 
@@ -110,38 +110,16 @@ def bloch_rotation(u: np.ndarray) -> np.ndarray:
 # The class form of NamedTuple forbids overriding __new__, hence the
 # functional bases of Gate and Circuit.
 class Gate(NamedTuple("Gate", [
-        ("kind", str), ("target", str | None), ("control", str | None),
-        ("angle", float | None), ("matrix", tuple[tuple[complex, ...], ...] | None)])):
-    """One circuit element; rotation kinds carry `angle` (radians), u4 a matrix.
-
-    A u4 gate keeps its matrix as a 4x4 tuple of complex rows, so every gate
-    is immutable and compares and hashes by value.
-    """
+        ("kind", str), ("target", str), ("control", str | None), ("angle", float | None)])):
+    """One circuit element: a 2x2 table on `target`, applied where `control`
+    (if any) is 1; rotation kinds carry `angle` (radians)."""
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, target: str | None = None, control: str | None = None,
-                angle: float | None = None, matrix=None):
+    def __new__(cls, kind: str, target: str, control: str | None = None,
+                angle: float | None = None):
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
-        if kind == "u4":
-            if matrix is None:
-                raise ValueError("u4 gate requires a 4x4 matrix")
-            import numpy as np
-
-            m = np.array(matrix, dtype=complex)
-            if m.shape != (4, 4):
-                raise ValueError(f"u4 matrix must be 4x4, got shape {m.shape}")
-            # A non-finite or overflowing entry gives a NaN or inf error,
-            # which the check is written to reject too.
-            with np.errstate(over="ignore", invalid="ignore"):
-                err = np.abs(m @ m.conj().T - np.eye(4)).max()
-            if not err <= 1e-12:
-                raise ValueError("u4 matrix is not unitary within 1e-12")
-            return tuple.__new__(cls, (kind, target, control, angle,
-                                       tuple(map(tuple, m.tolist()))))
-        if matrix is not None:
-            raise ValueError(f"{kind} takes no matrix")
         if target not in QUBITS:
             raise ValueError(f"target must be 'A' or 'B', got {target!r}")
         controlled = kind.startswith("c")
@@ -159,14 +137,12 @@ class Gate(NamedTuple("Gate", [
             raise ValueError(f"{kind} takes no angle")
         if needs_angle and not math.isfinite(angle):
             raise ValueError(f"{kind} angle {angle!r} is not finite")
-        return tuple.__new__(cls, (kind, target, control, angle, matrix))
+        return tuple.__new__(cls, (kind, target, control, angle))
 
     # namedtuple's own _make (and so _replace) would skip __new__.
     _make = classmethod(lambda cls, it: cls(*it))
 
     def describe(self) -> str:
-        if self.kind == "u4":
-            return "u4"
         parts = [self.kind]
         if self.control is not None:
             parts.append(self.control)
@@ -188,8 +164,6 @@ def expand(g: Gate) -> np.ndarray:
     """4x4 unitary of the gate in the (|00>,|01>,|10>,|11>) ordering."""
     import numpy as np
 
-    if g.kind == "u4":
-        return np.array(g.matrix)
     u = np.array(_table(g))
     i2 = np.array(_I2)
     p0 = np.diag([1.0, 0.0]).astype(complex)
@@ -204,11 +178,6 @@ def expand(g: Gate) -> np.ndarray:
 def apply(s: TwoQubitState, g: Gate) -> TwoQubitState:
     """The state after gate g: the 2x2 table acts on the target's index of
     the (a, b) amplitude grid, on the control = 1 half for a controlled gate."""
-    if g.kind == "u4":
-        import numpy as np
-
-        v = np.array(g.matrix) @ s.vector()
-        return TwoQubitState(*(complex(c) for c in v))
     (u00, u01), (u10, u11) = _table(g)
     a00, a01, a10, a11 = s.amplitudes()
     if g.target == "A":
@@ -301,7 +270,7 @@ def _parse_angle(token: str, line_no: int) -> float:
     return math.radians(deg)
 
 
-def parse_circuit(text: str, initial: str = "00") -> Circuit:
+def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format.
 
     One gate per line: ``<kind> <target> [<angle_deg>]`` for single-qubit
@@ -316,7 +285,7 @@ def parse_circuit(text: str, initial: str = "00") -> Circuit:
             continue
         tokens = line.split()
         kind = tokens[0].lower()
-        if kind == "u4" or kind not in GATE_KINDS:
+        if kind not in GATE_KINDS:
             raise UnknownGate(line_no, f"unknown gate {tokens[0]!r}")
         controlled = kind.startswith("c")
         takes_angle = kind in ROTATION_KINDS
@@ -337,7 +306,7 @@ def parse_circuit(text: str, initial: str = "00") -> Circuit:
             gates.append(Gate(kind=kind, target=target, control=control, angle=angle))
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-    return Circuit(gates=tuple(gates), initial=initial)
+    return Circuit(gates=tuple(gates))
 
 
 def parse_circuit_file(path) -> Circuit:

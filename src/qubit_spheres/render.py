@@ -20,6 +20,8 @@ LABEL_H = 46        # px label strip under each cell
 MARGIN = 14
 RADIUS = 118        # px radius of a unit sphere
 N_CIRCLE = 72       # polyline segments per drawn circle
+HEAD_PX = 8.0       # px length of an arrowhead stroke
+POINT_R = 4.0       # px radius of a marked point
 
 _AZ = math.radians(VIEW_AZIMUTH_DEG)
 _EL = math.radians(VIEW_ELEVATION_DEG)
@@ -71,7 +73,7 @@ class _Cell:
             f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
             f'style="{style}"/>')
 
-    def arrow3d(self, tip, style: str, head_px: float = 8.0):
+    def arrow3d(self, tip, style: str):
         x0, y0 = self.to_px((0.0, 0.0, 0.0))
         x1, y1 = self.to_px(tip)
         self.parts.append(
@@ -84,16 +86,16 @@ class _Cell:
         ux, uy = dx / length, dy / length
         for sign in (1.0, -1.0):
             ca, sa = math.cos(2.6), math.sin(2.6) * sign
-            hx = x1 + head_px * (ca * ux - sa * uy)
-            hy = y1 + head_px * (sa * ux + ca * uy)
+            hx = x1 + HEAD_PX * (ca * ux - sa * uy)
+            hy = y1 + HEAD_PX * (sa * ux + ca * uy)
             self.parts.append(
                 f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(hx)}" y2="{_fmt(hy)}" '
                 f'style="{style}"/>')
 
-    def point3d(self, p, color: str, r: float = 4.0):
+    def point3d(self, p, color: str):
         x, y = self.to_px(p)
         self.parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" fill="{color}"/>')
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(POINT_R)}" fill="{color}"/>')
 
     def axes(self, labels: tuple[str, str, str]):
         style = "stroke:#b0b0b0;stroke-width:1;fill:none"

@@ -111,23 +111,10 @@ class DensityMatrix(NamedTuple):
     rho10: ComplexK
     rho11: ComplexK
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([[self.rho00, self.rho01], [self.rho10, self.rho11]],
-                        dtype=complex)
-
-    def trace(self) -> float:
-        return (self.rho00 + self.rho11).real
-
     def purity(self) -> float:
         """Tr(rho^2), real for a Hermitian matrix."""
         return (abs(self.rho00) ** 2 + abs(self.rho11) ** 2
                 + 2 * abs(self.rho01) ** 2)
-
-    def hermiticity_defect(self) -> float:
-        return max(abs(self.rho10 - self.rho01.conjugate()),
-                   abs(self.rho00.imag), abs(self.rho11.imag))
 
 
 def _check_qubit(which: str) -> str:
@@ -137,23 +124,17 @@ def _check_qubit(which: str) -> str:
 
 
 def reduced_density(s: TwoQubitState, which: str) -> DensityMatrix:
-    """Partial trace over the other qubit by direct index summation."""
-    _check_qubit(which)
+    """Partial trace over the other qubit by direct index summation:
+    rho_ab = sum_c psi_{a c} conj(psi_{b c}), with B's index first for B
+    (the same formula with beta and gamma swapped)."""
     a, b, g, d = s.amplitudes()
-    if which == "A":
-        # rho_ab = sum_c psi_{a c} conj(psi_{b c})
-        return DensityMatrix(
-            a * a.conjugate() + b * b.conjugate(),
-            a * g.conjugate() + b * d.conjugate(),
-            g * a.conjugate() + d * b.conjugate(),
-            g * g.conjugate() + d * d.conjugate(),
-        )
-    # rho_ab = sum_c psi_{c a} conj(psi_{c b})
+    if _check_qubit(which) == "B":
+        b, g = g, b
     return DensityMatrix(
-        a * a.conjugate() + g * g.conjugate(),
-        a * b.conjugate() + g * d.conjugate(),
-        b * a.conjugate() + d * g.conjugate(),
-        b * b.conjugate() + d * d.conjugate(),
+        a * a.conjugate() + b * b.conjugate(),
+        a * g.conjugate() + b * d.conjugate(),
+        g * a.conjugate() + d * b.conjugate(),
+        g * g.conjugate() + d * d.conjugate(),
     )
 
 
@@ -184,17 +165,26 @@ def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
             (rho.rho00 - rho.rho11).real)
 
 
+def random_amplitudes(rng: np.random.Generator, n: int, dim: int = 4) -> np.ndarray:
+    """n Haar-uniform unit vectors (n, dim): per row, dim real then dim
+    imaginary standard normals, over np.linalg.norm of the row (an axis norm
+    rounds some rows differently)."""
+    import numpy as np
+
+    x = rng.standard_normal((n, 2, dim))
+    v = x[:, 0] + 1j * x[:, 1]
+    norms = np.array([np.linalg.norm(row) for row in v])
+    if norms.min() < ZERO_NORM_TOL:
+        raise NotNormalizable("degenerate random draw")
+    return v / norms[:, None]
+
+
 def random_state(seed) -> TwoQubitState:
-    """One Haar-uniform state: 8 standard normals, normalized.
+    """One Haar-uniform state, the one-row random_amplitudes draw.
 
     Accepts an int seed or a numpy Generator (for drawing sequences).
     """
     import numpy as np
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    n = np.linalg.norm(v)
-    if n < ZERO_NORM_TOL:
-        raise NotNormalizable("degenerate random draw")
-    v = v / n
-    return TwoQubitState(*(complex(c) for c in v))
+    return TwoQubitState(*random_amplitudes(rng, 1)[0].tolist())

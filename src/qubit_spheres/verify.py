@@ -51,10 +51,6 @@ class VerificationReport(NamedTuple):
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    @property
-    def failure_count(self) -> int:
-        return sum(0 if r.passed else 1 for r in self.results)
-
     def to_dict(self) -> dict:
         return {
             "version": "1",
@@ -76,11 +72,6 @@ class VerificationReport(NamedTuple):
         }
 
 
-def random_su2(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random SU(2) matrix from a uniform unit quaternion."""
-    return _su2(_unit(rng.standard_normal((1, 4))))[0]
-
-
 def random_product_state(rng: np.random.Generator) -> TwoQubitState:
     return TwoQubitState(*_product_amplitudes(rng, 1)[0].tolist())
 
@@ -98,20 +89,8 @@ def _unit(q: np.ndarray) -> np.ndarray:
     return q / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
 
 
-def _gaussian_states(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    """n normalized complex Gaussian vectors (n, dim), each drawn and scaled as
-    state.random_state draws its 4: dim real then dim imaginary parts, over
-    np.linalg.norm of the row (an axis norm rounds some rows differently)."""
-    x = rng.standard_normal((n, 2, dim))
-    v = x[:, 0] + 1j * x[:, 1]
-    norms = np.array([np.linalg.norm(row) for row in v])
-    if norms.min() < state.ZERO_NORM_TOL:
-        raise state.NotNormalizable("degenerate random draw")
-    return v / norms[:, None]
-
-
 def _product_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = _gaussian_states(rng, 2 * n, 2)  # the factor of A, then of B
+    v = state.random_amplitudes(rng, 2 * n, dim=2)  # the factor of A, then of B
     return (v[0::2, :, None] * v[1::2, None, :]).reshape(n, 4)
 
 
@@ -147,7 +126,7 @@ class _SuiteRunner:
         self.rng = np.random.default_rng(seed)
         self.samples = samples
         self.results: list[InvariantResult] = []
-        self.amps = _gaussian_states(self.rng, samples, 4)
+        self.amps = state.random_amplitudes(self.rng, samples)
         self._map_pool()
 
     def _map_pool(self):
@@ -370,12 +349,9 @@ class _SuiteRunner:
         return tuple(self.results)
 
 
-_RANDOM_GATE_KINDS = tuple(k for k in gates.GATE_KINDS if k != "u4")
-
-
 def _random_gate(rng: np.random.Generator) -> gates.Gate:
-    """Uniform non-u4 kind on a random target; rotation angles uniform in [-2pi, 2pi)."""
-    kind = _RANDOM_GATE_KINDS[int(rng.integers(len(_RANDOM_GATE_KINDS)))]
+    """Uniform kind on a random target; rotation angles uniform in [-2pi, 2pi)."""
+    kind = gates.GATE_KINDS[int(rng.integers(len(gates.GATE_KINDS)))]
     target = "A" if rng.integers(2) == 0 else "B"
     control = ("B" if target == "A" else "A") if kind.startswith("c") else None
     angle = None

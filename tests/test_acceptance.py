@@ -12,8 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CIRCUIT_DIR, GOLDEN_DIR, POOL_SEED
-from qubit_spheres import cli
+from conftest import GOLDEN_DIR, POOL_SEED
 from qubit_spheres.gates import Circuit, Gate, bloch_rotation, rotation, run
 from qubit_spheres.hopf import Assignment, sphere_set
 from qubit_spheres.jsonfmt import dumps
@@ -154,28 +153,3 @@ def test_criterion_11_separability_and_mes_endpoints():
             worst_chi = max(worst_chi, abs(ss.ent.chi - math.pi / 2))
     report(11, "Bell states: concurrence = 1", worst_c, 1e-12)
     report(11, "Bell states: chi = 90 deg", math.degrees(worst_chi), 1e-9)
-
-
-def test_criterion_12_cli_determinism(tmp_path, capsys):
-    entangler_circ = str(CIRCUIT_DIR / "entangle_60_70.circ")
-    ok = True
-    for name, argv in (("map_bell_phi_plus.json", ["map", "--bell", "phi+"]),
-                       ("run_entangle_60_70.json", ["run", entangler_circ, "--steps"])):
-        outs = []
-        for _ in range(2):
-            assert cli.main(list(argv)) == 0
-            outs.append(capsys.readouterr().out)
-        golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
-        ok = ok and outs[0] == outs[1] == golden
-    for name, argv_fn in (
-            ("map_bell_phi_plus.svg",
-             lambda p: ["render", "--bell", "phi+", "--out", p]),
-            ("run_entangle_60_70.svg",
-             lambda p: ["render", "--circuit", entangler_circ, "--out", p])):
-        p1, p2 = tmp_path / f"a_{name}", tmp_path / f"b_{name}"
-        assert cli.main(argv_fn(str(p1))) == 0
-        assert cli.main(argv_fn(str(p2))) == 0
-        golden = (GOLDEN_DIR / name).read_bytes()
-        ok = ok and p1.read_bytes() == p2.read_bytes() == golden
-    report(12, "CLI JSON and SVG outputs are byte-stable and match goldens",
-           0.0 if ok else 1.0, 0.0)

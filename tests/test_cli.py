@@ -216,6 +216,20 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_state_value_may_start_with_a_minus_sign(tmp_path, capsys):
+    value = "-0.5,0,0.5,0,0.5,0,0.5,0"
+    code, out, _ = run_cli(capsys, "map", "--state", value)
+    assert code == 0
+    assert out == run_cli(capsys, "map", f"--state={value}")[1]
+    p1, p2 = tmp_path / "one.svg", tmp_path / "two.svg"
+    assert run_cli(capsys, "render", "--state", value, "--out", str(p1))[0] == 0
+    assert run_cli(capsys, "render", f"--state={value}", "--out", str(p2))[0] == 0
+    assert p1.read_bytes() == p2.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["map", "--state"])
+    assert exc.value.code == 2
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "qubit_spheres", "map", "--bell", "phi-",

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import entangler_60_70_state
-from qubit_spheres.gates import bloch_rotation
 from qubit_spheres.hopf import (
     Assignment,
     BaseSphere,
@@ -41,7 +40,7 @@ from qubit_spheres.state import (
     bloch_vector,
     reduced_density,
 )
-from qubit_spheres.verify import random_product_state, random_su2
+from qubit_spheres.verify import random_product_state
 
 R2 = 1 / math.sqrt(2)
 
@@ -245,16 +244,6 @@ def test_near_degenerate_round_trip_property(s, a):
     assert_round_trip(s, a)
 
 
-def test_s4_norm_and_b_relation(state_pool):
-    for ss in pool_sets(state_pool[:1000]):
-        n = (ss.base.x0 ** 2 + ss.base.x1 ** 2 + ss.ent.x2 ** 2
-             + ss.ent.x3 ** 2 + ss.ent.x4 ** 2)
-        assert n == pytest.approx(1.0, abs=1e-12)
-        assert ss.ent.b ** 2 == pytest.approx(ss.ent.x4 ** 2 + ss.ent.c ** 2,
-                                              abs=1e-12)
-        assert 0.0 <= ss.ent.chi <= math.pi / 2 + 1e-12
-
-
 def test_fiber_versor_is_unit(state_pool):
     for ss in pool_sets(state_pool[:500]):
         assert math.sqrt(norm_sq(fiber_versor(ss.fiber))) == pytest.approx(1.0, abs=1e-12)
@@ -277,51 +266,6 @@ def test_bloch_vector_consistent_with_sphere_coords(state_pool):
         ss = sphere_set(s, Assignment.A_BASE)
         r = bloch_vector(reduced_density(s, "A"))
         assert r == pytest.approx((ss.base.x1, ss.ent.x4, ss.base.x0), abs=1e-12)
-
-
-def test_fiber_equivariance_su2():
-    rng = np.random.default_rng(23)
-    from qubit_spheres.state import random_state
-    for _ in range(200):
-        s = random_state(rng)
-        u = random_su2(rng)
-        for a in Assignment:
-            before = sphere_set(s, a)
-            full = (np.kron(u, np.eye(2)) if a.fiber_qubit == "A"
-                    else np.kron(np.eye(2), u))
-            s2 = TwoQubitState(*(complex(c) for c in full @ s.vector()))
-            after = sphere_set(s2, a)
-            assert after.base.x0 == pytest.approx(before.base.x0, abs=1e-12)
-            assert after.base.x1 == pytest.approx(before.base.x1, abs=1e-12)
-            assert after.base.b == pytest.approx(before.base.b, abs=1e-12)
-            assert after.ent.x2 == pytest.approx(before.ent.x2, abs=1e-12)
-            assert after.ent.x3 == pytest.approx(before.ent.x3, abs=1e-12)
-            assert after.ent.x4 == pytest.approx(before.ent.x4, abs=1e-12)
-            want = bloch_rotation(u) @ np.array(before.fiber.bloch)
-            assert after.fiber.bloch == pytest.approx(tuple(want), abs=1e-9)
-
-
-def test_base_y_rotation_equivariance():
-    rng = np.random.default_rng(29)
-    from qubit_spheres.gates import rotation
-    from qubit_spheres.state import random_state
-    for _ in range(200):
-        s = random_state(rng)
-        mu = float(rng.uniform(-math.pi, math.pi))
-        u = rotation("y", mu)
-        for a in Assignment:
-            before = sphere_set(s, a)
-            full = (np.kron(u, np.eye(2)) if a.base_qubit == "A"
-                    else np.kron(np.eye(2), u))
-            s2 = TwoQubitState(*(complex(c) for c in full @ s.vector()))
-            after = sphere_set(s2, a)
-            for name in ("b", "x2", "x3", "x4", "chi", "c"):
-                assert getattr(after.ent, name) == pytest.approx(
-                    getattr(before.ent, name), abs=1e-12)
-            x1w = before.base.x0 * math.sin(mu) + before.base.x1 * math.cos(mu)
-            x0w = before.base.x0 * math.cos(mu) - before.base.x1 * math.sin(mu)
-            assert after.base.x1 == pytest.approx(x1w, abs=1e-10)
-            assert after.base.x0 == pytest.approx(x0w, abs=1e-10)
 
 
 def test_reconstruct_rejects_invalid_set():

@@ -14,7 +14,6 @@ from qubit_spheres.jsonfmt import sig15
 from qubit_spheres.state import BASIS_NAMES, BELL_NAMES, TwoQubitState
 
 CHOICES = {"both": ("A", "B"), "A": ("A",), "B": ("B",)}
-PARSEABLE_KINDS = tuple(k for k in gates.GATE_KINDS if k != "u4")
 
 
 # -- reference: the record dicts, written by json.dumps -----------------------
@@ -82,14 +81,14 @@ def _reference_dumps(input_block, recs):
 # -- the writer equals the reference ------------------------------------------
 
 def _random_circuits(seed, count=51):
-    """Circuit texts of 1-10 gates; circuit i starts with parseable kind i mod 17."""
+    """Circuit texts of 1-10 gates; circuit i starts with kind i mod 17."""
     rng = random.Random(seed)
     texts = []
     for i in range(count):
         lines = []
         for j in range(rng.randint(1, 10)):
-            first = PARSEABLE_KINDS[i % len(PARSEABLE_KINDS)]
-            kind = first if j == 0 else rng.choice(PARSEABLE_KINDS)
+            first = gates.GATE_KINDS[i % len(gates.GATE_KINDS)]
+            kind = first if j == 0 else rng.choice(gates.GATE_KINDS)
             qubits = rng.sample(("A", "B"), 2)
             parts = [kind] + (qubits if kind.startswith("c") else qubits[:1])
             if kind in ROTATION_KINDS:
