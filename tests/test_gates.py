@@ -284,14 +284,17 @@ def test_parse_circuit_unknown_gate():
     with pytest.raises(UnknownGate) as exc:
         parse_circuit("ry B 90\nfrob A 10")
     assert exc.value.line_no == 2
-    with pytest.raises(UnknownGate):
-        parse_circuit("u4 A 10")
 
 
 def test_parse_circuit_bad_qubit_label():
     with pytest.raises(ParseError) as exc:
         parse_circuit("ry B 90\nry C 10")
     assert exc.value.line_no == 2
+
+
+def test_parse_circuit_u4_not_expressible():
+    with pytest.raises(UnknownGate):
+        parse_circuit("u4 A 10")
 
 
 def test_parse_circuit_arity_errors():
