@@ -7,22 +7,23 @@ versor completes an exactly invertible seven-angle parameterization.
 
 The map and its inverse work on quaternion components (``quatmath``'s
 ``Components`` tuples).  The entanglement axis ``t`` is stored as the
-point (tx, ty, tz) of S^2; ``fiber`` and ``reconstruct`` pass the pure
-quaternion (0, tx, ty, tz) to ``exp_axis``.
+point (tx, ty, tz) of S^2.  Each exponential e^(t*angle) is written out
+as cos(angle) + t*sin(angle), from a sine and cosine taken once per call;
+``reconstruct`` checks that a caller's ``t`` is a unit axis.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .quatmath import (
     Components,
     J,
     K,
+    check_unit_axis,
     conj,
-    exp_axis,
     hamilton,
     join_components,
     norm_sq,
@@ -117,6 +118,16 @@ def base_and_entanglement(q1: Components, q2: Components
     x1 = 2.0 * pw
     x2, x3, x4 = 2.0 * px, 2.0 * py, 2.0 * pz
     pnorm = math.sqrt(x2 * x2 + x3 * x3 + x4 * x4)
+    if pnorm >= 1e-140:
+        scale = 1.0
+        u2, u3, u4 = x2, x3, x4
+    else:
+        # Below about 1e-154 the squares of p lose digits to underflow, and
+        # below 2.2e-308 so does |p|, which would leave |t| off 1.  Scaling by
+        # 2**600 is exact: t comes from the scaled p, and b is scaled back.
+        scale = 2.0 ** 600
+        u2, u3, u4 = scale * x2, scale * x3, scale * x4
+        pnorm = math.sqrt(u2 * u2 + u3 * u3 + u4 * u4)
 
     # Hemisphere rule: pick the sign of b so that t stays northern (t_k >= 0);
     # ties (x4 == 0, p != 0) take b > 0, and p == 0 collapses to t = k.
@@ -126,9 +137,10 @@ def base_and_entanglement(q1: Components, q2: Components
         chi = 0.0
         xi = 0.0
     else:
-        b = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
-        tx, ty, tz = x2 / b, x3 / b, x4 / b
+        bu = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
+        tx, ty, tz = u2 / bu, u3 / bu, u4 / bu
         t = (tx, ty, tz)
+        b = bu / scale
         chi = math.atan2(math.hypot(tx, ty), tz)
         xi = math.atan2(ty, tx)
 
@@ -137,8 +149,8 @@ def base_and_entanglement(q1: Components, q2: Components
     theta = math.atan2(math.hypot(x1, b), x0)
     phi = 0.0 if (theta == 0.0 or theta == math.pi) else math.atan2(b, x1)
 
-    return (BaseSphere(theta=theta, phi=phi, x1=x1, b=b, x0=x0),
-            EntanglementSphere(chi=chi, xi=xi, b=b, t=t, c=c, x2=x2, x3=x3, x4=x4))
+    return (BaseSphere(theta, phi, x1, b, x0),
+            EntanglementSphere(chi, xi, b, t, c, x2, x3, x4))
 
 
 def _fiber_angles(q_f: Components) -> tuple[float, float, float]:
@@ -161,98 +173,108 @@ def _fiber_angles(q_f: Components) -> tuple[float, float, float]:
     return theta_f, phi_f, zeta_f
 
 
-def _fiber_bloch(theta_f: float, phi_f: float, zeta_f: float
-                 ) -> tuple[float, float, float]:
-    az = phi_f - 2.0 * zeta_f
-    st = math.sin(theta_f)
-    return (st * math.cos(az), st * math.sin(az), math.cos(theta_f))
-
-
 def fiber(q1: Components, q2: Components, base: BaseSphere,
           ent: EntanglementSphere) -> FiberSphere:
     """Fiber versor q_f = cos(theta/2)*q1 + sin(theta/2)*e^(-t*phi)*q2, decomposed."""
     half = 0.5 * base.theta
     ch, sh = math.cos(half), math.sin(half)
     qw, qx, qy, qz = q1
-    rw, rx, ry, rz = hamilton(exp_axis((0.0, *ent.t), -base.phi), q2)
+    # e^(-t*phi); t is a unit axis by construction.
+    tx, ty, tz = ent.t
+    c, s = math.cos(-base.phi), math.sin(-base.phi)
+    rw, rx, ry, rz = hamilton((c, s * tx, s * ty, s * tz), q2)
     theta_f, phi_f, zeta_f = _fiber_angles(
         (ch * qw + sh * rw, ch * qx + sh * rx, ch * qy + sh * ry, ch * qz + sh * rz))
-    return FiberSphere(theta_f=theta_f, phi_f=phi_f, zeta_f=zeta_f,
-                       bloch=_fiber_bloch(theta_f, phi_f, zeta_f))
+    az = phi_f - 2.0 * zeta_f
+    st = math.sin(theta_f)
+    return FiberSphere(theta_f, phi_f, zeta_f,
+                       (st * math.cos(az), st * math.sin(az), math.cos(theta_f)))
 
 
 def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
     q1, q2 = quaternion_pair(s, a)
     base, ent = base_and_entanglement(q1, q2)
-    return SphereSet(assignment=a, base=base, ent=ent, fiber=fiber(q1, q2, base, ent))
+    return SphereSet(a, base, ent, fiber(q1, q2, base, ent))
 
 
 def fiber_versor(f: FiberSphere) -> Components:
     """Rebuild q_f = (cos(theta_f/2) + sin(theta_f/2)*e^(k*phi_f)*j) * e^(k*zeta_f)."""
     half = 0.5 * f.theta_f
     ch, sh = math.cos(half), math.sin(half)
-    w, x, y, z = hamilton(exp_axis(K, f.phi_f), J)
+    # e^(k*angle) = (c, 0, 0, s), its zeros written s*0.0 to keep their sign.
+    c, s = math.cos(f.phi_f), math.sin(f.phi_f)
+    w, x, y, z = hamilton((c, s * 0.0, s * 0.0, s), J)
+    c, s = math.cos(f.zeta_f), math.sin(f.zeta_f)
     # (ch, 0, 0, 0) + sh*(w, x, y, z), with the signed zeros that sum gives.
     return hamilton((ch + sh * w, 0.0 + sh * x, 0.0 + sh * y, 0.0 + sh * z),
-                    exp_axis(K, f.zeta_f))
+                    (c, s * 0.0, s * 0.0, s))
 
 
-def _validate(ss: SphereSet) -> None:
-    base, ent, fib = ss.base, ss.ent, ss.fiber
+def _bad(name: str, err: float) -> NoReturn:
+    raise InvalidSphereSet(f"{name} violated by {err:.3e} (tolerance {VALID_TOL})")
 
-    def bad(name, err):
-        raise InvalidSphereSet(f"{name} violated by {err:.3e} (tolerance {VALID_TOL})")
 
-    st, ct = math.sin(base.theta), math.cos(base.theta)
-    err = max(abs(base.x1 - st * math.cos(base.phi)),
-              abs(base.b - st * math.sin(base.phi)),
-              abs(base.x0 - ct))
+def _validate(ss: SphereSet) -> tuple[float, float]:
+    """Raise InvalidSphereSet on any inconsistency; return (cos, sin) of phi."""
+    theta, phi, x1, b, x0 = ss.base
+    chi, xi, eb, t, c, x2, x3, x4 = ss.ent
+
+    st, ct = math.sin(theta), math.cos(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    err = max(abs(x1 - st * cp),
+              abs(b - st * sp),
+              abs(x0 - ct))
     if err > VALID_TOL:
-        bad("base Cartesian/angle consistency", err)
+        _bad("base Cartesian/angle consistency", err)
 
-    if not (-VALID_TOL <= ent.chi <= math.pi / 2 + VALID_TOL):
-        raise InvalidSphereSet(f"chi {ent.chi!r} outside [0, pi/2]")
-    sc, cc = math.sin(ent.chi), math.cos(ent.chi)
-    tx, ty, tz = ent.t
-    err = max(abs(tx - sc * math.cos(ent.xi)),
-              abs(ty - sc * math.sin(ent.xi)),
+    if not (-VALID_TOL <= chi <= math.pi / 2 + VALID_TOL):
+        raise InvalidSphereSet(f"chi {chi!r} outside [0, pi/2]")
+    sc, cc = math.sin(chi), math.cos(chi)
+    tx, ty, tz = t
+    err = max(abs(tx - sc * math.cos(xi)),
+              abs(ty - sc * math.sin(xi)),
               abs(tz - cc))
     if err > VALID_TOL:
-        bad("t/(chi, xi) consistency", err)
-    err = max(abs(ent.x2 - ent.b * tx),
-              abs(ent.x3 - ent.b * ty),
-              abs(ent.x4 - ent.b * tz),
-              abs(ent.c - math.hypot(ent.x2, ent.x3)),
-              abs(ent.b * ent.b - ent.x4 * ent.x4 - ent.c * ent.c),
-              abs(ent.b - base.b))
+        _bad("t/(chi, xi) consistency", err)
+    err = max(abs(x2 - eb * tx),
+              abs(x3 - eb * ty),
+              abs(x4 - eb * tz),
+              abs(c - math.hypot(x2, x3)),
+              abs(eb * eb - x4 * x4 - c * c),
+              abs(eb - b))
     if err > VALID_TOL:
-        bad("entanglement-sphere consistency", err)
+        _bad("entanglement-sphere consistency", err)
 
-    s4 = (base.x0 ** 2 + base.x1 ** 2 + ent.x2 ** 2 + ent.x3 ** 2 + ent.x4 ** 2)
+    s4 = (x0 ** 2 + x1 ** 2 + x2 ** 2 + x3 ** 2 + x4 ** 2)
     if abs(s4 - 1.0) > VALID_TOL:
-        bad("unit 5-space norm", abs(s4 - 1.0))
+        _bad("unit 5-space norm", abs(s4 - 1.0))
 
-    ref = _fiber_bloch(fib.theta_f, fib.phi_f, fib.zeta_f)
-    err = max(abs(fib.bloch[i] - ref[i]) for i in range(3))
+    theta_f, phi_f, zeta_f, bloch = ss.fiber
+    az = phi_f - 2.0 * zeta_f
+    st = math.sin(theta_f)
+    err = max(abs(bloch[0] - st * math.cos(az)),
+              abs(bloch[1] - st * math.sin(az)),
+              abs(bloch[2] - math.cos(theta_f)))
     if err > VALID_TOL:
-        bad("fiber bloch/angle consistency", err)
+        _bad("fiber bloch/angle consistency", err)
+    return cp, sp
 
 
 def reconstruct(ss: SphereSet) -> TwoQubitState:
     """Exact inverse of sphere_set for either assignment."""
-    _validate(ss)
+    cp, sp = _validate(ss)
+    tx, ty, tz = ss.ent.t
+    check_unit_axis((0.0, tx, ty, tz))
     q_f = fiber_versor(ss.fiber)
     half = 0.5 * ss.base.theta
     ch, sh = math.cos(half), math.sin(half)
     w, x, y, z = q_f
-    rw, rx, ry, rz = hamilton(exp_axis((0.0, *ss.ent.t), ss.base.phi), q_f)
+    rw, rx, ry, rz = hamilton((cp, sp * tx, sp * ty, sp * tz), q_f)
     c1, c2 = split_components((ch * w, ch * x, ch * y, ch * z))
     c3, c4 = split_components((sh * rw, sh * rx, sh * ry, sh * rz))
     if ss.assignment is Assignment.A_BASE:
-        amps = (c1, c2, c3, c4)
-    else:
-        amps = (c1, c3, c2, c4)
-    return TwoQubitState(*amps)
+        return TwoQubitState(c1, c2, c3, c4)
+    return TwoQubitState(c1, c3, c2, c4)
 
 
 def rho_from_spheres(ss: SphereSet) -> DensityMatrix:

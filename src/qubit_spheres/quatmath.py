@@ -29,7 +29,8 @@ K: Components = (0.0, 0.0, 0.0, 1.0)
 
 
 class NonUnitPureImaginary(ValueError):
-    """Axis passed to exp_axis is not a unit pure-imaginary quaternion."""
+    """An axis (of exp_axis, or a sphere set's t) is not a unit pure-imaginary
+    quaternion."""
 
 
 def hamilton(a: Components, b: Components) -> Components:
@@ -52,18 +53,24 @@ def norm_sq(q: Components) -> float:
     return w * w + x * x + y * y + z * z
 
 
-def exp_axis(t: Components, angle: float) -> Components:
-    """e^(t*angle) = cos(angle) + t*sin(angle) for a unit pure-imaginary t.
+def check_unit_axis(t: Components) -> None:
+    """Reject t unless it is a unit pure-imaginary quaternion (to UNIT_TOL).
 
-    Rejects a non-unit or non-pure axis instead of normalizing, so that
-    convention bugs upstream surface here.
+    Rejecting instead of normalizing makes convention bugs upstream surface
+    here.
     """
-    w, x, y, z = t
+    w = t[0]
     n = math.sqrt(norm_sq(t))
     if abs(w) > UNIT_TOL or abs(n - 1.0) > UNIT_TOL:
         raise NonUnitPureImaginary(
             f"axis must be unit pure-imaginary, got w={w!r}, |t|={n!r}"
         )
+
+
+def exp_axis(t: Components, angle: float) -> Components:
+    """e^(t*angle) = cos(angle) + t*sin(angle) for a unit pure-imaginary t."""
+    check_unit_axis(t)
+    _, x, y, z = t
     c, s = math.cos(angle), math.sin(angle)
     return (c, s * x, s * y, s * z)
 

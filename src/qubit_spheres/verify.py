@@ -72,10 +72,6 @@ class VerificationReport(NamedTuple):
         }
 
 
-def random_product_state(rng: np.random.Generator) -> TwoQubitState:
-    return TwoQubitState(*_product_amplitudes(rng, 1)[0].tolist())
-
-
 def _su2(q: np.ndarray) -> np.ndarray:
     """SU(2) matrices (n, 2, 2) of unit quaternions (n, 4) = (w, x, y, z)."""
     w, x, y, z = q.T

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qubit_spheres.state import TwoQubitState, random_state
+from qubit_spheres.state import TwoQubitState, random_amplitudes, random_state
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -23,6 +23,11 @@ def entangler_60_70_state() -> TwoQubitState:
         complex(0.0, -math.sin(30 * d) * math.cos(35 * d)),
         complex(0.0, -math.sin(30 * d) * math.sin(35 * d)),
     )
+
+
+def random_product_state(rng: np.random.Generator) -> TwoQubitState:
+    """Product of two Haar-uniform qubits, the factor of A then of B."""
+    return TwoQubitState(*np.kron(*random_amplitudes(rng, 2, dim=2)).tolist())
 
 
 @pytest.fixture(scope="session")

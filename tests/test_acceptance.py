@@ -12,17 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_DIR, POOL_SEED
+from conftest import GOLDEN_DIR, POOL_SEED, random_product_state
 from qubit_spheres.gates import Circuit, Gate, bloch_rotation, rotation, run
 from qubit_spheres.hopf import Assignment, sphere_set
 from qubit_spheres.jsonfmt import dumps
 from qubit_spheres.state import TwoQubitState
-from qubit_spheres.verify import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    random_product_state,
-    run_suite,
-)
+from qubit_spheres.verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_suite
 
 DEG = math.pi / 180
 

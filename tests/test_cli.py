@@ -56,6 +56,15 @@ def test_map_state_renormalizes(capsys):
     assert norm == pytest.approx(1.0, abs=1e-12)
 
 
+def test_map_state_near_b_zero(capsys):
+    # |p| = 2e-160: its squares are subnormal, and t must still be a unit axis.
+    code, out, err = run_cli(capsys, "map", "--state", "1,0,0,0,0,1e-160,0,0")
+    assert code == 0, err
+    spheres = json.loads(out)["records"][0]["assignments"]["A"]
+    assert spheres["base"]["b"] == 2e-160
+    assert spheres["entanglement"]["chi_deg"] == 0.0
+
+
 def test_map_text_format(capsys):
     code, out, _ = run_cli(capsys, "map", "--bell", "phi+", "--format", "text")
     assert code == 0

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import entangler_60_70_state
+from conftest import entangler_60_70_state, random_product_state
 from qubit_spheres.hopf import (
     Assignment,
     BaseSphere,
@@ -13,7 +14,6 @@ from qubit_spheres.hopf import (
     FiberSphere,
     InvalidSphereSet,
     SphereSet,
-    _fiber_bloch,
     _validate,
     base_and_entanglement,
     fiber,
@@ -26,6 +26,7 @@ from qubit_spheres.hopf import (
 from qubit_spheres.quatmath import (
     J,
     K,
+    NonUnitPureImaginary,
     conj,
     exp_axis,
     hamilton,
@@ -40,7 +41,6 @@ from qubit_spheres.state import (
     bloch_vector,
     reduced_density,
 )
-from qubit_spheres.verify import random_product_state
 
 R2 = 1 / math.sqrt(2)
 
@@ -169,16 +169,17 @@ def test_round_trip_examples():
             assert amp_error(reconstruct(sphere_set(s, a)), s) < 1e-12
 
 
-def near_degenerate_sweep() -> list[TwoQubitState]:
-    """Basis, Bell and product states perturbed by eps = 1e-3 ... 1e-15, where
-    the base poles, b = 0 and chi = 0 make the angles ill-conditioned."""
+def near_degenerate_sweep(exponents=range(3, 16)) -> list[TwoQubitState]:
+    """Basis, Bell and product states perturbed by eps = 10**-k for k in
+    exponents (default 1e-3 ... 1e-15), where the base poles, b = 0 and
+    chi = 0 make the angles ill-conditioned."""
     rng = np.random.default_rng(41)
     centres = [TwoQubitState.basis(label).vector() for label in BASIS_NAMES]
     centres += [TwoQubitState.bell(name).vector() for name in BELL_NAMES]
     centres += [random_product_state(rng).vector() for _ in range(4)]
     states = [TwoQubitState(1 + 1e-10, 0j, 0j, 0j)]
     for v in centres:
-        for k in range(3, 16):
+        for k in exponents:
             for _ in range(4):
                 z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 w = v + 10.0 ** -k * z / np.linalg.norm(z)
@@ -193,8 +194,13 @@ def assert_round_trip(s: TwoQubitState, a: Assignment):
     assert err <= 1e-12 + abs(s.norm() - 1.0), (s, a, err)
 
 
+# Perturbations so small that |p|^2 underflows (|p| below about 1e-154), and
+# subnormal ones (below 2.2e-308), where |p| itself keeps only a few digits.
+TINY_EXPONENTS = (140, 160, 180, 200, 250, 300, 310, 315, 320)
+
+
 def test_near_degenerate_round_trip():
-    for s in near_degenerate_sweep():
+    for s in near_degenerate_sweep() + near_degenerate_sweep(TINY_EXPONENTS):
         for a in Assignment:
             assert_round_trip(s, a)
 
@@ -268,17 +274,35 @@ def test_bloch_vector_consistent_with_sphere_coords(state_pool):
         assert r == pytest.approx((ss.base.x1, ss.ent.x4, ss.base.x0), abs=1e-12)
 
 
-def test_reconstruct_rejects_invalid_set():
+def scale_b(ss, f):
+    """ss with b scaled by f and the entanglement sphere kept consistent."""
+    b = f * ss.base.b
+    x2, x3, x4 = (b * v for v in ss.ent.t)
+    return ss._replace(base=ss.base._replace(b=b),
+                       ent=ss.ent._replace(b=b, x2=x2, x3=x3, x4=x4, c=math.hypot(x2, x3)))
+
+
+# Each set breaks one check and passes every check before it.
+@pytest.mark.parametrize("broken, error, check", [
+    (lambda ss: ss._replace(base=ss.base._replace(x1=ss.base.x1 + 1e-3)),
+     InvalidSphereSet, "base Cartesian/angle consistency"),
+    (lambda ss: ss._replace(ent=ss.ent._replace(xi=ss.ent.xi + 1e-3)),
+     InvalidSphereSet, "t/(chi, xi) consistency"),
+    (lambda ss: ss._replace(ent=ss.ent._replace(c=ss.ent.c + 1e-3)),
+     InvalidSphereSet, "entanglement-sphere consistency"),
+    # |b| off by 9e-10 passes the base check but moves |x|^2 by 1.8e-9.
+    (lambda ss: scale_b(ss, 1.0 + 9e-10), InvalidSphereSet, "unit 5-space norm"),
+    (lambda ss: ss._replace(fiber=ss.fiber._replace(
+        bloch=(ss.fiber.bloch[0] + 1e-3, *ss.fiber.bloch[1:]))),
+     InvalidSphereSet, "fiber bloch/angle consistency"),
+    # |t| = 1 + 1e-10 is within 1e-9 of every angle check, not of UNIT_TOL.
+    (lambda ss: ss._replace(ent=ss.ent._replace(t=tuple((1.0 + 1e-10) * v for v in ss.ent.t))),
+     NonUnitPureImaginary, "unit pure-imaginary"),
+], ids=["base", "t-angles", "entanglement", "5-norm", "fiber-bloch", "unit-t"])
+def test_reconstruct_rejects_invalid_set(broken, error, check):
     ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)
-    broken = SphereSet(
-        assignment=ss.assignment,
-        base=BaseSphere(theta=ss.base.theta, phi=ss.base.phi,
-                        x1=ss.base.x1 + 1e-3, b=ss.base.b, x0=ss.base.x0),
-        ent=ss.ent,
-        fiber=ss.fiber,
-    )
-    with pytest.raises(InvalidSphereSet):
-        reconstruct(broken)
+    with pytest.raises(error, match=re.escape(check)):
+        reconstruct(broken(ss))
 
 
 def test_reconstruct_rejects_southern_chi():
@@ -292,7 +316,7 @@ def test_reconstruct_rejects_southern_chi():
                                x4=ss.ent.x4),
         fiber=ss.fiber,
     )
-    with pytest.raises(InvalidSphereSet):
+    with pytest.raises(InvalidSphereSet, match="outside"):
         reconstruct(broken)
 
 
@@ -376,13 +400,19 @@ def ref_fiber_angles(q_f):
     return theta_f, phi_f, zeta_f
 
 
+def ref_fiber_bloch(theta_f, phi_f, zeta_f):
+    az = phi_f - 2.0 * zeta_f
+    st = math.sin(theta_f)
+    return (st * math.cos(az), st * math.sin(az), math.cos(theta_f))
+
+
 def ref_fiber(q1, q2, base, ent):
     half = 0.5 * base.theta
     q_f = add(scale(math.cos(half), q1),
               scale(math.sin(half), hamilton(exp_axis((0.0, *ent.t), -base.phi), q2)))
     theta_f, phi_f, zeta_f = ref_fiber_angles(q_f)
     return FiberSphere(theta_f=theta_f, phi_f=phi_f, zeta_f=zeta_f,
-                       bloch=_fiber_bloch(theta_f, phi_f, zeta_f))
+                       bloch=ref_fiber_bloch(theta_f, phi_f, zeta_f))
 
 
 def ref_sphere_set(s, a):
