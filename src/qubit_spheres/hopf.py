@@ -214,10 +214,30 @@ def _bad(name: str, err: float) -> NoReturn:
     raise InvalidSphereSet(f"{name} violated by {err:.3e} (tolerance {VALID_TOL})")
 
 
+# The name of each float of a sphere set, in _validate's order.
+_FLOAT_FIELDS = (*(f"base.{f}" for f in BaseSphere._fields),
+                 *(f"ent.{f}" for f in ("chi", "xi", "b", "t[0]", "t[1]", "t[2]",
+                                        "c", "x2", "x3", "x4")),
+                 *(f"fiber.{f}" for f in ("theta_f", "phi_f", "zeta_f",
+                                          "bloch[0]", "bloch[1]", "bloch[2]")))
+
+
 def _validate(ss: SphereSet) -> tuple[float, float]:
     """Raise InvalidSphereSet on any inconsistency; return (cos, sin) of phi."""
     theta, phi, x1, b, x0 = ss.base
-    chi, xi, eb, t, c, x2, x3, x4 = ss.ent
+    chi, xi, eb, (tx, ty, tz), c, x2, x3, x4 = ss.ent
+    theta_f, phi_f, zeta_f, (bx, by, bz) = ss.fiber
+
+    # A NaN compares False with every tolerance below, and max() drops one
+    # that does not come first, so each float must be finite.  One sum tests
+    # them all; a sum that overflows from finite floats fails a check below.
+    if not math.isfinite(theta + phi + x1 + b + x0 + chi + xi + eb + tx + ty + tz + c
+                         + x2 + x3 + x4 + theta_f + phi_f + zeta_f + bx + by + bz):
+        floats = (theta, phi, x1, b, x0, chi, xi, eb, tx, ty, tz, c, x2, x3, x4,
+                  theta_f, phi_f, zeta_f, bx, by, bz)
+        for name, v in zip(_FLOAT_FIELDS, floats):
+            if not math.isfinite(v):
+                raise InvalidSphereSet(f"{name} is {v!r}")
 
     st, ct = math.sin(theta), math.cos(theta)
     cp, sp = math.cos(phi), math.sin(phi)
@@ -230,7 +250,6 @@ def _validate(ss: SphereSet) -> tuple[float, float]:
     if not (-VALID_TOL <= chi <= math.pi / 2 + VALID_TOL):
         raise InvalidSphereSet(f"chi {chi!r} outside [0, pi/2]")
     sc, cc = math.sin(chi), math.cos(chi)
-    tx, ty, tz = t
     err = max(abs(tx - sc * math.cos(xi)),
               abs(ty - sc * math.sin(xi)),
               abs(tz - cc))
@@ -249,12 +268,11 @@ def _validate(ss: SphereSet) -> tuple[float, float]:
     if abs(s4 - 1.0) > VALID_TOL:
         _bad("unit 5-space norm", abs(s4 - 1.0))
 
-    theta_f, phi_f, zeta_f, bloch = ss.fiber
     az = phi_f - 2.0 * zeta_f
     st = math.sin(theta_f)
-    err = max(abs(bloch[0] - st * math.cos(az)),
-              abs(bloch[1] - st * math.sin(az)),
-              abs(bloch[2] - math.cos(theta_f)))
+    err = max(abs(bx - st * math.cos(az)),
+              abs(by - st * math.sin(az)),
+              abs(bz - math.cos(theta_f)))
     if err > VALID_TOL:
         _bad("fiber bloch/angle consistency", err)
     return cp, sp

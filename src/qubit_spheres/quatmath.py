@@ -29,8 +29,7 @@ K: Components = (0.0, 0.0, 0.0, 1.0)
 
 
 class NonUnitPureImaginary(ValueError):
-    """An axis (of exp_axis, or a sphere set's t) is not a unit pure-imaginary
-    quaternion."""
+    """An axis (a sphere set's t) is not a unit pure-imaginary quaternion."""
 
 
 def hamilton(a: Components, b: Components) -> Components:
@@ -65,14 +64,6 @@ def check_unit_axis(t: Components) -> None:
         raise NonUnitPureImaginary(
             f"axis must be unit pure-imaginary, got w={w!r}, |t|={n!r}"
         )
-
-
-def exp_axis(t: Components, angle: float) -> Components:
-    """e^(t*angle) = cos(angle) + t*sin(angle) for a unit pure-imaginary t."""
-    check_unit_axis(t)
-    _, x, y, z = t
-    c, s = math.cos(angle), math.sin(angle)
-    return (c, s * x, s * y, s * z)
 
 
 def split_components(q: Components) -> tuple[ComplexK, ComplexK]:

@@ -6,11 +6,24 @@ outputs into arrays.  Each pool invariant is an array of per-sample errors
 against the array oracles; a failing one names its worst sample as a
 witness.  Other checks use smaller derived draws.  All reductions are max
 only, so the report is independent of evaluation order.
+
+The pass is split into contiguous shares of the pool, one per CPU this
+process may run on and none smaller than MIN_SHARE states.  The process
+forks a child for each share after the first, maps the first itself, and
+every process writes its rows into arrays in anonymous shared memory.  Each
+row comes from the same scalar code whichever process maps it, so the
+report is byte-identical to a one-process pass.  A share whose child does
+not exit cleanly is mapped again in this process, which raises the child's
+error here.  The pass runs in one process when it has one CPU (or no
+os.sched_getaffinity, as on macOS and Windows), fewer than 2 * MIN_SHARE
+samples, or when fork fails.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +38,10 @@ DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 10_000
 
 _ASSIGNMENTS = tuple(Assignment)
+
+# The fewest pool states worth a forked process: a fork, its page faults and
+# the reaping cost a few ms, and a share of 1000 states maps in about 0.1 s.
+MIN_SHARE = 1000
 
 # Columns of a sphere-set row (_sphere_row).
 THETA, PHI, X1, BASE_B, X0, CHI, XI, B, C, X2, X3, X4 = range(12)
@@ -112,6 +129,21 @@ def _map_states(amps: np.ndarray, ks) -> np.ndarray:
                      for v, k in zip(amps.tolist(), ks)])
 
 
+def _shares(n: int) -> list[tuple[int, int]]:
+    """Contiguous [lo, hi) shares of range(n): one per CPU this process may
+    run on, none smaller than MIN_SHARE."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = max(1, min(cpus, n // MIN_SHARE))
+    bounds = [n * j // k for j in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _shared(*shape: int, dtype=float) -> np.ndarray:
+    """An array in anonymous shared memory, which forked children write into."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * dtype.itemsize), dtype).reshape(shape)
+
+
 def _elementwise(f, a: np.ndarray) -> np.ndarray:
     """f (a math function) applied to every element of a."""
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
@@ -127,16 +159,42 @@ class _SuiteRunner:
 
     def _map_pool(self):
         """The one pass: each pool state through the scalar kernel under both
-        assignments.  Index [i, k] is pool state i under the k-th Assignment;
-        the state functions take that assignment's base qubit."""
+        assignments, split into shares (see the module docstring).  Index
+        [i, k] is pool state i under the k-th Assignment; the state functions
+        take that assignment's base qubit."""
         n = self.samples
-        self.conc = np.empty((n, 2))             # concurrence_det, oracle_concurrence
-        self.rho_stats = np.empty((n, 2, 5))     # concurrence_from_rho, coherence_d, bloch
-        self.spheres = np.empty((n, 2, 15))      # _sphere_row(sphere_set)
-        self.quats = np.empty((n, 2, 8))         # quaternion_pair
-        self.rec = np.empty((n, 2, 4), complex)  # reconstruct
-        self.rho = np.empty((n, 2, 4), complex)  # rho_from_spheres
-        for i, amps in enumerate(self.amps.tolist()):
+        self.conc = _shared(n, 2)                # concurrence_det, oracle_concurrence
+        self.rho_stats = _shared(n, 2, 5)        # concurrence_from_rho, coherence_d, bloch
+        self.spheres = _shared(n, 2, 15)         # _sphere_row(sphere_set)
+        self.rec = _shared(n, 2, 4, dtype=complex)  # reconstruct
+        self.rho = _shared(n, 2, 4, dtype=complex)  # rho_from_spheres
+        first, *left = _shares(n)  # left: the shares this process maps after its own
+        children = {}
+        try:
+            while left:
+                try:
+                    pid = os.fork()
+                except OSError:
+                    break
+                if pid == 0:
+                    status = 1
+                    try:
+                        self._map_rows(*left[0])
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children[pid] = left.pop(0)
+            self._map_rows(*first)
+        finally:
+            for pid, share in children.items():
+                if os.waitpid(pid, 0)[1] != 0:
+                    left.append(share)
+        for share in left:
+            self._map_rows(*share)
+
+    def _map_rows(self, lo: int, hi: int):
+        """Map pool states lo to hi - 1 into their rows of the pass's arrays."""
+        for i, amps in enumerate(self.amps[lo:hi].tolist(), lo):
             s = TwoQubitState(*amps)
             self.conc[i] = state.concurrence_det(s), oracles.oracle_concurrence(s)
             for k, a in enumerate(_ASSIGNMENTS):
@@ -145,8 +203,6 @@ class _SuiteRunner:
                                         *state.bloch_vector(rho))
                 ss = hopf.sphere_set(s, a)
                 self.spheres[i, k] = _sphere_row(ss)
-                q1, q2 = hopf.quaternion_pair(s, a)
-                self.quats[i, k] = q1 + q2
                 self.rec[i, k] = hopf.reconstruct(ss)
                 self.rho[i, k] = hopf.rho_from_spheres(ss)
 
@@ -276,15 +332,22 @@ class _SuiteRunner:
                         for a in _ASSIGNMENTS], axis=1)
         self.check("rho_from_spheres_vs_partial_trace", 1e-12,
                    np.abs(self.rho - ref).max(axis=2))
+        # The pair (q1, q2) of each state and assignment, packed from the
+        # amplitudes as hopf.quaternion_pair documents: (alpha.re, -beta.im,
+        # beta.re, alpha.im | gamma.re, -delta.im, delta.re, gamma.im) under
+        # A_BASE, with beta and gamma swapped under B_BASE.  The float view's
+        # columns are alpha.re, alpha.im, beta.re, ..., delta.im.
+        q = self.amps.view(float)[:, [[0, 3, 2, 1, 4, 7, 6, 5], [0, 5, 4, 1, 2, 7, 6, 3]]]
+        q[..., [1, 5]] = -q[..., [1, 5]]
+        q = np.moveaxis(q, -1, 0)
         # Off-diagonal structure: x1 + b*sin(chi)*e^(k*xi)*i + x4*k must
         # rebuild the full quaternion product 2*q2*conj(q1).  The i/j part
         # carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
-        q = np.moveaxis(self.quats, -1, 0)
-        p = [2.0 * v for v in hamilton(q[4:], conj(q[:4]))]
+        p = [2.0 * w for w in hamilton(q[4:], conj(q[:4]))]
         sp = self.spheres
         r = sp[..., B] * _elementwise(math.sin, sp[..., CHI])
         sin_xi = _elementwise(math.sin, sp[..., XI])
-        # e^(k*xi) as exp_axis(K, xi) writes it, times i.
+        # e^(k*xi) = cos(xi) + k*sin(xi), times i.
         ew, ex, ey, ez = hamilton((_elementwise(math.cos, sp[..., XI]), sin_xi * 0.0,
                                    sin_xi * 0.0, sin_xi * 1.0), I)
         rebuilt = (sp[..., X1] + r * ew, r * ex, r * ey, r * ez + sp[..., X4])

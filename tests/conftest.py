@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qubit_spheres.quatmath import Components, check_unit_axis
 from qubit_spheres.state import TwoQubitState, random_amplitudes, random_state
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +24,18 @@ def entangler_60_70_state() -> TwoQubitState:
         complex(0.0, -math.sin(30 * d) * math.cos(35 * d)),
         complex(0.0, -math.sin(30 * d) * math.sin(35 * d)),
     )
+
+
+def exp_axis(t: Components, angle: float) -> Components:
+    """e^(t*angle) = cos(angle) + t*sin(angle) for a unit pure-imaginary t.
+
+    The map writes each exponential out inline; the reference map in
+    test_hopf composes it from this function.
+    """
+    check_unit_axis(t)
+    _, x, y, z = t
+    c, s = math.cos(angle), math.sin(angle)
+    return (c, s * x, s * y, s * z)
 
 
 def random_product_state(rng: np.random.Generator) -> TwoQubitState:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import entangler_60_70_state, random_product_state
+from conftest import entangler_60_70_state, exp_axis, random_product_state
 from qubit_spheres.hopf import (
     Assignment,
     BaseSphere,
@@ -28,7 +28,6 @@ from qubit_spheres.quatmath import (
     K,
     NonUnitPureImaginary,
     conj,
-    exp_axis,
     hamilton,
     join_components,
     norm_sq,
@@ -302,6 +301,20 @@ def scale_b(ss, f):
 def test_reconstruct_rejects_invalid_set(broken, error, check):
     ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)
     with pytest.raises(error, match=re.escape(check)):
+        reconstruct(broken(ss))
+
+
+@pytest.mark.parametrize("broken, field", [
+    (lambda ss: ss._replace(base=ss.base._replace(x1=math.nan)), "base.x1 is nan"),
+    (lambda ss: ss._replace(ent=ss.ent._replace(c=math.nan, x2=math.nan)), "ent.c is nan"),
+    (lambda ss: ss._replace(fiber=ss.fiber._replace(bloch=(*ss.fiber.bloch[:2], math.nan))),
+     "fiber.bloch[2] is nan"),
+    (lambda ss: ss._replace(base=ss.base._replace(theta=math.inf)), "base.theta is inf"),
+    (lambda ss: ss._replace(ent=ss.ent._replace(t=(0.0, -math.inf, 1.0))), "ent.t[1] is -inf"),
+], ids=["nan-x1", "nan-c-x2", "nan-bloch-z", "inf-theta", "minus-inf-t"])
+def test_reconstruct_rejects_non_finite_field(broken, field):
+    ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)
+    with pytest.raises(InvalidSphereSet, match=re.escape(field)):
         reconstruct(broken(ss))
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import exp_axis
 from qubit_spheres.quatmath import (
     ONE,
     I,
@@ -11,7 +12,6 @@ from qubit_spheres.quatmath import (
     K,
     NonUnitPureImaginary,
     conj,
-    exp_axis,
     hamilton,
     join_components,
     norm_sq,

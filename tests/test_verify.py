@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -149,3 +150,70 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
     assert cli.main(["map", f"--state={witness['state']}"]) == 0
     amps = json.loads(capsys.readouterr().out)["records"][0]["amplitudes"]
     assert amps == pytest.approx([v for c in want for v in (c.real, c.imag)], abs=1e-15)
+
+
+# -- the pool pass split over processes ----------------------------------------
+
+# Odd, so that two shares are uneven.
+SPLIT_SAMPLES = 2 * verify.MIN_SHARE + 1
+
+
+def allow_cpus(monkeypatch, n):
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_pass_gives_the_one_process_report(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(verify.os, "fork", counted_fork)
+    allow_cpus(monkeypatch, 2)
+    assert verify._shares(SPLIT_SAMPLES) == [(0, 1000), (1000, 2001)]
+    split = dumps(run_suite(seed=9, samples=SPLIT_SAMPLES).to_dict())
+    assert forks == [os.getpid()]
+    assert_no_child_left()
+
+    allow_cpus(monkeypatch, 1)
+    assert dumps(run_suite(seed=9, samples=SPLIT_SAMPLES).to_dict()) == split
+    assert len(forks) == 1
+
+    def failed_fork():
+        raise OSError("fork refused")
+
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify.os, "fork", failed_fork)
+    assert dumps(run_suite(seed=9, samples=SPLIT_SAMPLES).to_dict()) == split
+    assert_no_child_left()
+
+
+class Planted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad", [1500, 10], ids=["child-share", "parent-share"])
+def test_split_pass_raises_a_failure_here_and_reaps_every_child(monkeypatch, bad):
+    seed = 9
+    alpha = state.random_amplitudes(np.random.default_rng(seed), SPLIT_SAMPLES)[bad, 0]
+    reconstruct = verify.hopf.reconstruct
+
+    def planted(ss):
+        s = reconstruct(ss)
+        if abs(s.alpha - alpha) < 1e-12:
+            raise Planted(f"pool state {bad}")
+        return s
+
+    monkeypatch.setattr(verify.hopf, "reconstruct", planted)
+    allow_cpus(monkeypatch, 2)
+    with pytest.raises(Planted, match=f"pool state {bad}$"):
+        run_suite(seed=seed, samples=SPLIT_SAMPLES)
+    assert_no_child_left()
