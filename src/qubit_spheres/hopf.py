@@ -214,12 +214,16 @@ def _bad(name: str, err: float) -> NoReturn:
     raise InvalidSphereSet(f"{name} violated by {err:.3e} (tolerance {VALID_TOL})")
 
 
-# The name of each float of a sphere set, in _validate's order.
-_FLOAT_FIELDS = (*(f"base.{f}" for f in BaseSphere._fields),
-                 *(f"ent.{f}" for f in ("chi", "xi", "b", "t[0]", "t[1]", "t[2]",
-                                        "c", "x2", "x3", "x4")),
-                 *(f"fiber.{f}" for f in ("theta_f", "phi_f", "zeta_f",
-                                          "bloch[0]", "bloch[1]", "bloch[2]")))
+def _reject_non_finite(ss: SphereSet):
+    """Raise InvalidSphereSet naming the first NaN or infinite float of ss."""
+    for part in ("base", "ent", "fiber"):
+        sphere = getattr(ss, part)
+        for field, v in zip(sphere._fields, sphere):
+            named = ([(f"{field}[{j}]", x) for j, x in enumerate(v)]
+                     if isinstance(v, tuple) else [(field, v)])
+            for name, x in named:
+                if not math.isfinite(x):
+                    raise InvalidSphereSet(f"{part}.{name} is {x!r}")
 
 
 def _validate(ss: SphereSet) -> tuple[float, float]:
@@ -233,11 +237,7 @@ def _validate(ss: SphereSet) -> tuple[float, float]:
     # them all; a sum that overflows from finite floats fails a check below.
     if not math.isfinite(theta + phi + x1 + b + x0 + chi + xi + eb + tx + ty + tz + c
                          + x2 + x3 + x4 + theta_f + phi_f + zeta_f + bx + by + bz):
-        floats = (theta, phi, x1, b, x0, chi, xi, eb, tx, ty, tz, c, x2, x3, x4,
-                  theta_f, phi_f, zeta_f, bx, by, bz)
-        for name, v in zip(_FLOAT_FIELDS, floats):
-            if not math.isfinite(v):
-                raise InvalidSphereSet(f"{name} is {v!r}")
+        _reject_non_finite(ss)
 
     st, ct = math.sin(theta), math.cos(theta)
     cp, sp = math.cos(phi), math.sin(phi)

@@ -16,7 +16,7 @@ report is byte-identical to a one-process pass.  A share whose child does
 not exit cleanly is mapped again in this process, which raises the child's
 error here.  The pass runs in one process when it has one CPU (or no
 os.sched_getaffinity, as on macOS and Windows), fewer than 2 * MIN_SHARE
-samples, or when fork fails.
+samples, on CPython 3.12 or later (see _shares), or when fork fails.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -131,8 +132,12 @@ def _map_states(amps: np.ndarray, ks) -> np.ndarray:
 
 def _shares(n: int) -> list[tuple[int, int]]:
     """Contiguous [lo, hi) shares of range(n): one per CPU this process may
-    run on, none smaller than MIN_SHARE."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    run on, none smaller than MIN_SHARE.  One share from CPython 3.12 on,
+    where os.fork() warns in a process with a second thread (numpy's
+    OpenBLAS thread) and the warning may be raised after the child exists."""
+    cpus = 1
+    if hasattr(os, "sched_getaffinity") and sys.version_info < (3, 12):
+        cpus = len(os.sched_getaffinity(0))
     k = max(1, min(cpus, n // MIN_SHARE))
     bounds = [n * j // k for j in range(k + 1)]
     return list(zip(bounds, bounds[1:]))

@@ -304,18 +304,33 @@ def test_reconstruct_rejects_invalid_set(broken, error, check):
         reconstruct(broken(ss))
 
 
-@pytest.mark.parametrize("broken, field", [
-    (lambda ss: ss._replace(base=ss.base._replace(x1=math.nan)), "base.x1 is nan"),
-    (lambda ss: ss._replace(ent=ss.ent._replace(c=math.nan, x2=math.nan)), "ent.c is nan"),
-    (lambda ss: ss._replace(fiber=ss.fiber._replace(bloch=(*ss.fiber.bloch[:2], math.nan))),
-     "fiber.bloch[2] is nan"),
-    (lambda ss: ss._replace(base=ss.base._replace(theta=math.inf)), "base.theta is inf"),
-    (lambda ss: ss._replace(ent=ss.ent._replace(t=(0.0, -math.inf, 1.0))), "ent.t[1] is -inf"),
-], ids=["nan-x1", "nan-c-x2", "nan-bloch-z", "inf-theta", "minus-inf-t"])
-def test_reconstruct_rejects_non_finite_field(broken, field):
+# Every float of a sphere set, named as InvalidSphereSet names it.
+SPHERE_SET_FLOATS = [
+    "base.theta", "base.phi", "base.x1", "base.b", "base.x0",
+    "ent.chi", "ent.xi", "ent.b", "ent.t[0]", "ent.t[1]", "ent.t[2]",
+    "ent.c", "ent.x2", "ent.x3", "ent.x4",
+    "fiber.theta_f", "fiber.phi_f", "fiber.zeta_f",
+    "fiber.bloch[0]", "fiber.bloch[1]", "fiber.bloch[2]",
+]
+
+
+def with_float(ss, name, v):
+    """ss with the float `name` (as in SPHERE_SET_FLOATS) set to v."""
+    part, field = name.split(".")
+    sphere = getattr(ss, part)
+    if field.endswith("]"):
+        field, j = field[:-1].split("[")
+        v = tuple(v if k == int(j) else x for k, x in enumerate(getattr(sphere, field)))
+    return ss._replace(**{part: sphere._replace(**{field: v})})
+
+
+@pytest.mark.parametrize("name", SPHERE_SET_FLOATS)
+def test_reconstruct_rejects_non_finite_field(name):
     ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)
-    with pytest.raises(InvalidSphereSet, match=re.escape(field)):
-        reconstruct(broken(ss))
+    for v in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidSphereSet) as e:
+            reconstruct(with_float(ss, name, v))
+        assert str(e.value) == f"{name} is {v!r}"
 
 
 def test_reconstruct_rejects_southern_chi():

@@ -1,7 +1,9 @@
 import ast
 import json
 import os
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,6 +170,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="the pass never forks there")
 def test_split_pass_gives_the_one_process_report(monkeypatch):
     forks = []
     fork = os.fork
@@ -194,6 +197,14 @@ def test_split_pass_gives_the_one_process_report(monkeypatch):
     monkeypatch.setattr(verify.os, "fork", failed_fork)
     assert dumps(run_suite(seed=9, samples=SPLIT_SAMPLES).to_dict()) == split
     assert_no_child_left()
+
+
+def test_pass_stays_in_one_process_from_python_3_12(monkeypatch):
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "sys", SimpleNamespace(version_info=(3, 12, 0)))
+    assert verify._shares(SPLIT_SAMPLES) == [(0, SPLIT_SAMPLES)]
+    monkeypatch.setattr(verify, "sys", SimpleNamespace(version_info=(3, 11, 7)))
+    assert verify._shares(SPLIT_SAMPLES) == [(0, 1000), (1000, 2001)]
 
 
 class Planted(Exception):
