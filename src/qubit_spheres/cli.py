@@ -199,7 +199,7 @@ def main(argv=None) -> int:
         parser.error(f"--samples must be >= 1, got {args.samples}")
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -96,10 +96,6 @@ class SphereSet(NamedTuple):
     ent: EntanglementSphere
     fiber: FiberSphere
 
-    @property
-    def concurrence(self) -> float:
-        return self.ent.c
-
 
 def quaternion_pair(s: TwoQubitState, a: Assignment) -> tuple[Components, Components]:
     """(alpha + beta*j, gamma + delta*j) for A_BASE; (alpha + gamma*j, beta + delta*j) for B_BASE."""

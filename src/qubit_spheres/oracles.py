@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .state import DensityMatrix, TwoQubitState
+from .state import TwoQubitState
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -25,12 +25,6 @@ def partial_trace(m: np.ndarray, which: str) -> np.ndarray:
     g = m if which == "A" else m.transpose(0, 2, 1)
     return (g[:, :, None, 0] * g[:, None, :, 0].conj()
             + g[:, :, None, 1] * g[:, None, :, 1].conj())
-
-
-def oracle_reduced_density(s: TwoQubitState, which: str) -> DensityMatrix:
-    """Partial trace of one state (partial_trace on a one-row batch)."""
-    rho = partial_trace(s.vector().reshape(1, 2, 2), which)
-    return DensityMatrix(*(complex(v) for v in rho.ravel()))
 
 
 def oracle_concurrence(s: TwoQubitState) -> float:

@@ -22,7 +22,6 @@ from qubit_spheres.verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_suite
 DEG = math.pi / 180
 
 # Oracle-derived constants (partial trace / determinant form, frozen).
-C_60_70 = 0.496731764892154      # sin(60 deg) * sin(35 deg)
 X4_60_70 = -0.709406479916222    # -sin(60 deg) * cos(35 deg)
 PHI_BEFORE_DEG = -90.0           # base azimuth after the entangler
 PHI_AFTER_Z90_DEG = 35.0         # base azimuth after appending rz A 90
@@ -86,9 +85,10 @@ def test_criterion_3_local_rotation_locality():
     worst = 0.0
     for name in ("theta", "phi", "x1", "b", "x0"):
         worst = max(worst, abs(getattr(b1.base, name) - getattr(b0.base, name)))
-    for name in ("chi", "xi", "c", "x2", "x3", "x4"):
-        worst = max(worst, abs(getattr(b1.ent, name) - getattr(b0.ent, name)))
-    report(3, "BASE(B)/ENTANGLEMENT(B) blocks unchanged", worst, 1e-10)
+    for ent0, ent1 in ((b0.ent, b1.ent), (before.spheres_a.ent, after.spheres_a.ent)):
+        for name in ("chi", "xi", "c", "x2", "x3", "x4"):
+            worst = max(worst, abs(getattr(ent1, name) - getattr(ent0, name)))
+    report(3, "BASE(B)/ENTANGLEMENT(B)/ENTANGLEMENT(A) blocks unchanged", worst, 1e-11)
 
     want = bloch_rotation(rotation("y", 90 * DEG)) @ np.array(b0.fiber.bloch)
     worst = float(np.max(np.abs(np.array(b1.fiber.bloch) - want)))

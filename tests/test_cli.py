@@ -19,28 +19,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_map_basis(capsys):
-    code, out, _ = run_cli(capsys, "map", "--basis", "00")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["version"] == "1"
-    rec = doc["records"][0]
-    assert rec["concurrence"] == 0.0
-    assert rec["assignments"]["A"]["base"]["theta_deg"] == 0.0
-
-
-def test_map_bell_assignment_a(capsys):
-    code, out, _ = run_cli(capsys, "map", "--bell", "phi+", "--assignment", "A")
-    assert code == 0
-    rec = json.loads(out)["records"][0]
-    assert list(rec["assignments"]) == ["A"]
-    ent = rec["assignments"]["A"]["entanglement"]
-    assert rec["concurrence"] == pytest.approx(1.0, abs=1e-12)
-    assert ent["chi_deg"] == pytest.approx(90.0, abs=1e-9)
-    base = rec["assignments"]["A"]["base"]
-    assert (base["x1"], base["b"], base["x0"]) == pytest.approx((0, 1, 0), abs=1e-12)
-
-
 def test_map_explicit_state_uniform_product(capsys):
     code, out, _ = run_cli(capsys, "map", "--state", "0.5,0,0.5,0,0.5,0,0.5,0")
     assert code == 0
@@ -63,13 +41,6 @@ def test_map_state_near_b_zero(capsys):
     spheres = json.loads(out)["records"][0]["assignments"]["A"]
     assert spheres["base"]["b"] == 2e-160
     assert spheres["entanglement"]["chi_deg"] == 0.0
-
-
-def test_map_text_format(capsys):
-    code, out, _ = run_cli(capsys, "map", "--bell", "phi+", "--format", "text")
-    assert code == 0
-    assert "concurrence:   1.000000000" in out
-    assert "assignment A:" in out and "assignment B:" in out
 
 
 def test_map_bad_state_exits_2(capsys):
@@ -138,27 +109,6 @@ def test_run_with_steps(capsys):
     assert doc["records"][1]["gate"] == "rx A 60"
 
 
-def test_run_y_rotation_leaves_b_blocks(capsys):
-    _, out_before, _ = run_cli(capsys, "run", ENTANGLER_CIRC)
-    _, out_after, _ = run_cli(capsys, "run", str(CIRCUIT_DIR / "entangle_60_70_y90.circ"))
-    rec_before = json.loads(out_before)["records"][-1]
-    rec_after = json.loads(out_after)["records"][-1]
-    assert rec_after["concurrence"] == pytest.approx(rec_before["concurrence"], abs=1e-10)
-    for block in ("base", "entanglement"):
-        for key, val in rec_before["assignments"]["B"][block].items():
-            assert rec_after["assignments"]["B"][block][key] == pytest.approx(val, abs=1e-9)
-    # ENTANGLEMENT(A) also untouched by the y-rotation of the base qubit A
-    for key, val in rec_before["assignments"]["A"]["entanglement"].items():
-        assert rec_after["assignments"]["A"]["entanglement"][key] == pytest.approx(val, abs=1e-9)
-
-
-def test_run_z_rotation_zeroes_x4(capsys):
-    _, out, _ = run_cli(capsys, "run", str(CIRCUIT_DIR / "entangle_60_70_z90.circ"))
-    rec = json.loads(out)["records"][-1]
-    assert rec["assignments"]["A"]["entanglement"]["x4"] == pytest.approx(0.0, abs=1e-9)
-    assert rec["concurrence"] == pytest.approx(0.496731764892154, abs=1e-6)
-
-
 def test_run_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.circ"
     for text, message in (("rx A sixty\n", "BadAngle: line 1: bad angle 'sixty'"),
@@ -173,15 +123,6 @@ def test_run_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "run", "/nonexistent/file.circ")
     assert code == 2
     assert "error:" in err
-
-
-def test_render_writes_svg(tmp_path, capsys):
-    out_path = tmp_path / "out.svg"
-    code, _, _ = run_cli(capsys, "render", "--bell", "phi+", "--out", str(out_path))
-    assert code == 0
-    data = out_path.read_text()
-    assert data.startswith("<?xml")
-    assert "ENTANGLEMENT(A)" in data
 
 
 def test_render_circuit_input(tmp_path, capsys):
@@ -213,10 +154,12 @@ def test_verify_zero_samples_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_verify_deterministic(capsys):
-    _, out1, _ = run_cli(capsys, "verify", "--seed", "9", "--samples", "50")
-    _, out2, _ = run_cli(capsys, "verify", "--seed", "9", "--samples", "50")
-    assert out1 == out2
+def test_verify_too_many_samples_exits_2(capsys):
+    # 10^15 states need 56.8 PiB, so the allocation fails before a page is touched.
+    code, out, err = run_cli(capsys, "verify", "--samples", str(10**15))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "MemoryError" in err
 
 
 def test_usage_error_exit_code():
@@ -240,10 +183,7 @@ def test_state_value_may_start_with_a_minus_sign(tmp_path, capsys):
 
 
 def test_console_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qubit_spheres", "map", "--bell", "phi-",
-         "--assignment", "B"],
-        capture_output=True, text=True)
+    proc = _python("-m", "qubit_spheres", "map", "--bell", "phi-", "--assignment", "B")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["records"][0]["concurrence"] == pytest.approx(1.0, abs=1e-12)

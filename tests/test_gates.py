@@ -20,7 +20,7 @@ from qubit_spheres.gates import (
     rotation,
     run,
 )
-from qubit_spheres.state import NormOutOfTolerance, TwoQubitState, bloch_vector, random_state
+from qubit_spheres.state import NormOutOfTolerance, TwoQubitState, random_state
 
 DEG = math.pi / 180
 C_60_70 = 0.496731764892154
@@ -143,20 +143,6 @@ def test_control_on_b():
     assert s.amplitudes() == pytest.approx((1, 0, 0, 0))
 
 
-def test_every_gate_kind_is_unitary():
-    rng = np.random.default_rng(3)
-    for kind in ("rx", "ry", "rz", "x", "y", "z", "h", "s", "sdg", "t", "tdg"):
-        angle = float(rng.uniform(-6, 6)) if kind in ("rx", "ry", "rz") else None
-        for target in "AB":
-            u = expand(Gate(kind=kind, target=target, angle=angle))
-            assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
-    for kind in ("crx", "cry", "crz", "cx", "cy", "cz"):
-        angle = float(rng.uniform(-6, 6)) if kind.startswith("cr") else None
-        for control, target in (("A", "B"), ("B", "A")):
-            u = expand(Gate(kind=kind, control=control, target=target, angle=angle))
-            assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rotation_gate_rejects_non_finite_angle(bad):
     with pytest.raises(ValueError, match="not finite"):
@@ -198,12 +184,6 @@ def test_apply_identity_and_involution():
     assert twice.amplitudes() == pytest.approx(s.amplitudes())
 
 
-def test_local_rotation_preserves_concurrence():
-    steps = run(parse_circuit("rx A 60\ncry A B 70\nry A 90\n"))
-    assert steps[2].concurrence == pytest.approx(C_60_70, abs=1e-12)
-    assert steps[3].concurrence == pytest.approx(C_60_70, abs=1e-10)
-
-
 def test_run_empty_circuit():
     steps = run(Circuit(gates=()))
     assert len(steps) == 1
@@ -241,14 +221,6 @@ def test_spheres_rejects_an_unknown_label():
 def test_run_custom_initial_state():
     steps = run(Circuit(gates=(), initial="10"))
     assert steps[0].state.amplitudes() == (0j, 0j, 1 + 0j, 0j)
-
-
-def test_superposition_degree_after_first_gate():
-    for eta_deg in (0, 25, 60, 90, 140, 180):
-        steps = run(Circuit(gates=(Gate(kind="rx", target="A", angle=eta_deg * DEG),)))
-        r = bloch_vector(steps[1].rho_a)
-        assert math.hypot(r[0], r[1]) == pytest.approx(
-            math.sin(eta_deg * DEG), abs=1e-12)
 
 
 def test_bloch_rotation_oracle():

@@ -94,15 +94,6 @@ def test_bell_phi_plus_spheres():
     assert fiber_versor(ss.fiber) == pytest.approx((1, 0, 0, 0), abs=1e-12)
 
 
-def test_bell_both_assignments_same_concurrence():
-    for name in ("phi+", "phi-", "psi+", "psi-"):
-        s = TwoQubitState.bell(name)
-        ca = sphere_set(s, Assignment.A_BASE).ent.c
-        cb = sphere_set(s, Assignment.B_BASE).ent.c
-        assert ca == pytest.approx(1.0, abs=1e-12)
-        assert cb == pytest.approx(1.0, abs=1e-12)
-
-
 def test_entangled_state_base_coordinates():
     ss = sphere_set(entangler_60_70_state(), Assignment.A_BASE)
     assert ss.base.x1 == pytest.approx(0.0, abs=1e-12)

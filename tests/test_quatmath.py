@@ -66,24 +66,6 @@ def test_conj_examples():
     assert conj(hamilton(I, J)) == neg(K)
 
 
-def test_exp_pure_basics():
-    assert approx_eq(exp_axis(K, math.pi / 2), K)
-    t = (0.0, 0.6, 0.8, 0.0)
-    assert exp_axis(t, 0.0) == ONE
-
-
-def test_exp_pure_value():
-    t = (0.0, 1 / math.sqrt(2), 0.0, 1 / math.sqrt(2))
-    want = (0.5, 0.6123724356957945, 0.0, 0.6123724356957945)
-    assert approx_eq(exp_axis(t, math.pi / 3), want)
-
-
-def test_exp_pure_addition_law():
-    t = (0.0, 1 / math.sqrt(2), 0.0, 1 / math.sqrt(2))
-    lhs = hamilton(exp_axis(t, 0.7), exp_axis(t, 0.9))
-    assert approx_eq(lhs, exp_axis(t, 1.6))
-
-
 def test_exp_pure_rejects_bad_axis():
     with pytest.raises(NonUnitPureImaginary):
         exp_axis((0.1, 1.0, 0.0, 0.0), 1.0)  # nonzero real part

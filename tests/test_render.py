@@ -3,25 +3,12 @@ import xml.etree.ElementTree as ET
 
 from conftest import entangler_60_70_state
 from qubit_spheres.gates import TrajectoryStep
-from qubit_spheres.render import RADIUS, render_svg, render_to_file
+from qubit_spheres.render import RADIUS, render_svg
 from qubit_spheres.state import TwoQubitState
 
 
 def step(s: TwoQubitState) -> TrajectoryStep:
     return TrajectoryStep(0, None, s)
-
-
-def test_render_is_deterministic():
-    s = step(TwoQubitState.bell("psi-"))
-    assert render_svg(s) == render_svg(s)
-
-
-def test_render_file_roundtrip(tmp_path):
-    s = step(TwoQubitState.bell("phi+"))
-    p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_to_file(p1, s, title="x")
-    render_to_file(p2, s, title="x")
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_render_bell_inner_sphere_matches_outer():

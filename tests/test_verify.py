@@ -17,21 +17,6 @@ from qubit_spheres.verify import run_suite
 C_60_70 = 0.496731764892154
 
 
-def test_oracle_reduced_density_bell():
-    rho = oracles.oracle_reduced_density(TwoQubitState.bell("phi+"), "A")
-    assert rho.rho00 == pytest.approx(0.5, abs=1e-15)
-    assert rho.rho11 == pytest.approx(0.5, abs=1e-15)
-    assert abs(rho.rho01) < 1e-15
-
-
-def test_oracle_reduced_density_basis_01():
-    rho = oracles.oracle_reduced_density(TwoQubitState.basis("01"), "A")
-    assert rho.rho00 == pytest.approx(1.0)
-    assert rho.rho11 == pytest.approx(0.0)
-    rho = oracles.oracle_reduced_density(TwoQubitState.basis("01"), "B")
-    assert rho.rho11 == pytest.approx(1.0)
-
-
 def test_partial_trace_matches_index_summation_bit_for_bit(state_pool):
     # The literal 4x4 outer-product summation, one state at a time.
     batch = np.array([s.vector() for s in state_pool[:2000]])
@@ -54,17 +39,6 @@ def test_pool_is_the_random_state_sequence():
         want = np.array([random_state(rng).amplitudes() for _ in range(500)])
         got = state.random_amplitudes(np.random.default_rng(seed), 500)
         assert got.tobytes() == want.tobytes()
-
-
-def test_oracle_reduced_density_self_consistency(state_pool):
-    for s in state_pool[:200]:
-        for which in ("A", "B"):
-            rho = np.array(oracles.oracle_reduced_density(s, which)).reshape(2, 2)
-            assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-            evals = np.linalg.eigvalsh(rho)
-            assert evals.min() >= -1e-12
-            assert evals.max() <= 1 + 1e-12
-            assert np.abs(rho - rho.conj().T).max() < 1e-15
 
 
 def test_oracle_concurrence_values():
@@ -110,18 +84,6 @@ def test_run_suite_deterministic():
 def test_run_suite_rejects_zero_samples():
     with pytest.raises(ValueError):
         run_suite(seed=1, samples=0)
-
-
-def test_report_shape():
-    report = run_suite(seed=3, samples=50)
-    d = report.to_dict()
-    assert d["version"] == "1"
-    assert d["kind"] == "verification-report"
-    assert d["seed"] == 3
-    assert d["samples"] == 50
-    for entry in d["invariants"]:
-        assert set(entry) == {"name", "samples", "max_error", "threshold", "passed"}
-        assert entry["max_error"] >= 0.0
 
 
 def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
