@@ -197,6 +197,8 @@ def main(argv=None) -> int:
         parser.error("render needs --state, --bell, --basis or --circuit")
     if args.command == "verify" and args.samples is not None and args.samples < 1:
         parser.error(f"--samples must be >= 1, got {args.samples}")
+    if args.command == "verify" and args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

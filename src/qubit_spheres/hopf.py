@@ -22,7 +22,6 @@ from .quatmath import (
     Components,
     J,
     K,
-    check_unit_axis,
     conj,
     hamilton,
     join_components,
@@ -32,10 +31,12 @@ from .quatmath import (
 from .state import DensityMatrix, TwoQubitState
 
 VALID_TOL = 1e-9
+# |t| must be 1 more tightly: every angle check passes a t off by 1e-10.
+UNIT_T_TOL = 1e-12
 
 
 class InvalidSphereSet(ValueError):
-    """Sphere-set invariants violated beyond 1e-9."""
+    """Sphere-set invariants violated beyond their tolerance."""
 
 
 class Assignment(Enum):
@@ -206,8 +207,8 @@ def fiber_versor(f: FiberSphere) -> Components:
                     (c, s * 0.0, s * 0.0, s))
 
 
-def _bad(name: str, err: float) -> NoReturn:
-    raise InvalidSphereSet(f"{name} violated by {err:.3e} (tolerance {VALID_TOL})")
+def _bad(name: str, err: float, tol: float = VALID_TOL) -> NoReturn:
+    raise InvalidSphereSet(f"{name} violated by {err:.3e} (tolerance {tol})")
 
 
 def _reject_non_finite(ss: SphereSet):
@@ -271,6 +272,10 @@ def _validate(ss: SphereSet) -> tuple[float, float]:
               abs(bz - math.cos(theta_f)))
     if err > VALID_TOL:
         _bad("fiber bloch/angle consistency", err)
+
+    err = abs(math.sqrt(tx * tx + ty * ty + tz * tz) - 1.0)
+    if err > UNIT_T_TOL:
+        _bad("unit t axis", err, UNIT_T_TOL)
     return cp, sp
 
 
@@ -278,7 +283,6 @@ def reconstruct(ss: SphereSet) -> TwoQubitState:
     """Exact inverse of sphere_set for either assignment."""
     cp, sp = _validate(ss)
     tx, ty, tz = ss.ent.t
-    check_unit_axis((0.0, tx, ty, tz))
     q_f = fiber_versor(ss.fiber)
     half = 0.5 * ss.base.theta
     ch, sh = math.cos(half), math.sin(half)

@@ -12,24 +12,16 @@ maps in ``hopf`` and the invariants in ``verify`` call these functions.
 
 from __future__ import annotations
 
-import math
-
 # Complex-in-k: an ordinary Python complex whose imaginary unit is understood
 # to be the quaternion k once embedded.
 ComplexK = complex
 
 Components = tuple[float, float, float, float]
 
-UNIT_TOL = 1e-12
-
 ONE: Components = (1.0, 0.0, 0.0, 0.0)
 I: Components = (0.0, 1.0, 0.0, 0.0)
 J: Components = (0.0, 0.0, 1.0, 0.0)
 K: Components = (0.0, 0.0, 0.0, 1.0)
-
-
-class NonUnitPureImaginary(ValueError):
-    """An axis (a sphere set's t) is not a unit pure-imaginary quaternion."""
 
 
 def hamilton(a: Components, b: Components) -> Components:
@@ -50,20 +42,6 @@ def conj(q: Components) -> Components:
 def norm_sq(q: Components) -> float:
     w, x, y, z = q
     return w * w + x * x + y * y + z * z
-
-
-def check_unit_axis(t: Components) -> None:
-    """Reject t unless it is a unit pure-imaginary quaternion (to UNIT_TOL).
-
-    Rejecting instead of normalizing makes convention bugs upstream surface
-    here.
-    """
-    w = t[0]
-    n = math.sqrt(norm_sq(t))
-    if abs(w) > UNIT_TOL or abs(n - 1.0) > UNIT_TOL:
-        raise NonUnitPureImaginary(
-            f"axis must be unit pure-imaginary, got w={w!r}, |t|={n!r}"
-        )
 
 
 def split_components(q: Components) -> tuple[ComplexK, ComplexK]:

@@ -45,8 +45,8 @@ _ASSIGNMENTS = tuple(Assignment)
 MIN_SHARE = 1000
 
 # Columns of a sphere-set row (_sphere_row).
-THETA, PHI, X1, BASE_B, X0, CHI, XI, B, C, X2, X3, X4 = range(12)
-BLOCH = slice(12, 15)
+THETA, PHI, X1, BASE_B, X0, CHI, XI, B, TX, TY, TZ, C, X2, X3, X4 = range(15)
+BLOCH = slice(15, 18)
 
 
 class InvariantResult(NamedTuple):
@@ -103,9 +103,18 @@ def _unit(q: np.ndarray) -> np.ndarray:
     return q / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
 
 
-def _product_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
+def _product_amplitudes(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
+    """n product states (n, 4) and their factors (n, 2) of A and of B."""
     v = state.random_amplitudes(rng, 2 * n, dim=2)  # the factor of A, then of B
-    return (v[0::2, :, None] * v[1::2, None, :]).reshape(n, 4)
+    fa, fb = v[0::2], v[1::2]
+    return (fa[:, :, None] * fb[:, None, :]).reshape(n, 4), fa, fb
+
+
+def _bloch(f: np.ndarray) -> np.ndarray:
+    """Bloch vectors (2 Re(conj(a) b), 2 Im(conj(a) b), |a|^2 - |b|^2) of rows (a, b)."""
+    a, b = f.T
+    ab = a.conj() * b
+    return np.stack([2.0 * ab.real, 2.0 * ab.imag, (a * a.conj() - b * b.conj()).real], axis=1)
 
 
 def _act(u: np.ndarray, amps: np.ndarray, on_a) -> np.ndarray:
@@ -119,9 +128,9 @@ def _act(u: np.ndarray, amps: np.ndarray, on_a) -> np.ndarray:
 
 
 def _sphere_row(ss: hopf.SphereSet) -> tuple[float, ...]:
-    """A sphere set's floats: base, entanglement (without t), fiber Bloch point."""
-    chi, xi, b, _, c, x2, x3, x4 = ss.ent
-    return (*ss.base, chi, xi, b, c, x2, x3, x4, *ss.fiber.bloch)
+    """A sphere set's floats: base, entanglement, fiber Bloch point."""
+    chi, xi, b, t, c, x2, x3, x4 = ss.ent
+    return (*ss.base, chi, xi, b, *t, c, x2, x3, x4, *ss.fiber.bloch)
 
 
 def _map_states(amps: np.ndarray, ks) -> np.ndarray:
@@ -161,6 +170,9 @@ class _SuiteRunner:
         self.results: list[InvariantResult] = []
         self.amps = state.random_amplitudes(self.rng, samples)
         self._map_pool()
+        # Sine and cosine of each sphere angle, by libm as the kernel takes them.
+        self.sin, self.cos = ({k: _elementwise(f, self.spheres[..., k])
+                               for k in (THETA, PHI, CHI, XI)} for f in (math.sin, math.cos))
 
     def _map_pool(self):
         """The one pass: each pool state through the scalar kernel under both
@@ -170,7 +182,7 @@ class _SuiteRunner:
         n = self.samples
         self.conc = _shared(n, 2)                # concurrence_det, oracle_concurrence
         self.rho_stats = _shared(n, 2, 5)        # concurrence_from_rho, coherence_d, bloch
-        self.spheres = _shared(n, 2, 15)         # _sphere_row(sphere_set)
+        self.spheres = _shared(n, 2, 18)         # _sphere_row(sphere_set)
         self.rec = _shared(n, 2, 4, dtype=complex)  # reconstruct
         self.rho = _shared(n, 2, 4, dtype=complex)  # rho_from_spheres
         first, *left = _shares(n)  # left: the shares this process maps after its own
@@ -287,12 +299,24 @@ class _SuiteRunner:
         s4 = sq[X0] + sq[X1] + sq[X2] + sq[X3] + sq[X4]
         self.check("unit_s4_norm", 1e-12, np.abs(s4 - 1.0))
         self.check("b_squared_decomposition", 1e-12, np.abs(sq[B] - sq[X4] - sq[C]))
-        b, c, chi = self.spheres[..., B], self.spheres[..., C], self.spheres[..., CHI]
+        del diff, sq  # freed before the checks below make pool-sized arrays of their own
+        sp, sin, cos = self.spheres, self.sin, self.cos
+        b, c, chi = sp[..., B], sp[..., C], sp[..., CHI]
         c_ref = self.conc[:, 1:]
         self.check("concurrence_consistency", 1e-10,
-                   np.maximum(np.abs(np.abs(b) * _elementwise(math.sin, chi) - c_ref),
-                              np.abs(c - c_ref)))
+                   np.maximum(np.abs(np.abs(b) * sin[CHI] - c_ref), np.abs(c - c_ref)))
         self.check("chi_northern_hemisphere", 1e-12, np.maximum(chi - math.pi / 2, -chi))
+        # Each sphere's Cartesian point from its angles: (x1, b, x0) from
+        # (theta, phi), t from (chi, xi), and the inner-sphere point b*t.
+        self.check("sphere_angle_consistency", 1e-12, np.abs([
+            sp[..., X1] - sin[THETA] * cos[PHI], sp[..., BASE_B] - sin[THETA] * sin[PHI],
+            sp[..., X0] - cos[THETA], sp[..., TZ] - cos[CHI],
+            sp[..., TX] - sin[CHI] * cos[XI], sp[..., TY] - sin[CHI] * sin[XI],
+            sp[..., X2] - b * sp[..., TX], sp[..., X3] - b * sp[..., TY],
+            c - np.abs(b) * sin[CHI], sp[..., X4] - b * cos[CHI]]).max(axis=0))
+        # The base qubit's Bloch vector is (x1, x4, x0).
+        self.check("bloch_vector_is_base_point", 1e-12,
+                   np.abs(self.rho_stats[..., 2:] - sp[..., [X1, X4, X0]]).max(axis=2))
 
     def equivariance_invariants(self):
         n = min(self.samples, 1000)
@@ -323,11 +347,19 @@ class _SuiteRunner:
 
     def separability_invariants(self):
         n = min(self.samples, 1000)
-        rows = _map_states(np.repeat(_product_amplitudes(self.rng, n), 2, axis=0), [0, 1] * n)
+        amps, fa, fb = _product_amplitudes(self.rng, n)
+        rows = _map_states(np.repeat(amps, 2, axis=0), [0, 1] * n)
         # Disjunction, normalized: chi below 1e-8 or |b| below 1e-10.
         e_cond = np.minimum(rows[:, CHI] / 1e-8, np.abs(rows[:, B]) / 1e-10)
         self.record("separable_concurrence_zero", 2 * n, rows[:, C].max(), 1e-10)
         self.record("separable_chi_or_b_zero", 2 * n, e_cond.max(), 1.0)
+        # Base and fiber become the factors' Bloch spheres: under A_BASE (even
+        # rows) the base is A's factor and the fiber B's, under B_BASE the reverse.
+        ra, rb = _bloch(fa), _bloch(fb)
+        base, fib = (np.stack(pair, axis=1).reshape(2 * n, 3) for pair in ((ra, rb), (rb, ra)))
+        self.record("separable_base_is_bloch", 2 * n,
+                    np.abs(rows[:, [X1, BASE_B, X0]] - base).max(), 1e-12)
+        self.record("separable_fiber_is_bloch", 2 * n, np.abs(rows[:, BLOCH] - fib).max(), 1e-12)
 
     # -- oracle cross-checks -------------------------------------------------
 
@@ -337,6 +369,7 @@ class _SuiteRunner:
                         for a in _ASSIGNMENTS], axis=1)
         self.check("rho_from_spheres_vs_partial_trace", 1e-12,
                    np.abs(self.rho - ref).max(axis=2))
+        del ref  # as in hopf_invariants
         # The pair (q1, q2) of each state and assignment, packed from the
         # amplitudes as hopf.quaternion_pair documents: (alpha.re, -beta.im,
         # beta.re, alpha.im | gamma.re, -delta.im, delta.re, gamma.im) under
@@ -349,12 +382,10 @@ class _SuiteRunner:
         # rebuild the full quaternion product 2*q2*conj(q1).  The i/j part
         # carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
         p = [2.0 * w for w in hamilton(q[4:], conj(q[:4]))]
-        sp = self.spheres
-        r = sp[..., B] * _elementwise(math.sin, sp[..., CHI])
-        sin_xi = _elementwise(math.sin, sp[..., XI])
+        sp, sin_xi = self.spheres, self.sin[XI]
+        r = sp[..., B] * self.sin[CHI]
         # e^(k*xi) = cos(xi) + k*sin(xi), times i.
-        ew, ex, ey, ez = hamilton((_elementwise(math.cos, sp[..., XI]), sin_xi * 0.0,
-                                   sin_xi * 0.0, sin_xi * 1.0), I)
+        ew, ex, ey, ez = hamilton((self.cos[XI], sin_xi * 0.0, sin_xi * 0.0, sin_xi * 1.0), I)
         rebuilt = (sp[..., X1] + r * ew, r * ex, r * ey, r * ez + sp[..., X4])
         self.check("outer_product_structure", 1e-12, np.abs(np.subtract(rebuilt, p)).max(axis=0))
 
@@ -429,5 +460,7 @@ def run_suite(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
     """Run every invariant against `samples` seeded random states."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     runner = _SuiteRunner(seed, samples)
     return VerificationReport(seed=seed, samples=samples, results=runner.run())

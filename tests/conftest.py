@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qubit_spheres.quatmath import Components, check_unit_axis
+from qubit_spheres.quatmath import Components, norm_sq
 from qubit_spheres.state import TwoQubitState, random_amplitudes, random_state
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -32,8 +32,8 @@ def exp_axis(t: Components, angle: float) -> Components:
     The map writes each exponential out inline; the reference map in
     test_hopf composes it from this function.
     """
-    check_unit_axis(t)
-    _, x, y, z = t
+    w, x, y, z = t
+    assert abs(w) <= 1e-12 and abs(math.sqrt(norm_sq(t)) - 1.0) <= 1e-12, t
     c, s = math.cos(angle), math.sin(angle)
     return (c, s * x, s * y, s * z)
 

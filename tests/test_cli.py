@@ -149,9 +149,11 @@ def test_verify_small_run(capsys):
 
 
 def test_verify_zero_samples_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--samples", "0"])
-    assert exc.value.code == 2
+    for option, value in (("--samples", "0"), ("--seed", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", option, value])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
 
 
 def test_verify_too_many_samples_exits_2(capsys):

@@ -26,7 +26,6 @@ from qubit_spheres.hopf import (
 from qubit_spheres.quatmath import (
     J,
     K,
-    NonUnitPureImaginary,
     conj,
     hamilton,
     join_components,
@@ -37,8 +36,6 @@ from qubit_spheres.state import (
     BASIS_NAMES,
     BELL_NAMES,
     TwoQubitState,
-    bloch_vector,
-    reduced_density,
 )
 
 R2 = 1 / math.sqrt(2)
@@ -112,44 +109,6 @@ def test_entangled_state_b_base_concurrence():
 def pool_sets(states) -> list:
     """Sphere sets of `states` under A_BASE, then under B_BASE."""
     return [sphere_set(s, a) for a in Assignment for s in states]
-
-
-def test_base_sphere_angles_match_cartesian(state_pool):
-    for ss in pool_sets(state_pool[:500]):
-        st, ct = math.sin(ss.base.theta), math.cos(ss.base.theta)
-        assert ss.base.x1 == pytest.approx(st * math.cos(ss.base.phi), abs=1e-12)
-        assert ss.base.b == pytest.approx(st * math.sin(ss.base.phi), abs=1e-12)
-        assert ss.base.x0 == pytest.approx(ct, abs=1e-12)
-        sc, cc = math.sin(ss.ent.chi), math.cos(ss.ent.chi)
-        tx, ty, tz = ss.ent.t
-        assert tx == pytest.approx(sc * math.cos(ss.ent.xi), abs=1e-12)
-        assert ty == pytest.approx(sc * math.sin(ss.ent.xi), abs=1e-12)
-        assert tz == pytest.approx(cc, abs=1e-12)
-        assert ss.ent.x2 == pytest.approx(ss.ent.b * sc * math.cos(ss.ent.xi), abs=1e-12)
-        assert ss.ent.c == pytest.approx(abs(ss.ent.b) * sc, abs=1e-12)
-        assert ss.ent.x4 == pytest.approx(ss.ent.b * cc, abs=1e-12)
-
-
-def test_fiber_product_state_is_fiber_qubit_bloch():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        va = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        vb = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        va /= np.linalg.norm(va)
-        vb /= np.linalg.norm(vb)
-        s = TwoQubitState(*(complex(c) for c in np.kron(va, vb)))
-        ss = sphere_set(s, Assignment.A_BASE)
-        # single-qubit Bloch vector of the fiber factor, straight from psi_B
-        want = (2 * (vb[0].conjugate() * vb[1]).real,
-                2 * (vb[0].conjugate() * vb[1]).imag,
-                abs(vb[0]) ** 2 - abs(vb[1]) ** 2)
-        assert ss.fiber.bloch == pytest.approx(want, abs=1e-9)
-        # base sphere likewise reduces to the base qubit's Bloch vector
-        want_a = (2 * (va[0].conjugate() * va[1]).real,
-                  2 * (va[0].conjugate() * va[1]).imag,
-                  abs(va[0]) ** 2 - abs(va[1]) ** 2)
-        got_a = (ss.base.x1, ss.base.b, ss.base.x0)
-        assert got_a == pytest.approx(want_a, abs=1e-9)
 
 
 def test_round_trip_examples():
@@ -256,14 +215,6 @@ def test_rho_from_spheres_examples():
     assert abs(rho.rho01.imag) == pytest.approx(0.709406479916222 / 2, abs=1e-12)
 
 
-def test_bloch_vector_consistent_with_sphere_coords(state_pool):
-    # (rx, ry, rz) of the reduced matrix equals (x1, x4, x0).
-    for s in state_pool[:300]:
-        ss = sphere_set(s, Assignment.A_BASE)
-        r = bloch_vector(reduced_density(s, "A"))
-        assert r == pytest.approx((ss.base.x1, ss.ent.x4, ss.base.x0), abs=1e-12)
-
-
 def scale_b(ss, f):
     """ss with b scaled by f and the entanglement sphere kept consistent."""
     b = f * ss.base.b
@@ -285,9 +236,9 @@ def scale_b(ss, f):
     (lambda ss: ss._replace(fiber=ss.fiber._replace(
         bloch=(ss.fiber.bloch[0] + 1e-3, *ss.fiber.bloch[1:]))),
      InvalidSphereSet, "fiber bloch/angle consistency"),
-    # |t| = 1 + 1e-10 is within 1e-9 of every angle check, not of UNIT_TOL.
+    # |t| = 1 + 1e-10 is within 1e-9 of every angle check, not of 1e-12.
     (lambda ss: ss._replace(ent=ss.ent._replace(t=tuple((1.0 + 1e-10) * v for v in ss.ent.t))),
-     NonUnitPureImaginary, "unit pure-imaginary"),
+     InvalidSphereSet, "unit t axis"),
 ], ids=["base", "t-angles", "entanglement", "5-norm", "fiber-bloch", "unit-t"])
 def test_reconstruct_rejects_invalid_set(broken, error, check):
     ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)

@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import exp_axis
 from qubit_spheres.quatmath import (
     ONE,
     I,
     J,
     K,
-    NonUnitPureImaginary,
     conj,
     hamilton,
     join_components,
@@ -64,13 +62,6 @@ def test_conj_examples():
     assert conj(J) == neg(J)
     assert conj(hamilton(I, J)) == hamilton(conj(J), conj(I))
     assert conj(hamilton(I, J)) == neg(K)
-
-
-def test_exp_pure_rejects_bad_axis():
-    with pytest.raises(NonUnitPureImaginary):
-        exp_axis((0.1, 1.0, 0.0, 0.0), 1.0)  # nonzero real part
-    with pytest.raises(NonUnitPureImaginary):
-        exp_axis((0.0, 0.5, 0.0, 0.0), 1.0)  # not unit
 
 
 def test_split_examples():

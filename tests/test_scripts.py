@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import CIRCUIT_DIR, REPO_ROOT
+from conftest import CIRCUIT_DIR, GOLDEN_DIR, REPO_ROOT
 
 SCRIPTS = REPO_ROOT / "scripts"
 
@@ -22,9 +22,13 @@ def test_render_gallery_writes_every_svg(tmp_path):
     assert proc.returncode == 0, proc.stderr
     n_circuits = len(list(CIRCUIT_DIR.glob("*.circ")))
     assert len(list(tmp_path.glob("*.svg"))) == 4 + 4 + n_circuits == 13
+    for name, golden in (("bell_phi_plus", "map_bell_phi_plus"),
+                         ("circuit_entangle_60_70", "run_entangle_60_70")):
+        got = (tmp_path / f"{name}.svg").read_bytes()
+        assert got == (GOLDEN_DIR / f"{golden}.svg").read_bytes(), name
 
 
-@pytest.mark.parametrize("name", ["circuit_walkthrough.py", "concurrence_sweep.py"])
+@pytest.mark.parametrize("name", ["circuit_walkthrough.py"])
 def test_script_runs(name):
     proc = run_script(name)
     assert proc.returncode == 0, proc.stderr

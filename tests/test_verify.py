@@ -82,8 +82,10 @@ def test_run_suite_deterministic():
 
 
 def test_run_suite_rejects_zero_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples"):
         run_suite(seed=1, samples=0)
+    with pytest.raises(ValueError, match="seed"):
+        run_suite(seed=-1, samples=1)
 
 
 def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
