@@ -369,7 +369,7 @@ class _SuiteRunner:
                         for a in _ASSIGNMENTS], axis=1)
         self.check("rho_from_spheres_vs_partial_trace", 1e-12,
                    np.abs(self.rho - ref).max(axis=2))
-        del ref  # as in hopf_invariants
+        del ref  # freed before the pool-sized arrays below, as in hopf_invariants
         # The pair (q1, q2) of each state and assignment, packed from the
         # amplitudes as hopf.quaternion_pair documents: (alpha.re, -beta.im,
         # beta.re, alpha.im | gamma.re, -delta.im, delta.re, gamma.im) under
