@@ -39,6 +39,9 @@ QUBITS = ("A", "B")
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 _I2: Matrix2 = ((1 + 0j, 0j), (0j, 1 + 0j))
+# Projectors on a control qubit's 0 and 1.
+_P0: Matrix2 = ((1 + 0j, 0j), (0j, 0j))
+_P1: Matrix2 = ((0j, 0j), (0j, 1 + 0j))
 _PAULI: dict[str, Matrix2] = {
     "x": ((0j, 1 + 0j), (1 + 0j, 0j)),
     "y": ((0j, -1j), (1j, 0j)),
@@ -160,19 +163,30 @@ def _table(g: Gate) -> Matrix2:
     return _FIXED_1Q[base]
 
 
+def _kron(a: Matrix2, b: Matrix2) -> list[list[complex]]:
+    """The 4x4 Kronecker product of two tables, entry (2i+k, 2j+l) = a[i][j]*b[k][l]."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
 def expand(g: Gate) -> np.ndarray:
-    """4x4 unitary of the gate in the (|00>,|01>,|10>,|11>) ordering."""
+    """4x4 unitary of the gate in the (|00>,|01>,|10>,|11>) ordering.
+
+    kron(u, I) or kron(I, u) for a single-qubit gate, and kron(P0, I) +
+    kron(P1, u) with the projectors P0, P1 on the control for a controlled
+    one, built from the 2x2 tables with Python complex products and sums.
+    Those round as numpy's complex kron and add do, so the matrix equals
+    the np.kron construction bit for bit, signed zeros included.
+    """
     import numpy as np
 
-    u = np.array(_table(g))
-    i2 = np.array(_I2)
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
+    u = _table(g)
     if g.control is None:
-        return np.kron(u, i2) if g.target == "A" else np.kron(i2, u)
+        return np.array(_kron(u, _I2) if g.target == "A" else _kron(_I2, u))
     if g.control == "A":
-        return np.kron(p0, i2) + np.kron(p1, u)
-    return np.kron(i2, p0) + np.kron(u, p1)
+        off, on = _kron(_P0, _I2), _kron(_P1, u)
+    else:
+        off, on = _kron(_I2, _P0), _kron(u, _P1)
+    return np.array([[x + y for x, y in zip(r0, r1)] for r0, r1 in zip(off, on)])
 
 
 def apply(s: TwoQubitState, g: Gate) -> TwoQubitState:

@@ -178,9 +178,10 @@ class _SuiteRunner:
         """The one pass: each pool state through the scalar kernel under both
         assignments, split into shares (see the module docstring).  Index
         [i, k] is pool state i under the k-th Assignment; the state functions
-        take that assignment's base qubit."""
+        take that assignment's base qubit.  The oracle concurrence is one
+        batched call over the whole pool, made here after the pass."""
         n = self.samples
-        self.conc = _shared(n, 2)                # concurrence_det, oracle_concurrence
+        self.conc = _shared(n, 2)                # concurrence_det, oracles.concurrence
         self.rho_stats = _shared(n, 2, 5)        # concurrence_from_rho, coherence_d, bloch
         self.spheres = _shared(n, 2, 18)         # _sphere_row(sphere_set)
         self.rec = _shared(n, 2, 4, dtype=complex)  # reconstruct
@@ -208,12 +209,13 @@ class _SuiteRunner:
                     left.append(share)
         for share in left:
             self._map_rows(*share)
+        self.conc[:, 1] = oracles.concurrence(self.amps)
 
     def _map_rows(self, lo: int, hi: int):
         """Map pool states lo to hi - 1 into their rows of the pass's arrays."""
         for i, amps in enumerate(self.amps[lo:hi].tolist(), lo):
             s = TwoQubitState(*amps)
-            self.conc[i] = state.concurrence_det(s), oracles.oracle_concurrence(s)
+            self.conc[i, 0] = state.concurrence_det(s)
             for k, a in enumerate(_ASSIGNMENTS):
                 rho = state.reduced_density(s, a.base_qubit)
                 self.rho_stats[i, k] = (state.concurrence_from_rho(rho), state.coherence_d(rho),
@@ -295,7 +297,9 @@ class _SuiteRunner:
                    np.hypot(diff.real, diff.imag).max(axis=2))
         # x ** 2 as Python's float power (libm pow) rounds it: x * x differs
         # in the last bit for about one double in a thousand.
-        sq = np.moveaxis(np.float_power(self.spheres, 2), -1, 0)
+        # Only the columns the two checks read are squared.
+        cols = [X0, X1, X2, X3, X4, B, C]
+        sq = dict(zip(cols, np.moveaxis(np.float_power(self.spheres[..., cols], 2), -1, 0)))
         s4 = sq[X0] + sq[X1] + sq[X2] + sq[X3] + sq[X4]
         self.check("unit_s4_norm", 1e-12, np.abs(s4 - 1.0))
         self.check("b_squared_decomposition", 1e-12, np.abs(sq[B] - sq[X4] - sq[C]))

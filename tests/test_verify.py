@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import entangler_60_70_state
+from conftest import entangler_60_70_state, random_product_state
 from qubit_spheres import cli, oracles, state, verify
 from qubit_spheres.jsonfmt import dumps
 from qubit_spheres.state import TwoQubitState, random_state
@@ -41,11 +41,43 @@ def test_pool_is_the_random_state_sequence():
         assert got.tobytes() == want.tobytes()
 
 
+def test_pool_norm_is_the_per_row_linalg_norm_bit_for_bit():
+    # The one-pass norm against np.linalg.norm of each row, on the same draw.
+    for seed in (1, 2, 3, 42, 20240817):
+        for dim in (2, 4):
+            for n in (1, 3000):
+                got = state.random_amplitudes(np.random.default_rng(seed), n, dim)
+                x = np.random.default_rng(seed).standard_normal((n, 2, dim))
+                v = x[:, 0] + 1j * x[:, 1]
+                want = v / np.array([np.linalg.norm(row) for row in v])[:, None]
+                assert got.tobytes() == want.tobytes(), (seed, dim, n)
+
+
+SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def test_batched_oracle_concurrence_is_the_per_state_form_bit_for_bit(state_pool):
+    # Haar rows, and the Bell, basis and product states, where exact zeros occur.
+    exact = ([TwoQubitState.bell(name) for name in state.BELL_NAMES]
+             + [TwoQubitState.basis(label) for label in state.BASIS_NAMES]
+             + [TwoQubitState.from_amplitudes(0.5, 0.5, 0.5, 0.5),
+                TwoQubitState.from_amplitudes(0.5, -0.5j, 0.5, -0.5j)])
+    rng = np.random.default_rng(3)
+    products = [random_product_state(rng) for _ in range(500)]
+    amps = np.array([s.vector() for s in state_pool[:3000] + exact + products])
+    got = oracles.concurrence(amps)
+    want = np.array([float(abs(psi @ SPIN_FLIP @ psi)) for psi in amps])
+    assert got.tobytes() == want.tobytes()
+    assert not got[3004:3010].any()  # the basis rows and the two exact products
+
+
 def test_oracle_concurrence_values():
-    assert oracles.oracle_concurrence(TwoQubitState.bell("phi+")) == pytest.approx(1.0, abs=1e-15)
-    assert oracles.oracle_concurrence(entangler_60_70_state()) == pytest.approx(C_60_70, abs=1e-12)
     product = TwoQubitState.from_amplitudes(0.5, 0.5, 0.5, 0.5)
-    assert oracles.oracle_concurrence(product) <= 1e-12
+    c = oracles.concurrence(np.array([s.vector() for s in (
+        TwoQubitState.bell("phi+"), entangler_60_70_state(), product)]))
+    assert c[0] == pytest.approx(1.0, abs=1e-15)
+    assert c[1] == pytest.approx(C_60_70, abs=1e-12)
+    assert c[2] <= 1e-12
 
 
 def test_oracles_do_not_touch_sphere_code():
