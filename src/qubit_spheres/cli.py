@@ -13,7 +13,7 @@ import sys
 from . import records, render
 from .gates import TrajectoryStep, parse_circuit_file, run
 from .jsonfmt import dumps
-from .state import BASIS_NAMES, BELL_NAMES, NotNormalizable, TwoQubitState
+from .state import BASIS_NAMES, BELL_NAMES, NotNormalizable, TwoQubitState, _norm
 
 USAGE_EXIT = 2
 VERIFY_FAIL_EXIT = 1
@@ -47,7 +47,10 @@ def _parse_state(args) -> tuple[TwoQubitState, dict]:
         vals.append(v)
     amps = [complex(vals[2 * i], vals[2 * i + 1]) for i in range(4)]
     try:
-        s = TwoQubitState.from_amplitudes(*amps)
+        # Amplitudes of unit norm up to a few ulps are taken as given, so that
+        # a verify witness replays the very state that failed.
+        s = (TwoQubitState(*amps) if abs(_norm(*amps) - 1.0) <= 1e-15
+             else TwoQubitState.from_amplitudes(*amps))
     except NotNormalizable as exc:
         raise NotNormalizable(f"--state: {exc}") from None
     return s, {"kind": "state", "amplitudes": records.amplitude_list(s)}

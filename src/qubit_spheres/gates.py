@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .hopf import Assignment, SphereSet, sphere_set
 from .state import (
-    BASIS_NAMES,
     DensityMatrix,
     TwoQubitState,
     _check_qubit,
@@ -100,18 +99,26 @@ def rotation(axis: str, angle: float) -> np.ndarray:
     return np.array(_rotation_table(axis, angle))
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes, broadcast over the others, as a sum over
+    k of elementwise products in k order: no BLAS kernel sets its bits."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., :, k, None] * b[..., None, k, :]
+    return out
+
+
 def bloch_rotation(u: np.ndarray) -> np.ndarray:
     """SO(3) action of 2x2 unitaries (..., 2, 2) on Bloch vectors: R_ij = Tr(s_i U s_j U+)/2."""
     import numpy as np
 
     paulis = np.array([_PAULI[axis] for axis in "xyz"])
     u = np.asarray(u)[..., None, None, :, :]
-    p = paulis[:, None] @ u @ paulis @ np.conj(u).swapaxes(-1, -2)
+    p = _matmul(_matmul(_matmul(paulis[:, None], u), paulis), np.conj(u).swapaxes(-1, -2))
     return 0.5 * (p[..., 0, 0] + p[..., 1, 1]).real
 
 
-# The class form of NamedTuple forbids overriding __new__, hence the
-# functional bases of Gate and Circuit.
+# A functional base: the class form of NamedTuple forbids overriding __new__.
 class Gate(NamedTuple("Gate", [
         ("kind", str), ("target", str), ("control", str | None), ("angle", float | None)])):
     """One circuit element: a 2x2 table on `target`, applied where `control`
@@ -146,13 +153,22 @@ class Gate(NamedTuple("Gate", [
     _make = classmethod(lambda cls, it: cls(*it))
 
     def describe(self) -> str:
-        parts = [self.kind]
-        if self.control is not None:
-            parts.append(self.control)
-        parts.append(self.target)
-        if self.angle is not None:
-            parts.append(f"{math.degrees(self.angle):g}")
-        return " ".join(parts)
+        angle = None if self.angle is None else _degrees_text(self.angle)
+        return " ".join(p for p in (self.kind, self.control, self.target, angle) if p is not None)
+
+
+def _degrees_text(angle: float) -> str:
+    """The shortest %g text (6 to 17 digits) that parses back to the angle:
+    of its degrees, or of a double next to them, as a file's degrees can be
+    one ulp from degrees(radians(d)).  Else the degrees' repr."""
+    deg = math.degrees(angle)
+    near = (deg, math.nextafter(deg, -math.inf), math.nextafter(deg, math.inf))
+    for p in range(6, 18):
+        for d in near:
+            text = f"{d:.{p}g}"
+            if math.radians(float(text)) == angle:
+                return text
+    return repr(deg)
 
 
 def _table(g: Gate) -> Matrix2:
@@ -205,19 +221,10 @@ def apply(s: TwoQubitState, g: Gate) -> TwoQubitState:
     return TwoQubitState(a00, a01, a10, a11)
 
 
-class Circuit(NamedTuple("Circuit", [("gates", tuple[Gate, ...]), ("initial", str)])):
-    __slots__ = ()
-
-    def __new__(cls, gates, initial: str = "00"):
-        gates = tuple(gates)
-        if initial not in BASIS_NAMES:
-            raise ValueError(f"initial state label must be a basis label, got {initial!r}")
-        return tuple.__new__(cls, (gates, initial))
-
-    _make = classmethod(lambda cls, it: cls(*it))
-
-    def initial_state(self) -> TwoQubitState:
-        return TwoQubitState.basis(self.initial)
+class Circuit(NamedTuple):
+    gates: tuple[Gate, ...]
+    # A circuit file cannot name an initial state: every circuit starts at |00>.
+    initial = "00"
 
 
 class TrajectoryStep:
@@ -266,7 +273,7 @@ class TrajectoryStep:
 
 def run(c: Circuit) -> list[TrajectoryStep]:
     """Evolve the circuit gate by gate; step 0 is the initial state."""
-    s = c.initial_state()
+    s = TwoQubitState.basis(c.initial)
     steps = [TrajectoryStep(0, None, s)]
     for i, g in enumerate(c.gates, start=1):
         s = apply(s, g)

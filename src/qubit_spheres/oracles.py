@@ -1,9 +1,9 @@
 """Ground-truth brute-force implementations used to cross-check everything.
 
-Both oracles work on a batch of amplitude rows at once, as numpy arrays, and
-round each row as they would round it alone.  This module must stay
-independent of the sphere machinery: it may import only numpy.  Tests
-enforce that no sphere-map code is reachable from here.
+Both oracles work on a batch of amplitude rows at once, as numpy arrays, with
+elementwise sums in a fixed order, so each row rounds as it would alone.
+This module must stay independent of the sphere machinery: it may import
+only numpy.  Tests enforce that no sphere-map code is reachable from here.
 """
 
 from __future__ import annotations
@@ -28,16 +28,12 @@ def partial_trace(m: np.ndarray, which: str) -> np.ndarray:
 
 def concurrence(amps: np.ndarray) -> np.ndarray:
     """Concurrences (n,) of the states amps (n, 4) in the Wootters spin-flip
-    form |psi^T (sigma_y x sigma_y) psi| (PRL 80, 2245, 1998).
-
-    Each row rounds as `abs(psi @ S @ psi)` of that state alone, bit for bit:
-    a stacked matmul takes numpy's per-row vector-matrix and dot kernels, and
-    np.hypot rounds the modulus as the scalar abs does, where np.abs of the
-    array rounds about a third of the rows differently.  The right operand
-    is made contiguous whatever the caller's layout (a no-op on a
-    C-contiguous batch).  Stacked matmuls exist in numpy 1.24; np.vecdot
-    would need numpy 2.0.
-    """
-    z = np.matmul(amps[:, None, :] @ _SPIN_FLIP,
-                  np.ascontiguousarray(amps[:, :, None]))[:, 0, 0]
-    return np.hypot(z.real, z.imag)
+    form |psi^T (sigma_y x sigma_y) psi| (PRL 80, 2245, 1998): the sum over
+    the nonzero entries S_ij, in row order, of S_ij psi_i psi_j, with the
+    modulus taken by np.hypot.  The complex products are written out in real
+    arithmetic, which numpy never fuses, so each rounds as Python's does."""
+    re, im = amps.real, amps.imag
+    terms = [(s, i, j) for (i, j), s in np.ndenumerate(_SPIN_FLIP.real) if s]
+    z_re = sum(s * (re[:, i] * re[:, j] - im[:, i] * im[:, j]) for s, i, j in terms)
+    z_im = sum(s * (re[:, i] * im[:, j] + im[:, i] * re[:, j]) for s, i, j in terms)
+    return np.hypot(z_re, z_im)

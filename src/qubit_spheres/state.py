@@ -167,26 +167,15 @@ def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
 
 def random_amplitudes(rng: np.random.Generator, n: int, dim: int = 4) -> np.ndarray:
     """n Haar-uniform unit vectors (n, dim): per row, dim real then dim
-    imaginary standard normals, over the row's norm.
-
-    np.linalg.norm of a complex row is sqrt(re.dot(re) + im.dot(im)).  A
-    stacked (1, dim) @ (dim, 1) matmul takes that same dot kernel for each
-    row, so the norms are bit-identical with no call per row, as long as
-    both operands stay BLAS-contiguous (one stride, a multiple of the item
-    size) so that matmul hands them to BLAS.  An axis norm, or an explicit
-    sum of squares, rounds some rows differently.  It needs numpy 1.24
-    only, where np.vecdot needs 2.0.
-    """
+    imaginary standard normals over their norm, the sum of their squares in
+    that order, so a row rounds alike in any batch and on any BLAS kernel."""
     import numpy as np
 
     x = rng.standard_normal((n, 2, dim))
-    v = x[:, 0] + 1j * x[:, 1]
-    re, im = v.real, v.imag
-    norms = np.sqrt(np.matmul(re[:, None, :], re[:, :, None])
-                    + np.matmul(im[:, None, :], im[:, :, None]))[:, 0]
+    norms = np.sqrt(sum((x * x).reshape(n, -1).T))
     if norms.min() < ZERO_NORM_TOL:
         raise NotNormalizable("degenerate random draw")
-    return v / norms
+    return (x[:, 0] + 1j * x[:, 1]) / norms[:, None]
 
 
 def random_state(seed) -> TwoQubitState:

@@ -5,18 +5,17 @@ makes one pass over it through the scalar kernel the CLI runs, writing the
 outputs into arrays.  Each pool invariant is an array of per-sample errors
 against the array oracles; a failing one names its worst sample as a
 witness.  Other checks use smaller derived draws.  All reductions are max
-only, so the report is independent of evaluation order.
+only, and every matrix product is elementwise (gates._matmul), so the
+report depends neither on evaluation order nor on the BLAS kernel.
 
-The pass is split into contiguous shares of the pool, one per CPU this
-process may run on and none smaller than MIN_SHARE states.  The process
-forks a child for each share after the first, maps the first itself, and
-every process writes its rows into arrays in anonymous shared memory.  Each
-row comes from the same scalar code whichever process maps it, so the
-report is byte-identical to a one-process pass.  A share whose child does
-not exit cleanly is mapped again in this process, which raises the child's
-error here.  The pass runs in one process when it has one CPU (or no
-os.sched_getaffinity, as on macOS and Windows), fewer than 2 * MIN_SHARE
-samples, on CPython 3.12 or later (see _shares), or when fork fails.
+The pass is split into contiguous shares of the pool (see _shares).  The
+process forks a child for each share after the first and maps the first
+itself; every process writes its rows, from the same scalar code, into
+anonymous shared memory, so the report is byte-identical to a one-process
+pass.  A share whose child does not exit cleanly is mapped again here,
+which raises the child's error.  The pass stays in one process with one
+CPU or no os.sched_getaffinity (macOS, Windows), below 2 * MIN_SHARE
+samples, on CPython 3.12 or later, or when fork fails.
 """
 
 from __future__ import annotations
@@ -80,7 +79,8 @@ class VerificationReport(NamedTuple):
                 {
                     "name": r.name,
                     "samples": r.samples,
-                    "max_error": sig15(r.max_error),
+                    # null for a NaN or infinite error, which strict JSON cannot hold.
+                    "max_error": sig15(r.max_error) if math.isfinite(r.max_error) else None,
                     "threshold": r.threshold,
                     "passed": r.passed,
                     **({} if r.witness is None else {"witness": r.witness}),
@@ -119,12 +119,12 @@ def _bloch(f: np.ndarray) -> np.ndarray:
 
 def _act(u: np.ndarray, amps: np.ndarray, on_a) -> np.ndarray:
     """Amplitudes (n, 4) after the one-qubit unitaries u (n, 2, 2), each on
-    qubit A where `on_a` holds and on B elsewhere.  A batched matmul of
-    kron(u, 1) or kron(1, u) makes the BLAS product of one state alone, bit
-    for bit; a sum over the (a, b) amplitude grid rounds differently."""
-    eye = np.eye(2, dtype=complex)[None]
-    full = np.where(np.asarray(on_a)[:, None, None], np.kron(u, eye), np.kron(eye, u))
-    return np.matmul(full, amps[:, :, None])[:, :, 0]
+    qubit A where `on_a` holds and on B elsewhere: u times the amplitude
+    grid with the acted-on qubit's index first (B's by the order 0, 2, 1, 3,
+    its own inverse)."""
+    order = np.array([[0, 2, 1, 3], [0, 1, 2, 3]])[np.asarray(on_a, dtype=int)]
+    moved = gates._matmul(u, np.take_along_axis(amps, order, 1).reshape(-1, 2, 2))
+    return np.take_along_axis(moved.reshape(-1, 4), order, 1)
 
 
 def _sphere_row(ss: hopf.SphereSet) -> tuple[float, ...]:
@@ -333,7 +333,7 @@ class _SuiteRunner:
         local = [X0, X1, BASE_B, THETA, X2, X3, X4, CHI]
         self.check("fiber_unitary_base_locality", 1e-12,
                    np.abs(after[:, local] - before[:, local]).max(axis=1), alternating=True)
-        want = np.matmul(gates.bloch_rotation(u), before[:, BLOCH, None])[:, :, 0]
+        want = gates._matmul(gates.bloch_rotation(u), before[:, BLOCH, None])[:, :, 0]
         self.check("fiber_unitary_bloch_rotation", 1e-9,
                    np.abs(after[:, BLOCH] - want).max(axis=1), alternating=True)
 
@@ -398,13 +398,15 @@ class _SuiteRunner:
     def gate_invariants(self):
         n = min(self.samples, 500)
         u = np.array([gates.expand(_random_gate(self.rng)) for _ in range(n)])
-        e_uni = np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(4)).max()
+        e_uni = np.abs(gates._matmul(u, u.conj().swapaxes(1, 2)) - np.eye(4)).max()
         self.record("expanded_gate_unitarity", n, e_uni, 1e-12)
 
         mu = self.rng.uniform(-2 * math.pi, 2 * math.pi, 20).tolist()
         rx, ry, rz = (np.array([gates.rotation(axis, m) for m in mu]) for axis in "xyz")
-        e_x = rx - gates.rotation("z", -math.pi / 2) @ ry @ gates.rotation("z", math.pi / 2)
-        e_z = rz - gates.rotation("x", math.pi / 2) @ ry @ gates.rotation("x", -math.pi / 2)
+        e_x = rx - gates._matmul(gates._matmul(gates.rotation("z", -math.pi / 2), ry),
+                                 gates.rotation("z", math.pi / 2))
+        e_z = rz - gates._matmul(gates._matmul(gates.rotation("x", math.pi / 2), ry),
+                                 gates.rotation("x", -math.pi / 2))
         self.record("rotation_identities", 20, max(np.abs(e_x).max(), np.abs(e_z).max()), 1e-12)
 
         grid = [(math.radians(eta), math.radians(omega))
@@ -433,8 +435,8 @@ class _SuiteRunner:
         gs = [_random_gate(self.rng) for _ in range(n)]
         got = np.array([gates.apply(TwoQubitState(*v), g)
                         for v, g in zip(self.amps[:n].tolist(), gs)])
-        diff = got - np.matmul(np.array([gates.expand(g) for g in gs]),
-                               self.amps[:n, :, None])[:, :, 0]
+        diff = got - gates._matmul(np.array([gates.expand(g) for g in gs]),
+                                   self.amps[:n, :, None])[:, :, 0]
         self.check("gate_apply_matches_kron", 1e-12, np.hypot(diff.real, diff.imag).max(axis=1))
 
     def run(self) -> tuple[InvariantResult, ...]:

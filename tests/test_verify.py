@@ -1,6 +1,9 @@
 import ast
 import json
+import math
 import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -42,18 +45,18 @@ def test_pool_is_the_random_state_sequence():
 
 
 def test_pool_norm_is_the_per_row_linalg_norm_bit_for_bit():
-    # The one-pass norm against np.linalg.norm of each row, on the same draw.
+    # Each row over the Python sum of its squares, real parts then imaginary.
     for seed in (1, 2, 3, 42, 20240817):
         for dim in (2, 4):
             for n in (1, 3000):
                 got = state.random_amplitudes(np.random.default_rng(seed), n, dim)
                 x = np.random.default_rng(seed).standard_normal((n, 2, dim))
-                v = x[:, 0] + 1j * x[:, 1]
-                want = v / np.array([np.linalg.norm(row) for row in v])[:, None]
+                norms = [math.sqrt(sum(v * v for v in re + im)) for re, im in x.tolist()]
+                want = (x[:, 0] + 1j * x[:, 1]) / np.array(norms)[:, None]
                 assert got.tobytes() == want.tobytes(), (seed, dim, n)
 
 
-SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+SPIN_FLIP = [(0, 3, -1.0), (1, 2, 1.0), (2, 1, 1.0), (3, 0, -1.0)]  # sigma_y x sigma_y
 
 
 def test_batched_oracle_concurrence_is_the_per_state_form_bit_for_bit(state_pool):
@@ -64,9 +67,10 @@ def test_batched_oracle_concurrence_is_the_per_state_form_bit_for_bit(state_pool
                 TwoQubitState.from_amplitudes(0.5, -0.5j, 0.5, -0.5j)])
     rng = np.random.default_rng(3)
     products = [random_product_state(rng) for _ in range(500)]
-    amps = np.array([s.vector() for s in state_pool[:3000] + exact + products])
-    got = oracles.concurrence(amps)
-    want = np.array([float(abs(psi @ SPIN_FLIP @ psi)) for psi in amps])
+    states = state_pool[:3000] + exact + products
+    got = oracles.concurrence(np.array([s.vector() for s in states]))
+    want = np.array([abs(sum(s * (psi[i] * psi[j]) for i, j, s in SPIN_FLIP))
+                     for psi in states])
     assert got.tobytes() == want.tobytes()
     assert not got[3004:3010].any()  # the basis rows and the two exact products
 
@@ -120,26 +124,33 @@ def test_run_suite_rejects_zero_samples():
         run_suite(seed=-1, samples=1)
 
 
-def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
+@pytest.mark.parametrize("plant, name", [
+    ("reconstruct", "round_trip_reconstruction"),
+    ("rho_from_spheres", "rho_from_spheres_vs_partial_trace"),  # a NaN error
+])
+def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys, plant, name):
     seed, bad = 5, 7
-    reconstruct = verify.hopf.reconstruct
+    original = getattr(verify.hopf, plant)
     calls = []
 
     def perturbed(ss):
-        # The pass reconstructs state i under A_BASE, then under B_BASE.
+        # The pass maps state i under A_BASE, then under B_BASE.
         calls.append(ss)
-        s = reconstruct(ss)
-        if len(calls) == 2 * bad + 2:
-            return TwoQubitState.from_amplitudes(s.alpha + 1e-6, *s[1:])
-        return s
+        out = original(ss)
+        if len(calls) != 2 * bad + 2:
+            return out
+        if plant == "reconstruct":
+            return TwoQubitState.from_amplitudes(out.alpha + 1e-6, *out[1:])
+        return out._replace(rho00=complex(math.nan))
 
-    monkeypatch.setattr(verify.hopf, "reconstruct", perturbed)
+    monkeypatch.setattr(verify.hopf, plant, perturbed)
     assert cli.main(["verify", "--seed", str(seed), "--samples", "50"]) == 1
     entries = json.loads(capsys.readouterr().out)["invariants"]
     monkeypatch.undo()
     failed = [e for e in entries if not e["passed"]]
-    assert [e["name"] for e in failed] == ["round_trip_reconstruction"]
+    assert [e["name"] for e in failed] == [name]
     assert all("witness" not in e for e in entries if e["passed"])
+    assert (failed[0]["max_error"] is None) == (plant == "rho_from_spheres")
     witness = failed[0]["witness"]
     assert (witness["sample"], witness["assignment"]) == (bad, "B")
 
@@ -148,6 +159,55 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
     assert cli.main(["map", f"--state={witness['state']}"]) == 0
     amps = json.loads(capsys.readouterr().out)["records"][0]["amplitudes"]
     assert amps == pytest.approx([v for c in want for v in (c.real, c.imag)], abs=1e-15)
+
+
+def test_witness_state_parses_to_the_exact_pool_state():
+    amps = state.random_amplitudes(np.random.default_rng(42), 10_000)
+    for row in amps.tolist():
+        text = ",".join(repr(v) for c in row for v in (c.real, c.imag))  # as check() writes it
+        s, _ = cli._parse_state(SimpleNamespace(bell=None, basis=None, state=text))
+        assert s.amplitudes() == tuple(row)
+
+
+def _blas_kernels() -> list[str]:
+    """The OpenBLAS kernels this CPU can run, to force with OPENBLAS_CORETYPE;
+    [] where numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.25 has no mode="dicts"
+        return []
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return []
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as has
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__ as has
+    needs = {"Prescott": ("SSE3",), "Sandybridge": ("AVX",), "Haswell": ("AVX2", "FMA3")}
+    return [k for k, flags in needs.items() if all(has.get(f) for f in flags)]
+
+
+@pytest.mark.skipif(not _blas_kernels(), reason="numpy's BLAS is not OpenBLAS DYNAMIC_ARCH")
+def test_verify_report_is_the_same_on_every_blas_kernel():
+    """The report, under the default and each forced OpenBLAS kernel, and
+    with numpy's AVX-512 dispatch turned off; the children start together."""
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(verify.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    for var in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
+        base.pop(var, None)
+    envs = {"default": base, "no-avx512": dict(
+        base, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")}
+    envs.update((k, dict(base, OPENBLAS_CORETYPE=k, OPENBLAS_VERBOSE="2"))
+                for k in _blas_kernels())
+    argv = [sys.executable, "-m", "qubit_spheres", "verify", "--seed", "42", "--samples", "500"]
+    procs = {k: subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 text=True) for k, env in envs.items()}
+    outs = {k: p.communicate() for k, p in procs.items()}
+    assert all(p.returncode == 0 for p in procs.values()), outs
+    # Each forced kernel is named (Prescott may run as Katmai), and no two are the same.
+    cores = [re.findall(r"Core: (\w+)", outs[k][1]) for k in _blas_kernels()]
+    assert all(len(c) == 1 for c in cores), outs
+    assert len({c[0] for c in cores}) == len(cores), cores
+    assert {k: out for k, (out, _) in outs.items()} == dict.fromkeys(outs, outs["default"][0])
 
 
 # -- the pool pass split over processes ----------------------------------------
