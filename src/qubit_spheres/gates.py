@@ -154,7 +154,7 @@ class Gate(NamedTuple("Gate", [
 
     def describe(self) -> str:
         angle = None if self.angle is None else _degrees_text(self.angle)
-        return " ".join(p for p in (self.kind, self.control, self.target, angle) if p is not None)
+        return " ".join(filter(None, (self.kind, self.control, self.target, angle)))
 
 
 def _degrees_text(angle: float) -> str:
@@ -165,7 +165,7 @@ def _degrees_text(angle: float) -> str:
     near = (deg, math.nextafter(deg, -math.inf), math.nextafter(deg, math.inf))
     for p in range(6, 18):
         for d in near:
-            text = f"{d:.{p}g}"
+            text = "%.*g" % (p, d)
             if math.radians(float(text)) == angle:
                 return text
     return repr(deg)

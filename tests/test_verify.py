@@ -124,41 +124,40 @@ def test_run_suite_rejects_zero_samples():
         run_suite(seed=-1, samples=1)
 
 
-@pytest.mark.parametrize("plant, name", [
-    ("reconstruct", "round_trip_reconstruction"),
-    ("rho_from_spheres", "rho_from_spheres_vs_partial_trace"),  # a NaN error
-])
-def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys, plant, name):
+def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
     seed, bad = 5, 7
-    original = getattr(verify.hopf, plant)
-    calls = []
-
-    def perturbed(ss):
-        # The pass maps state i under A_BASE, then under B_BASE.
-        calls.append(ss)
-        out = original(ss)
-        if len(calls) != 2 * bad + 2:
-            return out
-        if plant == "reconstruct":
-            return TwoQubitState.from_amplitudes(out.alpha + 1e-6, *out[1:])
-        return out._replace(rho00=complex(math.nan))
-
-    monkeypatch.setattr(verify.hopf, plant, perturbed)
-    assert cli.main(["verify", "--seed", str(seed), "--samples", "50"]) == 1
-    entries = json.loads(capsys.readouterr().out)["invariants"]
-    monkeypatch.undo()
-    failed = [e for e in entries if not e["passed"]]
-    assert [e["name"] for e in failed] == [name]
-    assert all("witness" not in e for e in entries if e["passed"])
-    assert (failed[0]["max_error"] is None) == (plant == "rho_from_spheres")
-    witness = failed[0]["witness"]
-    assert (witness["sample"], witness["assignment"]) == (bad, "B")
-
     rng = np.random.default_rng(seed)
     want = [random_state(rng) for _ in range(bad + 1)][bad]
-    assert cli.main(["map", f"--state={witness['state']}"]) == 0
-    amps = json.loads(capsys.readouterr().out)["records"][0]["amplitudes"]
-    assert amps == pytest.approx([v for c in want for v in (c.real, c.imag)], abs=1e-15)
+    # A perturbed round trip, and a NaN error, whose max_error is written as null.
+    for plant, name in (("reconstruct", "round_trip_reconstruction"),
+                        ("rho_from_spheres", "rho_from_spheres_vs_partial_trace")):
+        original = getattr(verify.hopf, plant)
+        calls = []
+
+        def perturbed(ss):
+            # The pass maps state i under A_BASE, then under B_BASE.
+            calls.append(ss)
+            out = original(ss)
+            if len(calls) != 2 * bad + 2:
+                return out
+            if plant == "reconstruct":
+                return TwoQubitState.from_amplitudes(out.alpha + 1e-6, *out[1:])
+            return out._replace(rho00=complex(math.nan))
+
+        monkeypatch.setattr(verify.hopf, plant, perturbed)
+        assert cli.main(["verify", "--seed", str(seed), "--samples", "50"]) == 1
+        entries = json.loads(capsys.readouterr().out)["invariants"]
+        monkeypatch.undo()
+        failed = [e for e in entries if not e["passed"]]
+        assert [e["name"] for e in failed] == [name]
+        assert all("witness" not in e for e in entries if e["passed"])
+        assert (failed[0]["max_error"] is None) == (plant == "rho_from_spheres")
+        witness = failed[0]["witness"]
+        assert (witness["sample"], witness["assignment"]) == (bad, "B")
+
+        assert cli.main(["map", f"--state={witness['state']}"]) == 0
+        amps = json.loads(capsys.readouterr().out)["records"][0]["amplitudes"]
+        assert amps == pytest.approx([v for c in want for v in (c.real, c.imag)], abs=1e-15)
 
 
 def test_witness_state_parses_to_the_exact_pool_state():
