@@ -168,42 +168,41 @@ def test_witness_state_parses_to_the_exact_pool_state():
         assert s.amplitudes() == tuple(row)
 
 
-def _blas_kernels() -> list[str]:
-    """The OpenBLAS kernels this CPU can run, to force with OPENBLAS_CORETYPE;
-    [] where numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:  # numpy before 1.25 has no mode="dicts"
-        return []
-    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
-        return []
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__ as has
-    except ImportError:
-        from numpy.core._multiarray_umath import __cpu_features__ as has
-    needs = {"Prescott": ("SSE3",), "Sandybridge": ("AVX",), "Haswell": ("AVX2", "FMA3")}
-    return [k for k, flags in needs.items() if all(has.get(f) for f in flags)]
+try:
+    BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+except TypeError:  # numpy before 1.25 has no mode="dicts"
+    BLAS = {}
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+# The OpenBLAS kernels to force, those whose instructions this CPU has.
+KERNELS = [k for k, flags in (("Prescott", ["SSE3"]), ("Sandybridge", ["AVX"]),
+                              ("Haswell", ["AVX2", "FMA3"]))
+           if all(__cpu_features__.get(f) for f in flags)]
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
-@pytest.mark.skipif(not _blas_kernels(), reason="numpy's BLAS is not OpenBLAS DYNAMIC_ARCH")
+@pytest.mark.skipif("DYNAMIC_ARCH" not in BLAS.get("openblas configuration", ""),
+                    reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
 def test_verify_report_is_the_same_on_every_blas_kernel():
     """The report, under the default and each forced OpenBLAS kernel, and
-    with numpy's AVX-512 dispatch turned off; the children start together."""
+    with numpy's AVX-512 loops turned off; the children start together."""
     base = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(verify.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
     for var in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
         base.pop(var, None)
-    envs = {"default": base, "no-avx512": dict(
-        base, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")}
-    envs.update((k, dict(base, OPENBLAS_CORETYPE=k, OPENBLAS_VERBOSE="2"))
-                for k in _blas_kernels())
+    envs = {"default": base}
+    envs.update((k, dict(base, OPENBLAS_CORETYPE=k, OPENBLAS_VERBOSE="2")) for k in KERNELS)
+    if set(NO_AVX512.split()) <= set(__cpu_dispatch__):
+        envs["no-avx512"] = dict(base, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
     argv = [sys.executable, "-m", "qubit_spheres", "verify", "--seed", "42", "--samples", "500"]
     procs = {k: subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                  text=True) for k, env in envs.items()}
     outs = {k: p.communicate() for k, p in procs.items()}
     assert all(p.returncode == 0 for p in procs.values()), outs
     # Each forced kernel is named (Prescott may run as Katmai), and no two are the same.
-    cores = [re.findall(r"Core: (\w+)", outs[k][1]) for k in _blas_kernels()]
+    cores = [re.findall(r"Core: (\w+)", outs[k][1]) for k in KERNELS]
     assert all(len(c) == 1 for c in cores), outs
     assert len({c[0] for c in cores}) == len(cores), cores
     assert {k: out for k, (out, _) in outs.items()} == dict.fromkeys(outs, outs["default"][0])
