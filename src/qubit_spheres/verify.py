@@ -1,21 +1,19 @@
 """Executable invariant suite: every library-level property, run on random data.
 
 The suite draws one deterministic pool of Haar-random states per seed and
-makes one pass over it through the scalar kernel the CLI runs, writing the
-outputs into arrays.  Each pool invariant is an array of per-sample errors
-against the array oracles; a failing one names its worst sample as a
-witness.  Other checks use smaller derived draws.  All reductions are max
-only, and every matrix product is elementwise (gates._matmul), so the
-report depends neither on evaluation order nor on the BLAS kernel.
+smaller derived draws.  One mapper (_map) sends each batch of states, the
+pool and the moved and product states derived from it, through the scalar
+kernel the CLI runs into arrays kept beside the batch's amplitudes.  Every
+entry is an array of per-sample errors reduced by max; an entry whose
+samples are a batch's states names its worst one as a witness.  Every
+matrix product is elementwise (gates._matmul), so the report depends
+neither on evaluation order nor on the BLAS kernel.
 
-The pass is split into contiguous shares of the pool (see _shares).  The
-process forks a child for each share after the first and maps the first
-itself; every process writes its rows, from the same scalar code, into
-anonymous shared memory, so the report is byte-identical to a one-process
-pass.  A share whose child does not exit cleanly is mapped again here,
-which raises the child's error.  The pass stays in one process with one
-CPU or no os.sched_getaffinity (macOS, Windows), below 2 * MIN_SHARE
-samples, on CPython 3.12 or later, or when fork fails.
+A batch is split into contiguous shares (_shares).  The process forks a
+child for each share after the first and maps the first itself; each writes
+its rows by the same scalar code into anonymous shared memory, so the report
+is byte-identical to a one-process pass.  A share whose child fails is
+mapped again here, which raises the child's error.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ _ASSIGNMENTS = tuple(Assignment)
 # the reaping cost a few ms, and a share of 1000 states maps in about 0.1 s.
 MIN_SHARE = 1000
 
-# Columns of a sphere-set row (_sphere_row).
+# Columns of a sphere-set row (_map): base, entanglement, fiber Bloch point.
 THETA, PHI, X1, BASE_B, X0, CHI, XI, B, TX, TY, TZ, C, X2, X3, X4 = range(15)
 BLOCH = slice(15, 18)
 
@@ -54,8 +52,9 @@ class InvariantResult(NamedTuple):
     max_error: float
     threshold: float
     passed: bool
-    # A failing pool invariant's worst sample: its pool index, the base qubit
-    # of its assignment (or None) and its amplitudes as a `map --state` value.
+    # A failing entry's worst state, from the batch that was mapped (the pool,
+    # moved or product states): its index there, the base qubit of its
+    # assignment (or None) and its amplitudes as a `map --state` value.
     witness: dict | None = None
 
 
@@ -103,13 +102,6 @@ def _unit(q: np.ndarray) -> np.ndarray:
     return q / np.sqrt(w * w + x * x + y * y + z * z)[:, None]
 
 
-def _product_amplitudes(rng: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
-    """n product states (n, 4) and their factors (n, 2) of A and of B."""
-    v = state.random_amplitudes(rng, 2 * n, dim=2)  # the factor of A, then of B
-    fa, fb = v[0::2], v[1::2]
-    return (fa[:, :, None] * fb[:, None, :]).reshape(n, 4), fa, fb
-
-
 def _bloch(f: np.ndarray) -> np.ndarray:
     """Bloch vectors (2 Re(conj(a) b), 2 Im(conj(a) b), |a|^2 - |b|^2) of rows (a, b)."""
     a, b = f.T
@@ -125,18 +117,6 @@ def _act(u: np.ndarray, amps: np.ndarray, on_a) -> np.ndarray:
     order = np.array([[0, 2, 1, 3], [0, 1, 2, 3]])[np.asarray(on_a, dtype=int)]
     moved = gates._matmul(u, np.take_along_axis(amps, order, 1).reshape(-1, 2, 2))
     return np.take_along_axis(moved.reshape(-1, 4), order, 1)
-
-
-def _sphere_row(ss: hopf.SphereSet) -> tuple[float, ...]:
-    """A sphere set's floats: base, entanglement, fiber Bloch point."""
-    chi, xi, b, t, c, x2, x3, x4 = ss.ent
-    return (*ss.base, chi, xi, b, *t, c, x2, x3, x4, *ss.fiber.bloch)
-
-
-def _map_states(amps: np.ndarray, ks) -> np.ndarray:
-    """Sphere-set rows of the states `amps`, row i under the ks[i]-th Assignment."""
-    return np.array([_sphere_row(hopf.sphere_set(TwoQubitState(*v), _ASSIGNMENTS[k]))
-                     for v, k in zip(amps.tolist(), ks)])
 
 
 def _shares(n: int) -> list[tuple[int, int]]:
@@ -163,88 +143,98 @@ def _elementwise(f, a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
+class _Batch(NamedTuple):
+    """States amps (m, 4) and _map's rows: row [i, j] is state i under the
+    assignment _ASSIGNMENTS[ks[i, j]].  Only the pool has those after `spheres`."""
+    amps: np.ndarray
+    ks: np.ndarray | None = None
+    spheres: np.ndarray | None = None    # sphere_set (columns THETA...)
+    conc: np.ndarray | None = None       # concurrence_det, one per state
+    rho_stats: np.ndarray | None = None  # concurrence_from_rho, coherence_d, bloch
+    rec: np.ndarray | None = None        # reconstruct
+    rho: np.ndarray | None = None        # rho_from_spheres
+
+
+def _map(amps: np.ndarray, ks: np.ndarray, full: bool = False) -> _Batch:
+    """The one map: states amps (m, 4) through the CLI's scalar kernel, state
+    i under each assignment index in ks[i], split into shares.  Every batch
+    gets its sphere rows; a `full` one (the pool) all of _Batch's arrays."""
+    m, j = ks.shape
+    b = _Batch(amps, ks, _shared(m, j, 18), *((
+        _shared(m), _shared(m, j, 5), _shared(m, j, 4, dtype=complex),
+        _shared(m, j, 4, dtype=complex)) if full else ()))
+
+    def map_rows(lo: int, hi: int):
+        for i, (v, ks_i) in enumerate(zip(amps[lo:hi].tolist(), ks[lo:hi].tolist()), lo):
+            s = TwoQubitState(*v)
+            if full:
+                b.conc[i] = state.concurrence_det(s)
+            for j, k in enumerate(ks_i):
+                a = _ASSIGNMENTS[k]
+                ss = hopf.sphere_set(s, a)
+                chi, xi, bb, t, *rest = ss.ent
+                b.spheres[i, j] = (*ss.base, chi, xi, bb, *t, *rest, *ss.fiber.bloch)
+                if full:  # the state functions take the assignment's base qubit
+                    rho = state.reduced_density(s, a.base_qubit)
+                    b.rho_stats[i, j] = (state.concurrence_from_rho(rho),
+                                         state.coherence_d(rho), *state.bloch_vector(rho))
+                    b.rec[i, j] = hopf.reconstruct(ss)
+                    b.rho[i, j] = hopf.rho_from_spheres(ss)
+
+    first, *left = _shares(m)  # left: the shares this process maps after its own
+    children = {}
+    try:
+        while left:
+            try:
+                pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    map_rows(*left[0])
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = left.pop(0)
+        map_rows(*first)
+    finally:
+        for pid, share in children.items():
+            if os.waitpid(pid, 0)[1] != 0:
+                left.append(share)
+    for share in left:
+        map_rows(*share)
+    return b
+
+
 class _SuiteRunner:
     def __init__(self, seed: int, samples: int):
         self.rng = np.random.default_rng(seed)
         self.samples = samples
         self.results: list[InvariantResult] = []
         self.amps = state.random_amplitudes(self.rng, samples)
-        self._map_pool()
+        # The one pass over the pool, each state under A_BASE, then B_BASE.
+        self.pool = _map(self.amps, np.tile([0, 1], (samples, 1)), full=True)
+        self.c_ref = oracles.concurrence(self.amps)
         # Sine and cosine of each sphere angle, by libm as the kernel takes them.
-        self.sin, self.cos = ({k: _elementwise(f, self.spheres[..., k])
+        self.sin, self.cos = ({k: _elementwise(f, self.pool.spheres[..., k])
                                for k in (THETA, PHI, CHI, XI)} for f in (math.sin, math.cos))
 
-    def _map_pool(self):
-        """The one pass: each pool state through the scalar kernel under both
-        assignments, split into shares (see the module docstring).  Index
-        [i, k] is pool state i under the k-th Assignment; the state functions
-        take that assignment's base qubit.  The oracle concurrence is one
-        batched call over the whole pool, made here after the pass."""
-        n = self.samples
-        self.conc = _shared(n, 2)                # concurrence_det, oracles.concurrence
-        self.rho_stats = _shared(n, 2, 5)        # concurrence_from_rho, coherence_d, bloch
-        self.spheres = _shared(n, 2, 18)         # _sphere_row(sphere_set)
-        self.rec = _shared(n, 2, 4, dtype=complex)  # reconstruct
-        self.rho = _shared(n, 2, 4, dtype=complex)  # rho_from_spheres
-        first, *left = _shares(n)  # left: the shares this process maps after its own
-        children = {}
-        try:
-            while left:
-                try:
-                    pid = os.fork()
-                except OSError:
-                    break
-                if pid == 0:
-                    status = 1
-                    try:
-                        self._map_rows(*left[0])
-                        status = 0
-                    finally:
-                        os._exit(status)
-                children[pid] = left.pop(0)
-            self._map_rows(*first)
-        finally:
-            for pid, share in children.items():
-                if os.waitpid(pid, 0)[1] != 0:
-                    left.append(share)
-        for share in left:
-            self._map_rows(*share)
-        self.conc[:, 1] = oracles.concurrence(self.amps)
-
-    def _map_rows(self, lo: int, hi: int):
-        """Map pool states lo to hi - 1 into their rows of the pass's arrays."""
-        for i, amps in enumerate(self.amps[lo:hi].tolist(), lo):
-            s = TwoQubitState(*amps)
-            self.conc[i, 0] = state.concurrence_det(s)
-            for k, a in enumerate(_ASSIGNMENTS):
-                rho = state.reduced_density(s, a.base_qubit)
-                self.rho_stats[i, k] = (state.concurrence_from_rho(rho), state.coherence_d(rho),
-                                        *state.bloch_vector(rho))
-                ss = hopf.sphere_set(s, a)
-                self.spheres[i, k] = _sphere_row(ss)
-                self.rec[i, k] = hopf.reconstruct(ss)
-                self.rho[i, k] = hopf.rho_from_spheres(ss)
-
-    def record(self, name: str, n: int, max_error: float, threshold: float,
-               witness: dict | None = None):
-        max_error = float(max_error)
-        self.results.append(InvariantResult(name, n, max_error, threshold,
-                                            max_error <= threshold, witness))
-
-    def check(self, name: str, threshold: float, err: np.ndarray, samples: int | None = None,
-              alternating: bool = False):
-        """Record a pool invariant from its per-sample errors: err[i] of pool
-        state i, err[i, k] of state i under the k-th Assignment, or with
-        `alternating`, err[i] of state i under the (i % 2)-th.  NaN fails."""
+    def check(self, name: str, threshold: float, err: np.ndarray, batch: _Batch | None = None,
+              samples: int | None = None):
+        """Record an entry from its per-sample errors: err[i] of sample i, or
+        err[i, j] of batch state i under assignment ks[i, j].  A failing entry
+        whose samples are `batch`'s states names its worst.  NaN fails."""
         worst = max(float(err.max()), 0.0)
         witness = None
-        if not worst <= threshold:
-            i, k = divmod(int(err.argmax()), 2) if err.ndim == 2 else (int(err.argmax()), None)
-            k = i % 2 if alternating else k
-            witness = {"sample": i, "assignment": None if k is None else _ASSIGNMENTS[k].value,
-                       "state": ",".join(repr(v) for c in self.amps[i].tolist()
+        if batch is not None and not worst <= threshold:
+            i, *j = np.unravel_index(int(err.argmax()), err.shape)
+            witness = {"sample": int(i),
+                       "assignment": _ASSIGNMENTS[batch.ks[i, j[0]]].value if j else None,
+                       "state": ",".join(repr(v) for c in batch.amps[i].tolist()
                                          for v in (c.real, c.imag))}
-        self.record(name, err.size if samples is None else samples, worst, threshold, witness)
+        self.results.append(InvariantResult(name, err.size if samples is None else samples,
+                                            worst, threshold, worst <= threshold, witness))
 
     # -- quaternion algebra ------------------------------------------------
 
@@ -263,53 +253,55 @@ class _SuiteRunner:
         # join_components(z, 0) embeds z with k as its imaginary unit.
         e_comm = np.subtract([hamilton(J, join_components(z, 0.0)) for z in zs],
                              [hamilton(join_components(z.conjugate(), 0.0), J) for z in zs])
-        self.record("quaternion_associativity", n, np.abs(e_assoc).max(), 1e-12)
-        self.record("quaternion_norm_multiplicative", n, e_norm.max(), 1e-12)
-        self.record("quaternion_conj_antihomomorphism", n, np.abs(e_conj).max(), 1e-15)
-        self.record("quaternion_split_roundtrip", n, np.abs(e_split).max(), 0.0)
-        self.record("quaternion_j_commutation", n, np.abs(e_comm).max(), 0.0)
+        self.check("quaternion_associativity", 1e-12, np.abs(e_assoc).max(axis=0))
+        self.check("quaternion_norm_multiplicative", 1e-12, e_norm)
+        self.check("quaternion_conj_antihomomorphism", 1e-15, np.abs(e_conj).max(axis=0))
+        self.check("quaternion_split_roundtrip", 0.0, np.abs(e_split).max(axis=1))
+        self.check("quaternion_j_commutation", 0.0, np.abs(e_comm).max(axis=1))
 
     # -- state-level properties --------------------------------------------
 
     def state_invariants(self):
-        c = self.conc[:, :1]
-        c_rho, d, rx, ry, rz = np.moveaxis(self.rho_stats, -1, 0)
+        c = self.pool.conc[:, None]
+        c_rho, d, rx, ry, rz = np.moveaxis(self.pool.rho_stats, -1, 0)
         # Both qubits of each state, counted as one sample.
         n = self.samples
-        self.check("concurrence_triple_agreement", 1e-10, np.abs(c_rho - c), n)
-        self.check("coherence_complementarity", 1e-12, np.abs(d * d + c * c - 1.0), n)
+        self.check("concurrence_triple_agreement", 1e-10, np.abs(c_rho - c), self.pool, n)
+        self.check("coherence_complementarity", 1e-12, np.abs(d * d + c * c - 1.0), self.pool, n)
         self.check("bloch_vector_norm", 1e-10,
-                   np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)), n)
+                   np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)), self.pool, n)
 
         n = min(self.samples, 1000)
         # Per sample: a quaternion, then whether the unitary acts on qubit A.
         draws = [(self.rng.standard_normal(4), self.rng.integers(2) == 0) for _ in range(n)]
-        moved = _act(_su2(_unit(np.array([q for q, _ in draws]))), self.amps[:n],
-                     [on_a for _, on_a in draws])
-        c2 = np.array([state.concurrence_det(TwoQubitState(*v)) for v in moved.tolist()])
-        self.check("local_unitary_concurrence_invariance", 1e-10, np.abs(c2 - self.conc[:n, 0]))
+        moved = _Batch(_act(_su2(_unit(np.array([q for q, _ in draws]))), self.amps[:n],
+                            [on_a for _, on_a in draws]))
+        c2 = np.array([state.concurrence_det(TwoQubitState(*v)) for v in moved.amps.tolist()])
+        self.check("local_unitary_concurrence_invariance", 1e-10,
+                   np.abs(c2 - self.pool.conc[:n]), moved)
 
     # -- sphere map ----------------------------------------------------------
 
     def hopf_invariants(self):
-        diff = self.rec - self.amps[:, None, :]
+        pool = self.pool
+        diff = pool.rec - self.amps[:, None, :]
         self.check("round_trip_reconstruction", 1e-10,
-                   np.hypot(diff.real, diff.imag).max(axis=2))
+                   np.hypot(diff.real, diff.imag).max(axis=2), pool)
         # x ** 2 as Python's float power (libm pow) rounds it: x * x differs
         # in the last bit for about one double in a thousand.
         # Only the columns the two checks read are squared.
         cols = [X0, X1, X2, X3, X4, B, C]
-        sq = dict(zip(cols, np.moveaxis(np.float_power(self.spheres[..., cols], 2), -1, 0)))
+        sq = dict(zip(cols, np.moveaxis(np.float_power(pool.spheres[..., cols], 2), -1, 0)))
         s4 = sq[X0] + sq[X1] + sq[X2] + sq[X3] + sq[X4]
-        self.check("unit_s4_norm", 1e-12, np.abs(s4 - 1.0))
-        self.check("b_squared_decomposition", 1e-12, np.abs(sq[B] - sq[X4] - sq[C]))
+        self.check("unit_s4_norm", 1e-12, np.abs(s4 - 1.0), pool)
+        self.check("b_squared_decomposition", 1e-12, np.abs(sq[B] - sq[X4] - sq[C]), pool)
         del diff, sq  # freed before the checks below make pool-sized arrays of their own
-        sp, sin, cos = self.spheres, self.sin, self.cos
+        sp, sin, cos = pool.spheres, self.sin, self.cos
         b, c, chi = sp[..., B], sp[..., C], sp[..., CHI]
-        c_ref = self.conc[:, 1:]
+        c_ref = self.c_ref[:, None]
         self.check("concurrence_consistency", 1e-10,
-                   np.maximum(np.abs(np.abs(b) * sin[CHI] - c_ref), np.abs(c - c_ref)))
-        self.check("chi_northern_hemisphere", 1e-12, np.maximum(chi - math.pi / 2, -chi))
+                   np.maximum(np.abs(np.abs(b) * sin[CHI] - c_ref), np.abs(c - c_ref)), pool)
+        self.check("chi_northern_hemisphere", 1e-12, np.maximum(chi - math.pi / 2, -chi), pool)
         # Each sphere's Cartesian point from its angles: (x1, b, x0) from
         # (theta, phi), t from (chi, xi), and the inner-sphere point b*t.
         self.check("sphere_angle_consistency", 1e-12, np.abs([
@@ -317,53 +309,57 @@ class _SuiteRunner:
             sp[..., X0] - cos[THETA], sp[..., TZ] - cos[CHI],
             sp[..., TX] - sin[CHI] * cos[XI], sp[..., TY] - sin[CHI] * sin[XI],
             sp[..., X2] - b * sp[..., TX], sp[..., X3] - b * sp[..., TY],
-            c - np.abs(b) * sin[CHI], sp[..., X4] - b * cos[CHI]]).max(axis=0))
+            c - np.abs(b) * sin[CHI], sp[..., X4] - b * cos[CHI]]).max(axis=0), pool)
         # The base qubit's Bloch vector is (x1, x4, x0).
         self.check("bloch_vector_is_base_point", 1e-12,
-                   np.abs(self.rho_stats[..., 2:] - sp[..., [X1, X4, X0]]).max(axis=2))
+                   np.abs(pool.rho_stats[..., 2:] - sp[..., [X1, X4, X0]]).max(axis=2), pool)
 
     def equivariance_invariants(self):
         n = min(self.samples, 1000)
-        ks = np.arange(n) % 2  # state i is mapped under A_BASE if i is even, else B_BASE
-        before = self.spheres[np.arange(n), ks]
+        # State i is mapped under A_BASE if i is even, else B_BASE: rows (n, 1).
+        ks = np.arange(n)[:, None] % 2
+        before = self.pool.spheres[np.arange(n)[:, None], ks]
 
         # A fiber-qubit unitary: on B under A_BASE, on A under B_BASE.
         u = _su2(_unit(self.rng.standard_normal((n, 4))))
-        after = _map_states(_act(u, self.amps[:n], ks == 1), ks)
+        after = _map(_act(u, self.amps[:n], ks[:, 0] == 1), ks)
         local = [X0, X1, BASE_B, THETA, X2, X3, X4, CHI]
         self.check("fiber_unitary_base_locality", 1e-12,
-                   np.abs(after[:, local] - before[:, local]).max(axis=1), alternating=True)
-        want = gates._matmul(gates.bloch_rotation(u), before[:, BLOCH, None])[:, :, 0]
+                   np.abs(after.spheres[..., local] - before[..., local]).max(axis=2), after)
+        want = gates._matmul(gates.bloch_rotation(u)[:, None], before[..., BLOCH, None])[..., 0]
         self.check("fiber_unitary_bloch_rotation", 1e-9,
-                   np.abs(after[:, BLOCH] - want).max(axis=1), alternating=True)
+                   np.abs(after.spheres[..., BLOCH] - want).max(axis=2), after)
 
-        mu = self.rng.uniform(-math.pi, math.pi, n)
-        u = np.array([gates.rotation("y", m) for m in mu.tolist()])
-        after = _map_states(_act(u, self.amps[:n], ks == 0), ks)
+        mu = self.rng.uniform(-math.pi, math.pi, (n, 1))
+        u = np.array([gates.rotation("y", m) for m in mu.ravel().tolist()])
+        after = _map(_act(u, self.amps[:n], ks[:, 0] == 0), ks)
         fixed = [B, X2, X3, X4, CHI, C]
         self.check("base_yrotation_fixes_entanglement", 1e-12,
-                   np.abs(after[:, fixed] - before[:, fixed]).max(axis=1), alternating=True)
+                   np.abs(after.spheres[..., fixed] - before[..., fixed]).max(axis=2), after)
         sin_mu, cos_mu = _elementwise(math.sin, mu), _elementwise(math.cos, mu)
-        x0, x1 = before[:, X0], before[:, X1]
+        x0, x1 = before[..., X0], before[..., X1]
         self.check("base_yrotation_plane_rotation", 1e-10, np.maximum(
-            np.abs(after[:, X1] - (x0 * sin_mu + x1 * cos_mu)),
-            np.abs(after[:, X0] - (x0 * cos_mu - x1 * sin_mu))), alternating=True)
+            np.abs(after.spheres[..., X1] - (x0 * sin_mu + x1 * cos_mu)),
+            np.abs(after.spheres[..., X0] - (x0 * cos_mu - x1 * sin_mu))), after)
 
     def separability_invariants(self):
         n = min(self.samples, 1000)
-        amps, fa, fb = _product_amplitudes(self.rng, n)
-        rows = _map_states(np.repeat(amps, 2, axis=0), [0, 1] * n)
+        v = state.random_amplitudes(self.rng, 2 * n, dim=2)  # the factor of A, then of B
+        fa, fb = v[0::2], v[1::2]
+        products = _map((fa[:, :, None] * fb[:, None, :]).reshape(n, 4), np.tile([0, 1], (n, 1)))
+        rows = products.spheres
         # Disjunction, normalized: chi below 1e-8 or |b| below 1e-10.
-        e_cond = np.minimum(rows[:, CHI] / 1e-8, np.abs(rows[:, B]) / 1e-10)
-        self.record("separable_concurrence_zero", 2 * n, rows[:, C].max(), 1e-10)
-        self.record("separable_chi_or_b_zero", 2 * n, e_cond.max(), 1.0)
-        # Base and fiber become the factors' Bloch spheres: under A_BASE (even
-        # rows) the base is A's factor and the fiber B's, under B_BASE the reverse.
+        e_cond = np.minimum(rows[..., CHI] / 1e-8, np.abs(rows[..., B]) / 1e-10)
+        self.check("separable_concurrence_zero", 1e-10, rows[..., C], products)
+        self.check("separable_chi_or_b_zero", 1.0, e_cond, products)
+        # Base and fiber become the factors' Bloch spheres: under A_BASE the
+        # base is A's factor and the fiber B's, under B_BASE the reverse.
         ra, rb = _bloch(fa), _bloch(fb)
-        base, fib = (np.stack(pair, axis=1).reshape(2 * n, 3) for pair in ((ra, rb), (rb, ra)))
-        self.record("separable_base_is_bloch", 2 * n,
-                    np.abs(rows[:, [X1, BASE_B, X0]] - base).max(), 1e-12)
-        self.record("separable_fiber_is_bloch", 2 * n, np.abs(rows[:, BLOCH] - fib).max(), 1e-12)
+        base, fib = np.stack((ra, rb), axis=1), np.stack((rb, ra), axis=1)
+        self.check("separable_base_is_bloch", 1e-12,
+                   np.abs(rows[..., [X1, BASE_B, X0]] - base).max(axis=2), products)
+        self.check("separable_fiber_is_bloch", 1e-12,
+                   np.abs(rows[..., BLOCH] - fib).max(axis=2), products)
 
     # -- oracle cross-checks -------------------------------------------------
 
@@ -372,7 +368,7 @@ class _SuiteRunner:
         ref = np.stack([oracles.partial_trace(grid, a.base_qubit).reshape(-1, 4)
                         for a in _ASSIGNMENTS], axis=1)
         self.check("rho_from_spheres_vs_partial_trace", 1e-12,
-                   np.abs(self.rho - ref).max(axis=2))
+                   np.abs(self.pool.rho - ref).max(axis=2), self.pool)
         del ref  # freed before the pool-sized arrays below, as in hopf_invariants
         # The pair (q1, q2) of each state and assignment, packed from the
         # amplitudes as hopf.quaternion_pair documents: (alpha.re, -beta.im,
@@ -386,20 +382,21 @@ class _SuiteRunner:
         # rebuild the full quaternion product 2*q2*conj(q1).  The i/j part
         # carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
         p = [2.0 * w for w in hamilton(q[4:], conj(q[:4]))]
-        sp, sin_xi = self.spheres, self.sin[XI]
+        sp, sin_xi = self.pool.spheres, self.sin[XI]
         r = sp[..., B] * self.sin[CHI]
         # e^(k*xi) = cos(xi) + k*sin(xi), times i.
         ew, ex, ey, ez = hamilton((self.cos[XI], sin_xi * 0.0, sin_xi * 0.0, sin_xi * 1.0), I)
         rebuilt = (sp[..., X1] + r * ew, r * ex, r * ey, r * ez + sp[..., X4])
-        self.check("outer_product_structure", 1e-12, np.abs(np.subtract(rebuilt, p)).max(axis=0))
+        self.check("outer_product_structure", 1e-12, np.abs(np.subtract(rebuilt, p)).max(axis=0),
+                   self.pool)
 
     # -- gates ----------------------------------------------------------------
 
     def gate_invariants(self):
         n = min(self.samples, 500)
         u = np.array([gates.expand(_random_gate(self.rng)) for _ in range(n)])
-        e_uni = np.abs(gates._matmul(u, u.conj().swapaxes(1, 2)) - np.eye(4)).max()
-        self.record("expanded_gate_unitarity", n, e_uni, 1e-12)
+        self.check("expanded_gate_unitarity", 1e-12,
+                   np.abs(gates._matmul(u, u.conj().swapaxes(1, 2)) - np.eye(4)).max(axis=(1, 2)))
 
         mu = self.rng.uniform(-2 * math.pi, 2 * math.pi, 20).tolist()
         rx, ry, rz = (np.array([gates.rotation(axis, m) for m in mu]) for axis in "xyz")
@@ -407,28 +404,29 @@ class _SuiteRunner:
                                  gates.rotation("z", math.pi / 2))
         e_z = rz - gates._matmul(gates._matmul(gates.rotation("x", math.pi / 2), ry),
                                  gates.rotation("x", -math.pi / 2))
-        self.record("rotation_identities", 20, max(np.abs(e_x).max(), np.abs(e_z).max()), 1e-12)
+        self.check("rotation_identities", 1e-12,
+                   np.maximum(np.abs(e_x), np.abs(e_z)).max(axis=(1, 2)))
 
         grid = [(math.radians(eta), math.radians(omega))
                 for eta in range(0, 181, 10) for omega in range(0, 361, 20)]
-        e_sweep = e_sup = 0.0
+        e_sweep, e_sup = [], []
         for eta, omega in grid:
             steps = gates.run(gates.Circuit(gates=(
                 gates.Gate(kind="rx", target="A", angle=eta),
                 gates.Gate(kind="cry", control="A", target="B", angle=omega))))
-            e_sweep = max(e_sweep, abs(steps[-1].concurrence - math.sin(eta) * math.sin(omega / 2)))
+            e_sweep.append(abs(steps[-1].concurrence - math.sin(eta) * math.sin(omega / 2)))
             r = state.bloch_vector(steps[1].rho_a)
-            e_sup = max(e_sup, abs(math.hypot(r[0], r[1]) - math.sin(eta)))
-        self.record("entangler_concurrence_law", len(grid), e_sweep, 1e-9)
-        self.record("entangler_superposition_degree", len(grid), e_sup, 1e-12)
+            e_sup.append(abs(math.hypot(r[0], r[1]) - math.sin(eta)))
+        self.check("entangler_concurrence_law", 1e-9, np.array(e_sweep))
+        self.check("entangler_superposition_degree", 1e-12, np.array(e_sup))
 
         n = min(self.samples, 200)
-        e_traj = 0.0
+        e_traj = []  # one error per step; a circuit is one sample
         for _ in range(n):
             gs = [_random_gate(self.rng) for _ in range(int(self.rng.integers(1, 7)))]
-            for step in gates.run(gates.Circuit(gates=tuple(gs))):
-                e_traj = max(e_traj, abs(step.spheres_a.ent.c - step.spheres_b.ent.c))
-        self.record("trajectory_concurrence_match", n, e_traj, 1e-10)
+            e_traj += [abs(step.spheres_a.ent.c - step.spheres_b.ent.c)
+                       for step in gates.run(gates.Circuit(gates=tuple(gs)))]
+        self.check("trajectory_concurrence_match", 1e-10, np.array(e_traj), samples=n)
 
         # Drawn last, so that no other invariant's inputs move.
         n = min(self.samples, 500)
@@ -437,7 +435,8 @@ class _SuiteRunner:
                         for v, g in zip(self.amps[:n].tolist(), gs)])
         diff = got - gates._matmul(np.array([gates.expand(g) for g in gs]),
                                    self.amps[:n, :, None])[:, :, 0]
-        self.check("gate_apply_matches_kron", 1e-12, np.hypot(diff.real, diff.imag).max(axis=1))
+        self.check("gate_apply_matches_kron", 1e-12, np.hypot(diff.real, diff.imag).max(axis=1),
+                   self.pool)
 
     def run(self) -> tuple[InvariantResult, ...]:
         self.quaternion_invariants()

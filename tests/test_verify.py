@@ -125,27 +125,40 @@ def test_run_suite_rejects_zero_samples():
 
 
 def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
-    seed, bad = 5, 7
+    seed, n, bad = 5, 50, 7
     rng = np.random.default_rng(seed)
-    want = [random_state(rng) for _ in range(bad + 1)][bad]
-    # A perturbed round trip, and a NaN error, whose max_error is written as null.
-    for plant, name in (("reconstruct", "round_trip_reconstruction"),
-                        ("rho_from_spheres", "rho_from_spheres_vs_partial_trace")):
+    pool_state = [random_state(rng) for _ in range(bad + 1)][bad]
+
+    def bent_fiber(ss):
+        x, y, z = ss.fiber.bloch
+        return ss._replace(fiber=ss.fiber._replace(bloch=(x + 1e-6, y, z)))
+
+    # Per case: the hopf function, which of its calls is perturbed and how, the
+    # entry that fails and the witness's assignment.  The pool maps state i
+    # under A_BASE, then B_BASE; its 2n sphere sets are followed by those of
+    # the n fiber-unitary moved states (state i under B_BASE if i is odd), the
+    # n y-rotated ones, and the n product states under both assignments.
+    cases = [
+        ("reconstruct", 2 * bad + 2,
+         lambda out: TwoQubitState.from_amplitudes(out.alpha + 1e-6, *out[1:]),
+         "round_trip_reconstruction", "B"),
+        # A NaN error, whose max_error is written as null.
+        ("rho_from_spheres", 2 * bad + 2, lambda out: out._replace(rho00=complex(math.nan)),
+         "rho_from_spheres_vs_partial_trace", "B"),
+        ("sphere_set", 2 * n + bad + 1, bent_fiber, "fiber_unitary_bloch_rotation", "B"),
+        ("sphere_set", 4 * n + 2 * bad + 1, bent_fiber, "separable_fiber_is_bloch", "A"),
+    ]
+    for plant, call, perturb, name, assignment in cases:
         original = getattr(verify.hopf, plant)
         calls = []
 
-        def perturbed(ss):
-            # The pass maps state i under A_BASE, then under B_BASE.
-            calls.append(ss)
-            out = original(ss)
-            if len(calls) != 2 * bad + 2:
-                return out
-            if plant == "reconstruct":
-                return TwoQubitState.from_amplitudes(out.alpha + 1e-6, *out[1:])
-            return out._replace(rho00=complex(math.nan))
+        def perturbed(*args):
+            calls.append(args)
+            out = original(*args)
+            return perturb(out) if len(calls) == call else out
 
         monkeypatch.setattr(verify.hopf, plant, perturbed)
-        assert cli.main(["verify", "--seed", str(seed), "--samples", "50"]) == 1
+        assert cli.main(["verify", "--seed", str(seed), "--samples", str(n)]) == 1
         entries = json.loads(capsys.readouterr().out)["invariants"]
         monkeypatch.undo()
         failed = [e for e in entries if not e["passed"]]
@@ -153,11 +166,33 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
         assert all("witness" not in e for e in entries if e["passed"])
         assert (failed[0]["max_error"] is None) == (plant == "rho_from_spheres")
         witness = failed[0]["witness"]
-        assert (witness["sample"], witness["assignment"]) == (bad, "B")
+        assert (witness["sample"], witness["assignment"]) == (bad, assignment)
+        # The state that was mapped: the perturbed sphere_set's own (moved or
+        # product) state, else pool state `bad`.
+        want = [v for c in (calls[call - 1][0] if plant == "sphere_set" else pool_state)
+                for v in (c.real, c.imag)]
+        assert witness["state"] == ",".join(map(repr, want))
 
         assert cli.main(["map", f"--state={witness['state']}"]) == 0
         amps = json.loads(capsys.readouterr().out)["records"][0]["amplitudes"]
-        assert amps == pytest.approx([v for c in want for v in (c.real, c.imag)], abs=1e-15)
+        assert amps == pytest.approx(want, abs=1e-15)
+
+
+def test_nan_error_fails_only_its_entry(monkeypatch, capsys):
+    # A NaN concurrence at one grid point of the entangler sweep, among
+    # finite errors at the others.
+    concurrence_det = verify.gates.concurrence_det
+    calls = []
+
+    def planted(s):
+        calls.append(s)
+        return math.nan if len(calls) == 5 else concurrence_det(s)
+
+    monkeypatch.setattr(verify.gates, "concurrence_det", planted)
+    assert cli.main(["verify", "--seed", "5", "--samples", "50"]) == 1
+    failed = [e for e in json.loads(capsys.readouterr().out)["invariants"] if not e["passed"]]
+    assert failed == [{"name": "entangler_concurrence_law", "samples": 361, "max_error": None,
+                       "threshold": 1e-9, "passed": False}]
 
 
 def test_witness_state_parses_to_the_exact_pool_state():
