@@ -99,12 +99,26 @@ def rotation(axis: str, angle: float) -> np.ndarray:
     return np.array(_rotation_table(axis, angle))
 
 
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y elementwise, a complex product written in real arithmetic: numpy
+    fuses its SIMD complex multiply under X86_V3, and never fuses this, so
+    it rounds as Python's complex product does on every CPU."""
+    import numpy as np
+
+    if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
+        return x * y
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the last two axes, broadcast over the others, as a sum over
-    k of elementwise products in k order: no BLAS kernel sets its bits."""
-    out = a[..., :, 0, None] * b[..., None, 0, :]
+    k of elementwise products (_product) in k order: no BLAS kernel sets its bits."""
+    out = _product(a[..., :, 0, None], b[..., None, 0, :])
     for k in range(1, a.shape[-1]):
-        out = out + a[..., :, k, None] * b[..., None, k, :]
+        out = out + _product(a[..., :, k, None], b[..., None, k, :])
     return out
 
 

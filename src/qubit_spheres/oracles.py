@@ -17,13 +17,18 @@ _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 def partial_trace(m: np.ndarray, which: str) -> np.ndarray:
     """Reduced density matrices (n, 2, 2) of qubit `which` for the amplitude
     grids m[:, a, b] = <ab|psi>: rho[a, b] = sum_c g[a, c] conj(g[b, c]), g
-    the grid with `which`'s index first, as elementwise sums (so a matrix
-    rounds the same alone as in a batch)."""
+    the grid with `which`'s index first, as elementwise sums with the complex
+    products in real arithmetic (so a matrix rounds the same alone as in a
+    batch, and as Python's complex arithmetic, on every CPU)."""
     if which not in ("A", "B"):
         raise ValueError(f"qubit label must be 'A' or 'B', got {which!r}")
     g = m if which == "A" else m.transpose(0, 2, 1)
-    return (g[:, :, None, 0] * g[:, None, :, 0].conj()
-            + g[:, :, None, 1] * g[:, None, :, 1].conj())
+    x, y = g[:, :, None], g[:, None, :]  # g[a, c] and g[b, c], over [a, b, c]
+    re = x.real * y.real + x.imag * y.imag
+    im = x.imag * y.real - x.real * y.imag
+    rho = np.empty(re.shape[:3], complex)
+    rho.real, rho.imag = re[..., 0] + re[..., 1], im[..., 0] + im[..., 1]
+    return rho
 
 
 def concurrence(amps: np.ndarray) -> np.ndarray:

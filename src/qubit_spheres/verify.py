@@ -103,10 +103,11 @@ def _unit(q: np.ndarray) -> np.ndarray:
 
 
 def _bloch(f: np.ndarray) -> np.ndarray:
-    """Bloch vectors (2 Re(conj(a) b), 2 Im(conj(a) b), |a|^2 - |b|^2) of rows (a, b)."""
-    a, b = f.T
-    ab = a.conj() * b
-    return np.stack([2.0 * ab.real, 2.0 * ab.imag, (a * a.conj() - b * b.conj()).real], axis=1)
+    """Bloch vectors (2 Re(conj(a) b), 2 Im(conj(a) b), |a|^2 - |b|^2) of rows
+    (a, b), in real arithmetic as gates._product."""
+    (ar, br), (ai, bi) = f.real.T, f.imag.T
+    return np.stack([2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br),
+                     (ar * ar + ai * ai) - (br * br + bi * bi)], axis=1)
 
 
 def _act(u: np.ndarray, amps: np.ndarray, on_a) -> np.ndarray:
@@ -346,7 +347,8 @@ class _SuiteRunner:
         n = min(self.samples, 1000)
         v = state.random_amplitudes(self.rng, 2 * n, dim=2)  # the factor of A, then of B
         fa, fb = v[0::2], v[1::2]
-        products = _map((fa[:, :, None] * fb[:, None, :]).reshape(n, 4), np.tile([0, 1], (n, 1)))
+        amps = gates._product(fa[:, :, None], fb[:, None, :]).reshape(n, 4)
+        products = _map(amps, np.tile([0, 1], (n, 1)))
         rows = products.spheres
         # Disjunction, normalized: chi below 1e-8 or |b| below 1e-10.
         e_cond = np.minimum(rows[..., CHI] / 1e-8, np.abs(rows[..., B]) / 1e-10)

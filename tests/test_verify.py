@@ -21,12 +21,13 @@ C_60_70 = 0.496731764892154
 
 
 def test_partial_trace_matches_index_summation_bit_for_bit(state_pool):
-    # The literal 4x4 outer-product summation, one state at a time.
+    # The literal 4x4 outer-product summation, one state at a time, in
+    # Python's complex arithmetic, which no CPU feature changes.
     batch = np.array([s.vector() for s in state_pool[:2000]])
     for which in ("A", "B"):
         rhos = oracles.partial_trace(batch.reshape(-1, 2, 2), which)
-        for psi, rho in zip(batch, rhos):
-            outer = np.outer(psi, psi.conj())
+        for psi, rho in zip(batch.tolist(), rhos):
+            outer = np.array([[x * y.conjugate() for y in psi] for x in psi])
             ref = np.zeros((2, 2), dtype=complex)
             for a in range(2):
                 for b in range(2):
@@ -215,22 +216,26 @@ except ImportError:
 KERNELS = [k for k, flags in (("Prescott", ["SSE3"]), ("Sandybridge", ["AVX"]),
                               ("Haswell", ["AVX2", "FMA3"]))
            if all(__cpu_features__.get(f) for f in flags)]
-NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+# numpy's SIMD targets to turn off, above AVX2 and from AVX2 with FMA up.
+NO_SIMD = {"no-avx512": "X86_V4 AVX512_ICL AVX512_SPR",
+           "no-x86-v3": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
 
 
 @pytest.mark.skipif("DYNAMIC_ARCH" not in BLAS.get("openblas configuration", ""),
                     reason="numpy's BLAS is not OpenBLAS with DYNAMIC_ARCH")
 def test_verify_report_is_the_same_on_every_blas_kernel():
     """The report, under the default and each forced OpenBLAS kernel, and
-    with numpy's AVX-512 loops turned off; the children start together."""
+    with numpy's AVX-512 and its X86_V3 (AVX2, FMA) loops turned off; the
+    children start together."""
     base = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(verify.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
     for var in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
         base.pop(var, None)
     envs = {"default": base}
     envs.update((k, dict(base, OPENBLAS_CORETYPE=k, OPENBLAS_VERBOSE="2")) for k in KERNELS)
-    if set(NO_AVX512.split()) <= set(__cpu_dispatch__):
-        envs["no-avx512"] = dict(base, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    # numpy refuses to start when asked to turn off a target it does not dispatch.
+    envs.update((k, dict(base, NPY_DISABLE_CPU_FEATURES=v)) for k, v in NO_SIMD.items()
+                if set(v.split()) <= set(__cpu_dispatch__))
     argv = [sys.executable, "-m", "qubit_spheres", "verify", "--seed", "42", "--samples", "500"]
     procs = {k: subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                  text=True) for k, env in envs.items()}
