@@ -5,9 +5,9 @@ smaller derived draws.  One mapper (_map) sends each batch of states, the
 pool and the moved and product states derived from it, through the scalar
 kernel the CLI runs into arrays kept beside the batch's amplitudes.  Every
 entry is an array of per-sample errors reduced by max; an entry whose
-samples are a batch's states names its worst one as a witness.  Every
-matrix product is elementwise (gates._matmul), so the report depends
-neither on evaluation order nor on the BLAS kernel.
+samples are a batch's states names its worst one as a witness.  Products
+are elementwise (gates._matmul) and complex ones real (gates._product), so
+the report depends on neither evaluation order, BLAS kernel nor SIMD level.
 
 A batch is split into contiguous shares (_shares).  The process forks a
 child for each share after the first and maps the first itself; each writes
@@ -103,8 +103,7 @@ def _unit(q: np.ndarray) -> np.ndarray:
 
 
 def _bloch(f: np.ndarray) -> np.ndarray:
-    """Bloch vectors (2 Re(conj(a) b), 2 Im(conj(a) b), |a|^2 - |b|^2) of rows
-    (a, b), in real arithmetic as gates._product."""
+    """Bloch vectors (2 Re(conj(a) b), 2 Im(conj(a) b), |a|^2 - |b|^2) of rows (a, b)."""
     (ar, br), (ai, bi) = f.real.T, f.imag.T
     return np.stack([2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br),
                      (ar * ar + ai * ai) - (br * br + bi * bi)], axis=1)
@@ -160,10 +159,10 @@ def _map(amps: np.ndarray, ks: np.ndarray, full: bool = False) -> _Batch:
     """The one map: states amps (m, 4) through the CLI's scalar kernel, state
     i under each assignment index in ks[i], split into shares.  Every batch
     gets its sphere rows; a `full` one (the pool) all of _Batch's arrays."""
-    m, j = ks.shape
-    b = _Batch(amps, ks, _shared(m, j, 18), *((
-        _shared(m), _shared(m, j, 5), _shared(m, j, 4, dtype=complex),
-        _shared(m, j, 4, dtype=complex)) if full else ()))
+    m, width = ks.shape
+    b = _Batch(amps, ks, _shared(m, width, 18), *((
+        _shared(m), _shared(m, width, 5), _shared(m, width, 4, dtype=complex),
+        _shared(m, width, 4, dtype=complex)) if full else ()))
 
     def map_rows(lo: int, hi: int):
         for i, (v, ks_i) in enumerate(zip(amps[lo:hi].tolist(), ks[lo:hi].tolist()), lo):
