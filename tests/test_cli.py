@@ -133,6 +133,14 @@ def test_render_circuit_input(tmp_path, capsys):
     assert "chi=35.0000deg" in out_path.read_text()
 
 
+def test_render_without_source_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["render", "--out", str(tmp_path / "x.svg")])
+    assert exc.value.code == 2
+    assert "--circuit" in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_render_io_failure_exits_2(capsys):
     code, _, err = run_cli(capsys, "render", "--bell", "phi+",
                            "--out", "/nonexistent-dir/x.svg")
@@ -260,6 +268,9 @@ GOLDEN_CASES = [
     ("map_state.json", ["map", "--state=0.6,-0,0,0.3,-0.5,0.2,0.1,-0.4"]),
     ("map_basis_10_b.json", ["map", "--basis", "10", "--assignment", "B"]),
     ("map_bell_psi_minus.txt", ["map", "--bell", "psi-", "--format", "text"]),
+    # One assignment, a renormalized --state and a zeta_f written -0.0000.
+    ("map_state_b.txt", ["map", "--state=0.6,-0,0,0.3,-0.5,0.2,0.1,-0.4",
+                         "--assignment", "B", "--format", "text"]),
     ("run_entangle_60_70_y90_a.json", ["run", Y90_CIRC, "--steps", "--assignment", "A"]),
 ]
 
