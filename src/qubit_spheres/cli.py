@@ -19,8 +19,8 @@ USAGE_EXIT = 2
 VERIFY_FAIL_EXIT = 1
 
 
-def _add_state_args(p: argparse.ArgumentParser, required: bool = True):
-    g = p.add_mutually_exclusive_group(required=required)
+def _add_state_args(p: argparse.ArgumentParser):
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--state", metavar="RE,IM,...",
                    help="8 comma-separated reals: re,im pairs of the four amplitudes")
     g.add_argument("--bell", choices=BELL_NAMES, help="a Bell state")
@@ -60,38 +60,11 @@ def _assignments(flag: str) -> tuple[str, ...]:
     return ("A", "B") if flag == "both" else (flag,)
 
 
-def _print_text_record(record: records.Record, out) -> None:
-    """A state record's leaves by position: 8 amplitude parts, then 17 per assignment."""
-    v = [float(leaf) for leaf in record.leaves]
-    print("amplitudes:", file=out)
-    for i, name in enumerate(("alpha", "beta", "gamma", "delta")):
-        print(f"  {name:<6} {v[2 * i]:+.9f} {v[2 * i + 1]:+.9f}i", file=out)
-    for k, label in enumerate(record.assignments):
-        (theta, phi, x1, b, x0, chi, xi, c, x2, x3, x4,
-         theta_f, phi_f, zeta_f, *bloch) = v[8 + 17 * k:25 + 17 * k]
-        print(f"assignment {label}:", file=out)
-        print(f"  base          theta={theta:9.4f} deg  phi={phi:9.4f} deg  "
-              f"(x1,b,x0)=({x1:.6f}, {b:.6f}, {x0:.6f})", file=out)
-        print(f"  entanglement  chi={chi:11.4f} deg  xi={xi:10.4f} deg  c={c:.6f}  "
-              f"(x2,x3,x4)=({x2:.6f}, {x3:.6f}, {x4:.6f})", file=out)
-        bloch = ", ".join(f"{u:.6f}" for u in bloch)
-        print(f"  fiber         theta_f={theta_f:7.4f} deg  phi_f={phi_f:8.4f} deg  "
-              f"zeta_f={zeta_f:8.4f} deg  bloch=({bloch})", file=out)
-    concurrence, d_a, d_b = v[-3:]
-    print(f"concurrence:   {concurrence:.9f}", file=out)
-    print(f"coherence d_A: {d_a:.9f}", file=out)
-    print(f"coherence d_B: {d_b:.9f}", file=out)
-
-
 def _cmd_map(args) -> int:
     s, input_block = _parse_state(args)
-    chosen = _assignments(args.assignment)
-    record = records.state_record(s, chosen)
-    if args.format == "text":
-        _print_text_record(record, sys.stdout)
-    else:
-        doc = records.document(input_block, [record])
-        sys.stdout.write(dumps(doc))
+    record = records.state_record(s, _assignments(args.assignment))
+    sys.stdout.write(records.text(record) if args.format == "text"
+                     else dumps(records.document(input_block, [record])))
     return 0
 
 
@@ -168,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("render", help="render the spheres of a state to SVG")
-    g = _add_state_args(p, required=False)
+    g = _add_state_args(p)
     g.add_argument("--circuit", help="render the final state of this circuit file")
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument("--assignment", choices=("A", "B", "both"), default="both")
@@ -195,9 +168,6 @@ def _join_state_value(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_state_value(list(sys.argv[1:] if argv is None else argv)))
-    if args.command == "render" and args.circuit is None and args.state is None \
-            and args.bell is None and args.basis is None:
-        parser.error("render needs --state, --bell, --basis or --circuit")
     if args.command == "verify" and args.samples is not None and args.samples < 1:
         parser.error(f"--samples must be >= 1, got {args.samples}")
     if args.command == "verify" and args.seed is not None and args.seed < 0:

@@ -1,8 +1,9 @@
-"""Build the JSON output records emitted by the CLI (fixed field order).
+"""Build the output records emitted by the CLI (fixed field order).
 
 A record holds a snapshot's leaves, already written as JSON text, in the
 field order of its layout, and the template of that layout, built once per
-assignment choice; ``jsonfmt.dumps`` fills one with the other.
+assignment choice; ``jsonfmt.dumps`` fills one with the other, and ``text``
+fills the text form's template with the same leaves.
 """
 
 from __future__ import annotations
@@ -41,6 +42,22 @@ def _template(with_step: bool, assignments: tuple[str, ...]) -> str:
     })
 
 
+@cache
+def _text_template(assignments: tuple[str, ...]) -> str:
+    """The text form with a % field at each leaf of _template but rho_A's and rho_B's."""
+    lines = ["amplitudes:",
+             *(f"  {name:<6} %+.9f %+.9fi" for name in ("alpha", "beta", "gamma", "delta"))]
+    for label in assignments:
+        lines += [f"assignment {label}:",
+                  "  base          theta=%9.4f deg  phi=%9.4f deg  (x1,b,x0)=(%.6f, %.6f, %.6f)",
+                  "  entanglement  chi=%11.4f deg  xi=%10.4f deg  c=%.6f  "
+                  "(x2,x3,x4)=(%.6f, %.6f, %.6f)",
+                  "  fiber         theta_f=%7.4f deg  phi_f=%8.4f deg  zeta_f=%8.4f deg  "
+                  "bloch=(%.6f, %.6f, %.6f)"]
+    return "\n".join([*lines, "concurrence:   %.9f", "coherence d_A: %.9f",
+                      "coherence d_B: %.9f", ""])
+
+
 def _numbers(step: TrajectoryStep, assignments: tuple[str, ...]) -> list[str]:
     """The snapshot's number leaves in the field order of _template."""
     values = [p for amp in step.state for p in (amp.real, amp.imag)]
@@ -61,6 +78,12 @@ def amplitude_list(s: TwoQubitState) -> list[float]:
 def state_record(s: TwoQubitState, assignments: tuple[str, ...] = ("A", "B")) -> Record:
     leaves = _numbers(TrajectoryStep(0, None, s), assignments)
     return Record(assignments, tuple(leaves), _template(False, assignments))
+
+
+def text(record: Record) -> str:
+    """A state_record in the text form: every leaf but the 16 of rho_A and rho_B."""
+    leaves = record.leaves[:-19] + record.leaves[-3:]
+    return _text_template(record.assignments) % tuple(map(float, leaves))
 
 
 def step_record(step: TrajectoryStep, assignments: tuple[str, ...] = ("A", "B")) -> Record:
