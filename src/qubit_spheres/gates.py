@@ -318,25 +318,16 @@ def parse_circuit(text: str) -> Circuit:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        kind = tokens[0].lower()
+        name, *args = line.split()
+        kind = name.lower()
         if kind not in GATE_KINDS:
-            raise UnknownGate(line_no, f"unknown gate {tokens[0]!r}")
-        controlled = kind.startswith("c")
+            raise UnknownGate(line_no, f"unknown gate {name!r}")
         takes_angle = kind in ROTATION_KINDS
-        expected = 1 + (2 if controlled else 1) + (1 if takes_angle else 0)
-        if len(tokens) != expected:
-            raise ParseError(
-                line_no,
-                f"{kind} expects {expected - 1} argument(s), got {len(tokens) - 1}")
-        pos = 1
-        control = None
-        if controlled:
-            control = tokens[pos]
-            pos += 1
-        target = tokens[pos]
-        pos += 1
-        angle = _parse_angle(tokens[pos], line_no) if takes_angle else None
+        arity = (2 if kind.startswith("c") else 1) + takes_angle
+        if len(args) != arity:
+            raise ParseError(line_no, f"{kind} expects {arity} argument(s), got {len(args)}")
+        angle = _parse_angle(args.pop(), line_no) if takes_angle else None
+        control, target = args if len(args) == 2 else (None, *args)
         try:
             gates.append(Gate(kind=kind, target=target, control=control, angle=angle))
         except ValueError as exc:
@@ -345,5 +336,5 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def parse_circuit_file(path) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_circuit(fh.read())

@@ -29,7 +29,7 @@ import numpy as np
 from . import gates, hopf, oracles, state
 from .hopf import Assignment
 from .jsonfmt import sig15
-from .quatmath import I, J, conj, hamilton, join_components, norm_sq, split_components
+from .quatmath import J, conj, hamilton, join_components, norm_sq, split_components
 from .state import TwoQubitState
 
 DEFAULT_SEED = 42
@@ -104,8 +104,9 @@ def _unit(q: np.ndarray) -> np.ndarray:
 
 def _bloch(f: np.ndarray) -> np.ndarray:
     """Bloch vectors (2 Re(conj(a) b), 2 Im(conj(a) b), |a|^2 - |b|^2) of rows (a, b)."""
+    ab = gates._product(f[:, 0].conj(), f[:, 1])
     (ar, br), (ai, bi) = f.real.T, f.imag.T
-    return np.stack([2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br),
+    return np.stack([2.0 * ab.real, 2.0 * ab.imag,
                      (ar * ar + ai * ai) - (br * br + bi * bi)], axis=1)
 
 
@@ -383,11 +384,10 @@ class _SuiteRunner:
         # rebuild the full quaternion product 2*q2*conj(q1).  The i/j part
         # carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
         p = [2.0 * w for w in hamilton(q[4:], conj(q[:4]))]
-        sp, sin_xi = self.pool.spheres, self.sin[XI]
+        # e^(k*xi)*i = cos(xi)*i + sin(xi)*j.
+        sp = self.pool.spheres
         r = sp[..., B] * self.sin[CHI]
-        # e^(k*xi) = cos(xi) + k*sin(xi), times i.
-        ew, ex, ey, ez = hamilton((self.cos[XI], sin_xi * 0.0, sin_xi * 0.0, sin_xi * 1.0), I)
-        rebuilt = (sp[..., X1] + r * ew, r * ex, r * ey, r * ez + sp[..., X4])
+        rebuilt = (sp[..., X1], r * self.cos[XI], r * self.sin[XI], sp[..., X4])
         self.check("outer_product_structure", 1e-12, np.abs(np.subtract(rebuilt, p)).max(axis=0),
                    self.pool)
 

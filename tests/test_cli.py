@@ -119,6 +119,15 @@ def test_run_parse_error_exit_code(tmp_path, capsys):
         assert err == f"error: {message}\n"
 
 
+def test_run_reads_a_circuit_file_with_a_byte_order_mark(tmp_path, capsys):
+    plain, bom = tmp_path / "plain.circ", tmp_path / "bom.circ"
+    plain.write_bytes(b"rx A 60\ncry A B 70\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    code, out, err = run_cli(capsys, "run", str(bom), "--steps")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "run", str(plain), "--steps")[1]
+
+
 def test_run_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "run", "/nonexistent/file.circ")
     assert code == 2
