@@ -142,14 +142,6 @@ def test_render_circuit_input(tmp_path, capsys):
     assert "chi=35.0000deg" in out_path.read_text()
 
 
-def test_render_without_source_is_a_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["render", "--out", str(tmp_path / "x.svg")])
-    assert exc.value.code == 2
-    assert "--circuit" in capsys.readouterr().err.splitlines()[-1]
-    assert not (tmp_path / "x.svg").exists()
-
-
 def test_render_io_failure_exits_2(capsys):
     code, _, err = run_cli(capsys, "render", "--bell", "phi+",
                            "--out", "/nonexistent-dir/x.svg")
@@ -181,10 +173,15 @@ def test_verify_too_many_samples_exits_2(capsys):
     assert err.startswith("error: ") and "MemoryError" in err
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["map"])   # no state source
-    assert exc.value.code == 2
+def test_usage_error_exit_code(tmp_path, capsys):
+    # No state source: argparse's error line lists the sources.
+    svg = tmp_path / "x.svg"
+    for argv, source in ((["map"], "--basis"), (["render", "--out", str(svg)], "--circuit")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert source in capsys.readouterr().err.splitlines()[-1]
+    assert not svg.exists()
 
 
 def test_state_value_may_start_with_a_minus_sign(tmp_path, capsys):
@@ -277,10 +274,10 @@ GOLDEN_CASES = [
     ("map_state.json", ["map", "--state=0.6,-0,0,0.3,-0.5,0.2,0.1,-0.4"]),
     ("map_basis_10_b.json", ["map", "--basis", "10", "--assignment", "B"]),
     ("map_bell_psi_minus.txt", ["map", "--bell", "psi-", "--format", "text"]),
+    ("run_entangle_60_70_y90_a.json", ["run", Y90_CIRC, "--steps", "--assignment", "A"]),
     # One assignment, a renormalized --state and a zeta_f written -0.0000.
     ("map_state_b.txt", ["map", "--state=0.6,-0,0,0.3,-0.5,0.2,0.1,-0.4",
                          "--assignment", "B", "--format", "text"]),
-    ("run_entangle_60_70_y90_a.json", ["run", Y90_CIRC, "--steps", "--assignment", "A"]),
 ]
 
 
