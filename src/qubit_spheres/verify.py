@@ -384,9 +384,9 @@ class _SuiteRunner:
         # rebuild the full quaternion product 2*q2*conj(q1).  The i/j part
         # carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
         p = [2.0 * w for w in hamilton(q[4:], conj(q[:4]))]
-        # e^(k*xi)*i = cos(xi)*i + sin(xi)*j.
         sp = self.pool.spheres
         r = sp[..., B] * self.sin[CHI]
+        # e^(k*xi)*i = cos(xi)*i + sin(xi)*j.
         rebuilt = (sp[..., X1], r * self.cos[XI], r * self.sin[XI], sp[..., X4])
         self.check("outer_product_structure", 1e-12, np.abs(np.subtract(rebuilt, p)).max(axis=0),
                    self.pool)
