@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from qubit_spheres.gates import parse_circuit_file, run
+from qubit_spheres.state import coherence_d, reduced_density
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULTS = [
@@ -34,10 +35,11 @@ def show(path):
     for step in run(circuit):
         base = step.spheres_a.base
         ent = step.spheres_a.ent
+        d_a, d_b = (coherence_d(reduced_density(step.state, q)) for q in "AB")
         coords = f"({base.x1:+.4f},{base.b:+.4f},{base.x0:+.4f})"
         print(f"{step.index:<5}{step.description:<12}{step.concurrence:9.6f}  "
               f"{coords:>28}  {deg(ent.chi):7.2f} {ent.x4:+8.4f}  "
-              f"{step.coherence_d_a:7.4f} {step.coherence_d_b:7.4f}")
+              f"{d_a:7.4f} {d_b:7.4f}")
     print()
 
 

@@ -13,14 +13,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .hopf import Assignment, SphereSet, sphere_set
-from .state import (
-    DensityMatrix,
-    TwoQubitState,
-    _check_qubit,
-    coherence_d,
-    concurrence_det,
-    reduced_density,
-)
+from .state import TwoQubitState, _check_qubit, concurrence_det
 
 if TYPE_CHECKING:
     import numpy as np
@@ -159,8 +152,9 @@ class Gate(NamedTuple("Gate", [
             raise ValueError(f"{kind} requires an angle")
         if not needs_angle and angle is not None:
             raise ValueError(f"{kind} takes no angle")
-        if needs_angle and not math.isfinite(angle):
-            raise ValueError(f"{kind} angle {angle!r} is not finite")
+        # Degrees, as a circuit file states the angle: 1e307 is finite, its degrees are not.
+        if needs_angle and not math.isfinite(math.degrees(angle)):
+            raise ValueError(f"{kind} angle {angle!r} is not finite in degrees")
         return tuple.__new__(cls, (kind, target, control, angle))
 
     # namedtuple's own _make (and so _replace) would skip __new__.
@@ -265,24 +259,8 @@ class TrajectoryStep:
         return self.spheres_a if _check_qubit(label) == "A" else self.spheres_b
 
     @cached_property
-    def rho_a(self) -> DensityMatrix:
-        return reduced_density(self.state, "A")
-
-    @cached_property
-    def rho_b(self) -> DensityMatrix:
-        return reduced_density(self.state, "B")
-
-    @cached_property
     def concurrence(self) -> float:
         return concurrence_det(self.state)
-
-    @cached_property
-    def coherence_d_a(self) -> float:
-        return coherence_d(self.rho_a)
-
-    @cached_property
-    def coherence_d_b(self) -> float:
-        return coherence_d(self.rho_b)
 
 
 def run(c: Circuit) -> list[TrajectoryStep]:

@@ -1,9 +1,11 @@
 """Map a two-qubit pure state onto base, entanglement and fiber spheres.
 
-The amplitude vector is packed into a pair of quaternions (one per
-base-qubit assignment); the product 2*q2*conj(q1) = x1 + b*t carries the
-base-sphere azimuthal data and the entanglement coordinates, and the fiber
-versor completes an exactly invertible seven-angle parameterization.
+The amplitude vector is packed into a pair of quaternions, (q1, q2) =
+(alpha + beta*j, gamma + delta*j) with qubit A as the base and
+(alpha + gamma*j, beta + delta*j) with B; the product 2*q2*conj(q1) =
+x1 + b*t carries the base-sphere azimuthal data and the entanglement
+coordinates, and the fiber versor completes an exactly invertible
+seven-angle parameterization.
 
 The map and its inverse work on quaternion components (``quatmath``'s
 ``Components`` tuples).  The entanglement axis ``t`` is stored as the
@@ -98,17 +100,35 @@ class SphereSet(NamedTuple):
     fiber: FiberSphere
 
 
-def quaternion_pair(s: TwoQubitState, a: Assignment) -> tuple[Components, Components]:
-    """(alpha + beta*j, gamma + delta*j) for A_BASE; (alpha + gamma*j, beta + delta*j) for B_BASE."""
+def _fiber_angles(q_f: Components) -> tuple[float, float, float]:
+    ca, cb = split_components(q_f)
+    ma, mb = abs(ca), abs(cb)
+    theta_f = 2.0 * math.atan2(mb, ma)
+    if ma == 0.0:
+        zeta_f = 0.0
+        phi_f = math.atan2(cb.imag, cb.real)
+    elif mb == 0.0:
+        zeta_f = math.atan2(ca.imag, ca.real)
+        phi_f = zeta_f
+    else:
+        zeta_f = math.atan2(ca.imag, ca.real)
+        phi_f = math.atan2(cb.imag, cb.real) + zeta_f
+        if phi_f > math.pi:
+            phi_f -= 2.0 * math.pi
+        elif phi_f <= -math.pi:
+            phi_f += 2.0 * math.pi
+    return theta_f, phi_f, zeta_f
+
+
+def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
+    """Pack (q1, q2), form P = 2*q2*conj(q1) = x1 + b*t, and decompose the
+    fiber versor q_f = cos(theta/2)*q1 + sin(theta/2)*e^(-t*phi)*q2."""
     if a is Assignment.A_BASE:
-        return (join_components(s.alpha, s.beta),
-                join_components(s.gamma, s.delta))
-    return (join_components(s.alpha, s.gamma),
-            join_components(s.beta, s.delta))
-
-
-def base_and_entanglement(q1: Components, q2: Components
-                          ) -> tuple[BaseSphere, EntanglementSphere]:
+        q1, q2 = join_components(s.alpha, s.beta), join_components(s.gamma, s.delta)
+    elif a is Assignment.B_BASE:
+        q1, q2 = join_components(s.alpha, s.gamma), join_components(s.beta, s.delta)
+    else:
+        raise ValueError(f"assignment must be an Assignment, got {a!r}")
     x0 = norm_sq(q1) - norm_sq(q2)
     pw, px, py, pz = hamilton(q2, conj(q1))
 
@@ -130,13 +150,12 @@ def base_and_entanglement(q1: Components, q2: Components
     # ties (x4 == 0, p != 0) take b > 0, and p == 0 collapses to t = k.
     if pnorm == 0.0:
         b = 0.0
-        t = K[1:]
+        tx, ty, tz = K[1:]
         chi = 0.0
         xi = 0.0
     else:
         bu = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
         tx, ty, tz = u2 / bu, u3 / bu, u4 / bu
-        t = (tx, ty, tz)
         b = bu / scale
         chi = math.atan2(math.hypot(tx, ty), tz)
         xi = math.atan2(ty, tx)
@@ -146,65 +165,20 @@ def base_and_entanglement(q1: Components, q2: Components
     theta = math.atan2(math.hypot(x1, b), x0)
     phi = 0.0 if (theta == 0.0 or theta == math.pi) else math.atan2(b, x1)
 
-    return (BaseSphere(theta, phi, x1, b, x0),
-            EntanglementSphere(chi, xi, b, t, c, x2, x3, x4))
-
-
-def _fiber_angles(q_f: Components) -> tuple[float, float, float]:
-    ca, cb = split_components(q_f)
-    ma, mb = abs(ca), abs(cb)
-    theta_f = 2.0 * math.atan2(mb, ma)
-    if ma == 0.0:
-        zeta_f = 0.0
-        phi_f = math.atan2(cb.imag, cb.real)
-    elif mb == 0.0:
-        zeta_f = math.atan2(ca.imag, ca.real)
-        phi_f = zeta_f
-    else:
-        zeta_f = math.atan2(ca.imag, ca.real)
-        phi_f = math.atan2(cb.imag, cb.real) + zeta_f
-        if phi_f > math.pi:
-            phi_f -= 2.0 * math.pi
-        elif phi_f <= -math.pi:
-            phi_f += 2.0 * math.pi
-    return theta_f, phi_f, zeta_f
-
-
-def fiber(q1: Components, q2: Components, base: BaseSphere,
-          ent: EntanglementSphere) -> FiberSphere:
-    """Fiber versor q_f = cos(theta/2)*q1 + sin(theta/2)*e^(-t*phi)*q2, decomposed."""
-    half = 0.5 * base.theta
+    half = 0.5 * theta
     ch, sh = math.cos(half), math.sin(half)
     qw, qx, qy, qz = q1
     # e^(-t*phi); t is a unit axis by construction.
-    tx, ty, tz = ent.t
-    c, s = math.cos(-base.phi), math.sin(-base.phi)
-    rw, rx, ry, rz = hamilton((c, s * tx, s * ty, s * tz), q2)
+    cp, sp = math.cos(-phi), math.sin(-phi)
+    rw, rx, ry, rz = hamilton((cp, sp * tx, sp * ty, sp * tz), q2)
     theta_f, phi_f, zeta_f = _fiber_angles(
         (ch * qw + sh * rw, ch * qx + sh * rx, ch * qy + sh * ry, ch * qz + sh * rz))
     az = phi_f - 2.0 * zeta_f
     st = math.sin(theta_f)
-    return FiberSphere(theta_f, phi_f, zeta_f,
-                       (st * math.cos(az), st * math.sin(az), math.cos(theta_f)))
-
-
-def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
-    q1, q2 = quaternion_pair(s, a)
-    base, ent = base_and_entanglement(q1, q2)
-    return SphereSet(a, base, ent, fiber(q1, q2, base, ent))
-
-
-def fiber_versor(f: FiberSphere) -> Components:
-    """Rebuild q_f = (cos(theta_f/2) + sin(theta_f/2)*e^(k*phi_f)*j) * e^(k*zeta_f)."""
-    half = 0.5 * f.theta_f
-    ch, sh = math.cos(half), math.sin(half)
-    # e^(k*angle) = (c, 0, 0, s), its zeros written s*0.0 to keep their sign.
-    c, s = math.cos(f.phi_f), math.sin(f.phi_f)
-    w, x, y, z = hamilton((c, s * 0.0, s * 0.0, s), J)
-    c, s = math.cos(f.zeta_f), math.sin(f.zeta_f)
-    # (ch, 0, 0, 0) + sh*(w, x, y, z), with the signed zeros that sum gives.
-    return hamilton((ch + sh * w, 0.0 + sh * x, 0.0 + sh * y, 0.0 + sh * z),
-                    (c, s * 0.0, s * 0.0, s))
+    return SphereSet(a, BaseSphere(theta, phi, x1, b, x0),
+                     EntanglementSphere(chi, xi, b, (tx, ty, tz), c, x2, x3, x4),
+                     FiberSphere(theta_f, phi_f, zeta_f,
+                                 (st * math.cos(az), st * math.sin(az), math.cos(theta_f))))
 
 
 def _bad(name: str, err: float, tol: float = VALID_TOL) -> NoReturn:
@@ -280,19 +254,29 @@ def _validate(ss: SphereSet) -> tuple[float, float]:
 
 
 def reconstruct(ss: SphereSet) -> TwoQubitState:
-    """Exact inverse of sphere_set for either assignment."""
+    """Exact inverse of sphere_set: q1 = cos(theta/2)*q_f, q2 = sin(theta/2)*e^(t*phi)*q_f."""
     cp, sp = _validate(ss)
     tx, ty, tz = ss.ent.t
-    q_f = fiber_versor(ss.fiber)
+    # The fiber versor q_f = (cos(theta_f/2) + sin(theta_f/2)*e^(k*phi_f)*j) * e^(k*zeta_f).
+    half = 0.5 * ss.fiber.theta_f
+    ch, sh = math.cos(half), math.sin(half)
+    # e^(k*angle) = (c, 0, 0, s), its zeros written s*0.0 to keep their sign.
+    c, s = math.cos(ss.fiber.phi_f), math.sin(ss.fiber.phi_f)
+    w, x, y, z = hamilton((c, s * 0.0, s * 0.0, s), J)
+    c, s = math.cos(ss.fiber.zeta_f), math.sin(ss.fiber.zeta_f)
+    # (ch, 0, 0, 0) + sh*(w, x, y, z), with the signed zeros that sum gives.
+    w, x, y, z = hamilton((ch + sh * w, 0.0 + sh * x, 0.0 + sh * y, 0.0 + sh * z),
+                          (c, s * 0.0, s * 0.0, s))
     half = 0.5 * ss.base.theta
     ch, sh = math.cos(half), math.sin(half)
-    w, x, y, z = q_f
-    rw, rx, ry, rz = hamilton((cp, sp * tx, sp * ty, sp * tz), q_f)
+    rw, rx, ry, rz = hamilton((cp, sp * tx, sp * ty, sp * tz), (w, x, y, z))
     c1, c2 = split_components((ch * w, ch * x, ch * y, ch * z))
     c3, c4 = split_components((sh * rw, sh * rx, sh * ry, sh * rz))
     if ss.assignment is Assignment.A_BASE:
         return TwoQubitState(c1, c2, c3, c4)
-    return TwoQubitState(c1, c3, c2, c4)
+    if ss.assignment is Assignment.B_BASE:
+        return TwoQubitState(c1, c3, c2, c4)
+    raise InvalidSphereSet(f"assignment {ss.assignment!r} is not an Assignment")
 
 
 def rho_from_spheres(ss: SphereSet) -> DensityMatrix:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .gates import TrajectoryStep
 from .jsonfmt import LEAF, Document, numbers, sig15, template
-from .state import TwoQubitState
+from .state import TwoQubitState, coherence_d, reduced_density
 
 SCHEMA_VERSION = "1"
 
@@ -66,8 +66,9 @@ def _numbers(step: TrajectoryStep, assignments: tuple[str, ...]) -> list[str]:
         values += (degrees(base.theta), degrees(base.phi), base.x1, base.b, base.x0,
                    degrees(ent.chi), degrees(ent.xi), ent.c, ent.x2, ent.x3, ent.x4,
                    degrees(fib.theta_f), degrees(fib.phi_f), degrees(fib.zeta_f), *fib.bloch)
-    values += [p for z in (*step.rho_a, *step.rho_b) for p in (z.real, z.imag)]
-    values += (step.concurrence, step.coherence_d_a, step.coherence_d_b)
+    rhos = [reduced_density(step.state, q) for q in "AB"]
+    values += [p for rho in rhos for z in rho for p in (z.real, z.imag)]
+    values += (step.concurrence, *map(coherence_d, rhos))
     return numbers(values)
 
 

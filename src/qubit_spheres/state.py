@@ -10,9 +10,13 @@ from .quatmath import ComplexK
 if TYPE_CHECKING:
     import numpy as np
 
-NORM_TOL = 1e-9
+# Norm 1 + e maps to |x|^2 = (1 + e)^4 ~ 1 + 4e on the sphere point, which
+# hopf.reconstruct holds to VALID_TOL = 1e-9: 4*NORM_TOL must stay below it.
+NORM_TOL = 2e-10
 ZERO_NORM_TOL = 1e-12
-RADICAND_TOL = 1e-12
+# Tr rho^2 scales by |psi|^4 too: a product state's radicand 2*(1 - Tr rho^2)
+# reaches -8*NORM_TOL, so RADICAND_TOL must be at least 8*NORM_TOL.
+RADICAND_TOL = 2e-9
 
 BELL_NAMES = ("phi+", "phi-", "psi+", "psi-")
 BASIS_NAMES = ("00", "01", "10", "11")
@@ -27,7 +31,7 @@ class NormOutOfTolerance(ValueError):
 
 
 class NegativeRadicand(ValueError):
-    """Square-root argument below -1e-12; the density matrix is invalid."""
+    """Square-root argument below -RADICAND_TOL; the density matrix is invalid."""
 
 
 # The class form of NamedTuple forbids overriding __new__, hence the

@@ -373,10 +373,10 @@ class _SuiteRunner:
                    np.abs(self.pool.rho - ref).max(axis=2), self.pool)
         del ref  # freed before the pool-sized arrays below, as in hopf_invariants
         # The pair (q1, q2) of each state and assignment, packed from the
-        # amplitudes as hopf.quaternion_pair documents: (alpha.re, -beta.im,
-        # beta.re, alpha.im | gamma.re, -delta.im, delta.re, gamma.im) under
-        # A_BASE, with beta and gamma swapped under B_BASE.  The float view's
-        # columns are alpha.re, alpha.im, beta.re, ..., delta.im.
+        # amplitudes as the hopf module docstring packs them: (alpha.re,
+        # -beta.im, beta.re, alpha.im | gamma.re, -delta.im, delta.re,
+        # gamma.im) under A_BASE, with beta and gamma swapped under B_BASE.
+        # The float view's columns are alpha.re, alpha.im, ..., delta.im.
         q = self.amps.view(float)[:, [[0, 3, 2, 1, 4, 7, 6, 5], [0, 5, 4, 1, 2, 7, 6, 3]]]
         q[..., [1, 5]] = -q[..., [1, 5]]
         q = np.moveaxis(q, -1, 0)
@@ -416,7 +416,7 @@ class _SuiteRunner:
                 gates.Gate(kind="rx", target="A", angle=eta),
                 gates.Gate(kind="cry", control="A", target="B", angle=omega))))
             e_sweep.append(abs(steps[-1].concurrence - math.sin(eta) * math.sin(omega / 2)))
-            r = state.bloch_vector(steps[1].rho_a)
+            r = state.bloch_vector(state.reduced_density(steps[1].state, "A"))
             e_sup.append(abs(math.hypot(r[0], r[1]) - math.sin(eta)))
         self.check("entangler_concurrence_law", 1e-9, np.array(e_sweep))
         self.check("entangler_superposition_degree", 1e-12, np.array(e_sup))

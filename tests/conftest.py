@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,12 @@ CIRCUIT_DIR = REPO_ROOT / "circuits"
 
 POOL_SEED = 20240817
 POOL_SIZE = 10_000
+
+
+def child_env() -> dict[str, str]:
+    """os.environ with the package's src first on PYTHONPATH, for a child Python."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
 
 
 def entangler_60_70_state() -> TwoQubitState:

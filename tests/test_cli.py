@@ -1,11 +1,10 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import CIRCUIT_DIR, GOLDEN_DIR, REPO_ROOT
+from conftest import CIRCUIT_DIR, GOLDEN_DIR, REPO_ROOT, child_env
 from qubit_spheres import cli, gates
 from qubit_spheres.hopf import sphere_set
 
@@ -207,12 +206,9 @@ def test_console_entry_point_subprocess():
 
 def _python(*args, importtime=False):
     """`python [-X importtime] ARGS` with the package's src on the path, from the repo root."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
     flags = ["-X", "importtime"] if importtime else []
     return subprocess.run([sys.executable, *flags, *args],
-                          capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+                          capture_output=True, text=True, env=child_env(), cwd=REPO_ROOT)
 
 
 def _imported(stderr: str) -> set[str]:

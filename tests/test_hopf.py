@@ -15,10 +15,6 @@ from qubit_spheres.hopf import (
     InvalidSphereSet,
     SphereSet,
     _validate,
-    base_and_entanglement,
-    fiber,
-    fiber_versor,
-    quaternion_pair,
     reconstruct,
     rho_from_spheres,
     sphere_set,
@@ -32,39 +28,19 @@ from qubit_spheres.quatmath import (
     norm_sq,
     split_components,
 )
+from qubit_spheres.records import state_record
 from qubit_spheres.state import (
     BASIS_NAMES,
     BELL_NAMES,
+    NORM_TOL,
+    NormOutOfTolerance,
     TwoQubitState,
+    concurrence_from_rho,
+    reduced_density,
 )
-
-R2 = 1 / math.sqrt(2)
-
 
 def amp_error(s1, s2):
     return max(abs(a - b) for a, b in zip(s1.amplitudes(), s2.amplitudes()))
-
-
-def test_quaternion_pair_basis():
-    q1, q2 = quaternion_pair(TwoQubitState.basis("00"), Assignment.A_BASE)
-    assert q1 == (1, 0, 0, 0)
-    assert q2 == (0, 0, 0, 0)
-
-
-def test_quaternion_pair_bell():
-    q1, q2 = quaternion_pair(TwoQubitState.bell("phi+"), Assignment.A_BASE)
-    assert q1 == pytest.approx((R2, 0, 0, 0))
-    assert q2 == pytest.approx((0, 0, R2, 0))
-
-
-def test_quaternion_pair_b_base_recomposition(state_pool):
-    # (alpha + gamma*j, beta + delta*j): check the packing by unpacking.
-    for s in state_pool[:100]:
-        q1, q2 = quaternion_pair(s, Assignment.B_BASE)
-        a, g = split_components(q1)
-        b, d = split_components(q2)
-        assert (a, b, g, d) == s.amplitudes()
-        assert norm_sq(q1) + norm_sq(q2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_basis_00_spheres():
@@ -87,8 +63,9 @@ def test_bell_phi_plus_spheres():
     assert ss.ent.chi == pytest.approx(math.pi / 2, abs=1e-12)
     assert ss.ent.c == pytest.approx(1.0, abs=1e-12)
     assert ss.ent.x4 == pytest.approx(0.0, abs=1e-12)
-    # fiber versor is the identity quaternion
-    assert fiber_versor(ss.fiber) == pytest.approx((1, 0, 0, 0), abs=1e-12)
+    # theta_f = phi_f = zeta_f = 0: the fiber versor is the identity quaternion
+    f = ss.fiber
+    assert (f.theta_f, f.phi_f, f.zeta_f) == pytest.approx((0, 0, 0), abs=1e-12)
 
 
 def test_entangled_state_base_coordinates():
@@ -199,9 +176,31 @@ def test_near_degenerate_round_trip_property(s, a):
     assert_round_trip(s, a)
 
 
+def test_states_at_the_norm_tolerance_map_back(state_pool):
+    # A norm defect e puts the sphere point at |x|^2 ~ 1 + 4e and moves Tr rho^2
+    # by about 4e: every state the constructor accepts must still map back and
+    # have a concurrence and both coherences.
+    rng = np.random.default_rng(43)
+    centres = ([TwoQubitState.basis(label) for label in BASIS_NAMES]
+               + [TwoQubitState.bell(name) for name in BELL_NAMES]
+               + [random_product_state(rng) for _ in range(50)] + state_pool[:50])
+    for v in centres:
+        for defect in (0.995 * NORM_TOL, -0.995 * NORM_TOL):
+            s = TwoQubitState(*(z * (1.0 + defect) for z in v))
+            for a in Assignment:
+                assert_round_trip(s, a)
+            state_record(s)
+            for q in "AB":
+                concurrence_from_rho(reduced_density(s, q))
+        with pytest.raises(NormOutOfTolerance):
+            TwoQubitState(*(z * (1.0 + 1.05 * NORM_TOL) for z in v))
+
+
 def test_fiber_versor_is_unit(state_pool):
+    # |reconstruct(ss)| = |q_f|: q1 and q2 are the rebuilt versor scaled by
+    # cos and sin of theta/2 (q2 also turned by the unit e^(t*phi)).
     for ss in pool_sets(state_pool[:500]):
-        assert math.sqrt(norm_sq(fiber_versor(ss.fiber))) == pytest.approx(1.0, abs=1e-12)
+        assert reconstruct(ss).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_from_spheres_examples():
@@ -239,11 +238,19 @@ def scale_b(ss, f):
     # |t| = 1 + 1e-10 is within 1e-9 of every angle check, not of 1e-12.
     (lambda ss: ss._replace(ent=ss.ent._replace(t=tuple((1.0 + 1e-10) * v for v in ss.ent.t))),
      InvalidSphereSet, "unit t axis"),
-], ids=["base", "t-angles", "entanglement", "5-norm", "fiber-bloch", "unit-t"])
+    # A consistent set whose assignment is a label, not an Assignment.
+    (lambda ss: ss._replace(assignment="A"), InvalidSphereSet, "assignment 'A'"),
+], ids=["base", "t-angles", "entanglement", "5-norm", "fiber-bloch", "unit-t", "assignment"])
 def test_reconstruct_rejects_invalid_set(broken, error, check):
     ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)
     with pytest.raises(error, match=re.escape(check)):
         reconstruct(broken(ss))
+
+
+@pytest.mark.parametrize("a", ["A", "B", None])
+def test_sphere_set_rejects_a_non_assignment(a):
+    with pytest.raises(ValueError, match=re.escape(repr(a))):
+        sphere_set(TwoQubitState.bell("phi+"), a)
 
 
 # Every float of a sphere set, named as InvalidSphereSet names it.
@@ -288,17 +295,6 @@ def test_reconstruct_rejects_southern_chi():
     )
     with pytest.raises(InvalidSphereSet, match="outside"):
         reconstruct(broken)
-
-
-def test_component_functions_compose():
-    s = entangler_60_70_state()
-    q1, q2 = quaternion_pair(s, Assignment.A_BASE)
-    base, ent = base_and_entanglement(q1, q2)
-    fib = fiber(q1, q2, base, ent)
-    ss = sphere_set(s, Assignment.A_BASE)
-    assert ss.base == base
-    assert ss.ent == ent
-    assert ss.fiber == fib
 
 
 # -- reference: the map written as quaternion expressions ---------------------

@@ -11,7 +11,13 @@ from conftest import CIRCUIT_DIR
 from qubit_spheres import cli, gates, jsonfmt, records
 from qubit_spheres.gates import ROTATION_KINDS, TrajectoryStep, parse_circuit, run
 from qubit_spheres.jsonfmt import sig15
-from qubit_spheres.state import BASIS_NAMES, BELL_NAMES, TwoQubitState
+from qubit_spheres.state import (
+    BASIS_NAMES,
+    BELL_NAMES,
+    TwoQubitState,
+    coherence_d,
+    reduced_density,
+)
 
 CHOICES = {"both": ("A", "B"), "A": ("A",), "B": ("B",)}
 
@@ -59,16 +65,17 @@ def _rho_block(rho):
 
 
 def _reference_record(step, assignments, with_step):
+    rho_a, rho_b = (reduced_density(step.state, q) for q in "AB")
     record = {"step": step.index,
               "gate": None if step.gate is None else step.description} if with_step else {}
     record.update({
         "amplitudes": [sig15(p) for amp in step.state.amplitudes() for p in (amp.real, amp.imag)],
         "assignments": {label: _sphere_block(step.spheres(label)) for label in assignments},
-        "rho_A": _rho_block(step.rho_a),
-        "rho_B": _rho_block(step.rho_b),
+        "rho_A": _rho_block(rho_a),
+        "rho_B": _rho_block(rho_b),
         "concurrence": sig15(step.concurrence),
-        "coherence_d_A": sig15(step.coherence_d_a),
-        "coherence_d_B": sig15(step.coherence_d_b),
+        "coherence_d_A": sig15(coherence_d(rho_a)),
+        "coherence_d_B": sig15(coherence_d(rho_b)),
     })
     return record
 

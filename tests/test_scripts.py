@@ -1,20 +1,16 @@
-import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import CIRCUIT_DIR, GOLDEN_DIR, REPO_ROOT
+from conftest import CIRCUIT_DIR, GOLDEN_DIR, REPO_ROOT, child_env
 
 SCRIPTS = REPO_ROOT / "scripts"
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
-                          capture_output=True, text=True, env=env, cwd=REPO_ROOT)
+                          capture_output=True, text=True, env=child_env(), cwd=REPO_ROOT)
 
 
 def test_render_gallery_writes_every_svg(tmp_path):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import entangler_60_70_state, random_product_state
+from conftest import child_env, entangler_60_70_state, random_product_state
 from qubit_spheres import cli, oracles, state, verify
 from qubit_spheres.jsonfmt import dumps
 from qubit_spheres.state import TwoQubitState, random_state
@@ -227,8 +227,7 @@ def test_verify_report_is_the_same_on_every_blas_kernel():
     """The report, under the default and each forced OpenBLAS kernel, and
     with numpy's AVX-512 and its X86_V3 (AVX2, FMA) loops turned off; the
     children start together."""
-    base = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(Path(verify.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    base = child_env()
     for var in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
         base.pop(var, None)
     envs = {"default": base}
