@@ -42,7 +42,6 @@ def _template(with_step: bool, assignments: tuple[str, ...]) -> str:
     })
 
 
-@cache
 def _text_template(assignments: tuple[str, ...]) -> str:
     """The text form with a % field at each leaf of _template but rho_A's and rho_B's."""
     lines = ["amplitudes:",

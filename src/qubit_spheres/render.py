@@ -6,7 +6,6 @@ same input always produces byte-identical output.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .gates import TrajectoryStep
@@ -108,18 +107,16 @@ def _centre(col: int, row: int) -> tuple[float, float]:
             MARGIN + 18 + row * (CELL + LABEL_H) + CELL / 2)
 
 
-@functools.cache
-def _frame(col: int, row: int) -> tuple[str, ...]:
+def _frame(col: int, row: int) -> list[str]:
     """The part of a cell that no state changes: outline, equator and
-    labelled axes.  Built once per cell position (3 columns by at most the
-    rows of one render, 2 from the CLI)."""
+    labelled axes."""
     cx, cy = _centre(col, row)
     outline, labels, _, _ = _COLUMNS[col]
     parts = [_circle(cx, cy, RADIUS, f'style="{outline}"'), _ring(cx, cy, 1.0, 0.0, _WIRE)]
     for axis, name in zip(((1.25, 0, 0), (0, 1.25, 0), (0, 0, 1.25)), labels):
         parts.append(_line(*_px(cx, cy, (0, 0, 0)), *_px(cx, cy, axis), _AXIS))
         parts.append(_text(*_px(cx, cy, tuple(1.38 * v for v in axis)), name, "axis"))
-    return tuple(parts)
+    return parts
 
 
 def _row(row: int, ss: SphereSet) -> list[str]:

@@ -22,14 +22,21 @@ def child_env() -> dict[str, str]:
         p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
 
 
+DEG = math.pi / 180
+
+# Oracle-derived constants for the rx(60)+cry(70) worked state.
+C_60_70 = 0.496731764892154          # sin(60 deg) * sin(35 deg)
+X4_60_70 = -0.709406479916222        # -sin(60 deg) * cos(35 deg)
+D_60_70 = 0.867904115526091          # sqrt(1 - C_60_70^2)
+
+
 def entangler_60_70_state() -> TwoQubitState:
     """State after rx A 60 ; cry A B 70 from |00>, written out by hand."""
-    d = math.pi / 180
     return TwoQubitState(
-        complex(math.cos(30 * d)),
+        complex(math.cos(30 * DEG)),
         0j,
-        complex(0.0, -math.sin(30 * d) * math.cos(35 * d)),
-        complex(0.0, -math.sin(30 * d) * math.sin(35 * d)),
+        complex(0.0, -math.sin(30 * DEG) * math.cos(35 * DEG)),
+        complex(0.0, -math.sin(30 * DEG) * math.sin(35 * DEG)),
     )
 
 

@@ -12,17 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_DIR, POOL_SEED, random_product_state
+from conftest import DEG, GOLDEN_DIR, POOL_SEED, X4_60_70, random_product_state
 from qubit_spheres.gates import Circuit, Gate, bloch_rotation, rotation, run
 from qubit_spheres.hopf import Assignment, sphere_set
 from qubit_spheres.jsonfmt import dumps
 from qubit_spheres.state import TwoQubitState
 from qubit_spheres.verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_suite
 
-DEG = math.pi / 180
-
 # Oracle-derived constants (partial trace / determinant form, frozen).
-X4_60_70 = -0.709406479916222    # -sin(60 deg) * cos(35 deg)
 PHI_BEFORE_DEG = -90.0           # base azimuth after the entangler
 PHI_AFTER_Z90_DEG = 35.0         # base azimuth after appending rz A 90
 PHI_AFTER_XM90_DEG = 90.0        # base azimuth after appending rx A -90

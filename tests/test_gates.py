@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import C_60_70, DEG
 from qubit_spheres import records
 from qubit_spheres.gates import (
     GATE_KINDS,
@@ -21,9 +22,6 @@ from qubit_spheres.gates import (
     run,
 )
 from qubit_spheres.state import NormOutOfTolerance, TwoQubitState, random_state
-
-DEG = math.pi / 180
-C_60_70 = 0.496731764892154
 
 # Reference gate kernel: the numpy construction `gates` used before its 2x2
 # table (cos*I2 - 1j*sin*sigma, fixed gates as arrays, np.kron expansion).
@@ -225,15 +223,6 @@ def test_bloch_rotation_oracle():
     assert all((r == bloch_rotation(u)).all() for r, u in zip(bloch_rotation(us), us))
 
 
-def test_parse_circuit_basic():
-    c = parse_circuit("rx A 60\ncry A B 70")
-    assert len(c.gates) == 2
-    assert c.gates[0].kind == "rx"
-    assert c.gates[0].angle == pytest.approx(60 * DEG)
-    assert c.gates[1].control == "A"
-    assert c.gates[1].target == "B"
-
-
 def test_parse_circuit_comments_and_blanks():
     c = parse_circuit("# comment\n\nry B 90  # trailing comment\n")
     assert len(c.gates) == 1
@@ -272,12 +261,6 @@ def test_parse_circuit_arity_errors():
         parse_circuit("cx A B 10")
     with pytest.raises(ParseError):
         parse_circuit("cx B B")
-
-
-def test_parse_circuit_fixed_gates():
-    c = parse_circuit("h A\ncx A B\nsdg B\ntdg A\nt B\ns A\n")
-    kinds = [g.kind for g in c.gates]
-    assert kinds == ["h", "cx", "sdg", "tdg", "t", "s"]
 
 
 def test_gate_describe_roundtrip():

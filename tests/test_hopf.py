@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import entangler_60_70_state, exp_axis, random_product_state
+from conftest import X4_60_70, entangler_60_70_state, exp_axis, random_product_state
 from qubit_spheres.hopf import (
     Assignment,
     BaseSphere,
@@ -55,32 +56,6 @@ def test_basis_00_spheres():
     assert ss.ent.c == 0.0
     assert ss.fiber.theta_f == pytest.approx(0.0, abs=1e-12)
     assert ss.fiber.zeta_f == pytest.approx(0.0, abs=1e-12)
-
-
-def test_bell_phi_plus_spheres():
-    ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)
-    assert (ss.base.x1, ss.base.b, ss.base.x0) == pytest.approx((0, 1, 0), abs=1e-12)
-    assert ss.ent.chi == pytest.approx(math.pi / 2, abs=1e-12)
-    assert ss.ent.c == pytest.approx(1.0, abs=1e-12)
-    assert ss.ent.x4 == pytest.approx(0.0, abs=1e-12)
-    # theta_f = phi_f = zeta_f = 0: the fiber versor is the identity quaternion
-    f = ss.fiber
-    assert (f.theta_f, f.phi_f, f.zeta_f) == pytest.approx((0, 0, 0), abs=1e-12)
-
-
-def test_entangled_state_base_coordinates():
-    ss = sphere_set(entangler_60_70_state(), Assignment.A_BASE)
-    assert ss.base.x1 == pytest.approx(0.0, abs=1e-12)
-    assert ss.base.b == pytest.approx(-math.sin(math.radians(60)), abs=1e-12)
-    assert ss.base.x0 == pytest.approx(0.5, abs=1e-12)
-    assert ss.ent.c == pytest.approx(0.496731764892154, abs=1e-12)
-    assert ss.ent.x4 == pytest.approx(-0.709406479916222, abs=1e-12)
-    assert math.degrees(ss.ent.chi) == pytest.approx(35.0, abs=1e-9)
-
-
-def test_entangled_state_b_base_concurrence():
-    ss = sphere_set(entangler_60_70_state(), Assignment.B_BASE)
-    assert ss.ent.c == pytest.approx(0.496731764892154, abs=1e-12)
 
 
 def pool_sets(states) -> list:
@@ -156,6 +131,28 @@ def test_branch_points_reach_every_branch():
     assert hit == set(branches)
 
 
+def test_signed_zero_branches():
+    # The pole rule: phi = 0 at theta = 0 and pi, whatever the signs of the
+    # zeros that atan2(b, x1) would read there.
+    for label in BASIS_NAMES:
+        parts = [p for amp in TwoQubitState.basis(label) for p in (amp.real, amp.imag)]
+        for signs in itertools.product((1.0, -1.0), repeat=7):
+            zeros = iter(signs)
+            spelled = [p or next(zeros) * 0.0 for p in parts]
+            s = TwoQubitState(*map(complex, spelled[::2], spelled[1::2]))
+            for a in Assignment:
+                base = sphere_set(s, a).base
+                assert base.theta in (0.0, math.pi) and repr(base.phi) == "0.0", (s, a)
+    # The tie rule: x4 = -0.0 with p != 0 takes b > 0.  complex(0, -0.5), not
+    # the literal -0.5j, which is (-0-0.5j) and gives x4 = +0.0.
+    for s, a in ((TwoQubitState(0j, complex(0, 0.5), complex(0.5, -0.5), complex(0, -0.5)),
+                  Assignment.A_BASE),
+                 (TwoQubitState(0j, complex(0.5, -0.5), complex(0, 0.5), complex(0, -0.5)),
+                  Assignment.B_BASE)):
+        ent = sphere_set(s, a).ent
+        assert repr(ent.x4) == "-0.0" and ent.b > 0, (s, a)
+
+
 product_states = st.integers(0, 2**32 - 1).map(
     lambda seed: random_product_state(np.random.default_rng(seed)))
 
@@ -211,7 +208,7 @@ def test_rho_from_spheres_examples():
     assert rho.rho00 == pytest.approx(1.0, abs=1e-12)
     rho = rho_from_spheres(sphere_set(entangler_60_70_state(), Assignment.A_BASE))
     assert rho.rho00.real == pytest.approx(0.75, abs=1e-12)
-    assert abs(rho.rho01.imag) == pytest.approx(0.709406479916222 / 2, abs=1e-12)
+    assert abs(rho.rho01.imag) == pytest.approx(abs(X4_60_70) / 2, abs=1e-12)
 
 
 def scale_b(ss, f):
@@ -226,6 +223,8 @@ def scale_b(ss, f):
 @pytest.mark.parametrize("broken, error, check", [
     (lambda ss: ss._replace(base=ss.base._replace(x1=ss.base.x1 + 1e-3)),
      InvalidSphereSet, "base Cartesian/angle consistency"),
+    (lambda ss: ss._replace(ent=ss.ent._replace(chi=math.pi / 2 + 0.1)),
+     InvalidSphereSet, "outside [0, pi/2]"),
     (lambda ss: ss._replace(ent=ss.ent._replace(xi=ss.ent.xi + 1e-3)),
      InvalidSphereSet, "t/(chi, xi) consistency"),
     (lambda ss: ss._replace(ent=ss.ent._replace(c=ss.ent.c + 1e-3)),
@@ -240,7 +239,8 @@ def scale_b(ss, f):
      InvalidSphereSet, "unit t axis"),
     # A consistent set whose assignment is a label, not an Assignment.
     (lambda ss: ss._replace(assignment="A"), InvalidSphereSet, "assignment 'A'"),
-], ids=["base", "t-angles", "entanglement", "5-norm", "fiber-bloch", "unit-t", "assignment"])
+], ids=["base", "southern-chi", "t-angles", "entanglement", "5-norm", "fiber-bloch", "unit-t",
+        "assignment"])
 def test_reconstruct_rejects_invalid_set(broken, error, check):
     ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)
     with pytest.raises(error, match=re.escape(check)):
@@ -280,21 +280,6 @@ def test_reconstruct_rejects_non_finite_field(name):
         with pytest.raises(InvalidSphereSet) as e:
             reconstruct(with_float(ss, name, v))
         assert str(e.value) == f"{name} is {v!r}"
-
-
-def test_reconstruct_rejects_southern_chi():
-    ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)
-    t = ss.ent.t
-    broken = SphereSet(
-        assignment=ss.assignment,
-        base=ss.base,
-        ent=EntanglementSphere(chi=math.pi / 2 + 0.1, xi=ss.ent.xi, b=ss.ent.b,
-                               t=t, c=ss.ent.c, x2=ss.ent.x2, x3=ss.ent.x3,
-                               x4=ss.ent.x4),
-        fiber=ss.fiber,
-    )
-    with pytest.raises(InvalidSphereSet, match="outside"):
-        reconstruct(broken)
 
 
 # -- reference: the map written as quaternion expressions ---------------------

@@ -7,7 +7,6 @@ import random
 import numpy as np
 import pytest
 
-from conftest import CIRCUIT_DIR
 from qubit_spheres import cli, gates, jsonfmt, records
 from qubit_spheres.gates import ROTATION_KINDS, TrajectoryStep, parse_circuit, run
 from qubit_spheres.jsonfmt import sig15
@@ -131,17 +130,6 @@ def test_writer_matches_reference_on_every_bell_and_basis_map(capsys, choice):
         want = _reference_dumps(block, [_reference_record(TrajectoryStep(0, None, s),
                                                           CHOICES[choice], False)])
         assert capsys.readouterr().out == want, name
-
-
-def test_benchmark_chain_equals_run_steps_stdout(capsys):
-    path = str(CIRCUIT_DIR / "entangle_60_70.circ")
-    circuit = gates.parse_circuit_file(path)
-    block = {"kind": "circuit", "initial": circuit.initial,
-             "gates": [g.describe() for g in circuit.gates]}
-    chain = jsonfmt.dumps(records.document(
-        block, [records.step_record(st) for st in run(circuit)]))
-    assert cli.main(["run", path, "--steps"]) == 0
-    assert chain == capsys.readouterr().out
 
 
 # -- the writer's rules -------------------------------------------------------

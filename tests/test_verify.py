@@ -11,13 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import child_env, entangler_60_70_state, random_product_state
+from conftest import C_60_70, child_env, entangler_60_70_state, random_product_state
 from qubit_spheres import cli, oracles, state, verify
 from qubit_spheres.jsonfmt import dumps
 from qubit_spheres.state import TwoQubitState, random_state
 from qubit_spheres.verify import run_suite
-
-C_60_70 = 0.496731764892154
 
 
 def test_partial_trace_matches_index_summation_bit_for_bit(state_pool):
@@ -100,22 +98,6 @@ def test_oracles_do_not_touch_sphere_code():
     assert not any("gates" in name for name in imported)
     assert "hopf" not in src
     assert "concurrence_det" not in src
-
-
-def test_run_suite_smoke():
-    report = run_suite(seed=7, samples=200)
-    assert report.all_passed
-    names = [r.name for r in report.results]
-    assert "round_trip_reconstruction" in names
-    assert "rho_from_spheres_vs_partial_trace" in names
-    assert "outer_product_structure" in names
-    assert len(names) == len(set(names))
-
-
-def test_run_suite_deterministic():
-    r1 = run_suite(seed=11, samples=100)
-    r2 = run_suite(seed=11, samples=100)
-    assert dumps(r1.to_dict()) == dumps(r2.to_dict())
 
 
 def test_run_suite_rejects_zero_samples():
