@@ -67,30 +67,46 @@ class BaseSphere(NamedTuple):
 
 
 class EntanglementSphere(NamedTuple):
-    """Unit axis t = (tx, ty, tz) (angles chi, xi) and the inner sphere of radius |b|.
+    """Unit axis t = (tx, ty, tz) and the inner-sphere point (x2, x3, x4) = b*t.
 
-    The inner-sphere point is (x2, x3, x4) = b*t; the concurrence is the
-    radius c = hypot(x2, x3) = |b|*sin(chi) of its horizontal circle, and
-    x4 = b*cos(chi) is the imaginary coherence of the base qubit.
+    b is the base sphere's.  chi and xi, the angles of t, and the
+    concurrence c = hypot(x2, x3) = |b|*sin(chi), the radius of the inner
+    sphere's horizontal circle, are computed on each read; x4 = b*cos(chi)
+    is the imaginary coherence of the base qubit.
     """
 
-    chi: float
-    xi: float
-    b: float
     t: tuple[float, float, float]
-    c: float
     x2: float
     x3: float
     x4: float
 
+    @property
+    def chi(self) -> float:
+        tx, ty, tz = self.t
+        return math.atan2(math.hypot(tx, ty), tz)
+
+    @property
+    def xi(self) -> float:
+        return math.atan2(self.t[1], self.t[0])
+
+    @property
+    def c(self) -> float:
+        return math.hypot(self.x2, self.x3)
+
 
 class FiberSphere(NamedTuple):
-    """Fiber versor angles; the Bloch point is plotted at azimuth phi_f - 2*zeta_f."""
+    """Fiber versor angles.  The Bloch point, computed on each read, sits at
+    polar angle theta_f and azimuth phi_f - 2*zeta_f."""
 
     theta_f: float
     phi_f: float
     zeta_f: float
-    bloch: tuple[float, float, float]
+
+    @property
+    def bloch(self) -> tuple[float, float, float]:
+        az = self.phi_f - 2.0 * self.zeta_f
+        st = math.sin(self.theta_f)
+        return (st * math.cos(az), st * math.sin(az), math.cos(self.theta_f))
 
 
 class SphereSet(NamedTuple):
@@ -151,16 +167,11 @@ def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
     if pnorm == 0.0:
         b = 0.0
         tx, ty, tz = K[1:]
-        chi = 0.0
-        xi = 0.0
     else:
         bu = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
         tx, ty, tz = u2 / bu, u3 / bu, u4 / bu
         b = bu / scale
-        chi = math.atan2(math.hypot(tx, ty), tz)
-        xi = math.atan2(ty, tx)
 
-    c = math.hypot(x2, x3)
     # atan2 rather than acos: acos loses half its digits near the poles.
     theta = math.atan2(math.hypot(x1, b), x0)
     phi = 0.0 if (theta == 0.0 or theta == math.pi) else math.atan2(b, x1)
@@ -171,14 +182,10 @@ def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
     # e^(-t*phi); t is a unit axis by construction.
     cp, sp = math.cos(-phi), math.sin(-phi)
     rw, rx, ry, rz = hamilton((cp, sp * tx, sp * ty, sp * tz), q2)
-    theta_f, phi_f, zeta_f = _fiber_angles(
-        (ch * qw + sh * rw, ch * qx + sh * rx, ch * qy + sh * ry, ch * qz + sh * rz))
-    az = phi_f - 2.0 * zeta_f
-    st = math.sin(theta_f)
+    fiber = FiberSphere(*_fiber_angles(
+        (ch * qw + sh * rw, ch * qx + sh * rx, ch * qy + sh * ry, ch * qz + sh * rz)))
     return SphereSet(a, BaseSphere(theta, phi, x1, b, x0),
-                     EntanglementSphere(chi, xi, b, (tx, ty, tz), c, x2, x3, x4),
-                     FiberSphere(theta_f, phi_f, zeta_f,
-                                 (st * math.cos(az), st * math.sin(az), math.cos(theta_f))))
+                     EntanglementSphere((tx, ty, tz), x2, x3, x4), fiber)
 
 
 def _bad(name: str, err: float, tol: float = VALID_TOL) -> NoReturn:
@@ -200,14 +207,14 @@ def _reject_non_finite(ss: SphereSet):
 def _validate(ss: SphereSet) -> tuple[float, float]:
     """Raise InvalidSphereSet on any inconsistency; return (cos, sin) of phi."""
     theta, phi, x1, b, x0 = ss.base
-    chi, xi, eb, (tx, ty, tz), c, x2, x3, x4 = ss.ent
-    theta_f, phi_f, zeta_f, (bx, by, bz) = ss.fiber
+    (tx, ty, tz), x2, x3, x4 = ss.ent
+    theta_f, phi_f, zeta_f = ss.fiber
 
     # A NaN compares False with every tolerance below, and max() drops one
     # that does not come first, so each float must be finite.  One sum tests
     # them all; a sum that overflows from finite floats fails a check below.
-    if not math.isfinite(theta + phi + x1 + b + x0 + chi + xi + eb + tx + ty + tz + c
-                         + x2 + x3 + x4 + theta_f + phi_f + zeta_f + bx + by + bz):
+    if not math.isfinite(theta + phi + x1 + b + x0 + tx + ty + tz + x2 + x3 + x4
+                         + theta_f + phi_f + zeta_f):
         _reject_non_finite(ss)
 
     st, ct = math.sin(theta), math.cos(theta)
@@ -218,34 +225,19 @@ def _validate(ss: SphereSet) -> tuple[float, float]:
     if err > VALID_TOL:
         _bad("base Cartesian/angle consistency", err)
 
+    chi, c = ss.ent.chi, ss.ent.c
     if not (-VALID_TOL <= chi <= math.pi / 2 + VALID_TOL):
         raise InvalidSphereSet(f"chi {chi!r} outside [0, pi/2]")
-    sc, cc = math.sin(chi), math.cos(chi)
-    err = max(abs(tx - sc * math.cos(xi)),
-              abs(ty - sc * math.sin(xi)),
-              abs(tz - cc))
-    if err > VALID_TOL:
-        _bad("t/(chi, xi) consistency", err)
-    err = max(abs(x2 - eb * tx),
-              abs(x3 - eb * ty),
-              abs(x4 - eb * tz),
-              abs(c - math.hypot(x2, x3)),
-              abs(eb * eb - x4 * x4 - c * c),
-              abs(eb - b))
+    err = max(abs(x2 - b * tx),
+              abs(x3 - b * ty),
+              abs(x4 - b * tz),
+              abs(b * b - x4 * x4 - c * c))
     if err > VALID_TOL:
         _bad("entanglement-sphere consistency", err)
 
     s4 = (x0 ** 2 + x1 ** 2 + x2 ** 2 + x3 ** 2 + x4 ** 2)
     if abs(s4 - 1.0) > VALID_TOL:
         _bad("unit 5-space norm", abs(s4 - 1.0))
-
-    az = phi_f - 2.0 * zeta_f
-    st = math.sin(theta_f)
-    err = max(abs(bx - st * math.cos(az)),
-              abs(by - st * math.sin(az)),
-              abs(bz - math.cos(theta_f)))
-    if err > VALID_TOL:
-        _bad("fiber bloch/angle consistency", err)
 
     err = abs(math.sqrt(tx * tx + ty * ty + tz * tz) - 1.0)
     if err > UNIT_T_TOL:

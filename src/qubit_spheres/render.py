@@ -122,14 +122,14 @@ def _frame(col: int, row: int) -> list[str]:
 def _row(row: int, ss: SphereSet) -> list[str]:
     """One assignment's three cells: each frame, then what the state draws in it."""
     base, ent, fib = ss.base, ss.ent, ss.fiber
-    v = (base.x1, base.b, base.x0)
+    v, bloch = (base.x1, base.b, base.x0), fib.bloch
     # Per column: vector tip, marked point, title, label line.
     cells = (
         (v, v, f"BASE({ss.assignment.base_qubit})",
          f"theta={_deg(base.theta)}deg phi={_deg(base.phi)}deg"),
         (ent.t, (ent.x2, ent.x3, ent.x4), f"ENTANGLEMENT({ss.assignment.base_qubit})",
          f"chi={_deg(ent.chi)}deg xi={_deg(ent.xi)}deg c={_fmt(ent.c)}"),
-        (fib.bloch, fib.bloch, f"FIBER({ss.assignment.fiber_qubit})",
+        (bloch, bloch, f"FIBER({ss.assignment.fiber_qubit})",
          f"theta_f={_deg(fib.theta_f)}deg "
          f"phi_f-2zeta_f={_fmt(math.degrees(fib.phi_f - 2 * fib.zeta_f))}deg"),
     )
@@ -140,7 +140,7 @@ def _row(row: int, ss: SphereSet) -> list[str]:
         if col == 1:
             # The inner sphere of radius |b|, and on it the horizontal
             # concurrence circle of radius c at height x4.
-            out.append(_circle(cx, cy, RADIUS * abs(ent.b), f'style="{_INNER}"'))
+            out.append(_circle(cx, cy, RADIUS * abs(base.b), f'style="{_INNER}"'))
             out.append(_ring(cx, cy, ent.c, ent.x4, _CONC))
         _, _, vector_style, colour = _COLUMNS[col]
         out.extend(_arrow(cx, cy, tip, vector_style))

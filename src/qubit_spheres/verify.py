@@ -42,8 +42,8 @@ _ASSIGNMENTS = tuple(Assignment)
 MIN_SHARE = 1000
 
 # Columns of a sphere-set row (_map): base, entanglement, fiber Bloch point.
-THETA, PHI, X1, BASE_B, X0, CHI, XI, B, TX, TY, TZ, C, X2, X3, X4 = range(15)
-BLOCH = slice(15, 18)
+THETA, PHI, X1, B, X0, CHI, XI, TX, TY, TZ, C, X2, X3, X4 = range(14)
+BLOCH = slice(14, 17)
 
 
 class InvariantResult(NamedTuple):
@@ -161,7 +161,7 @@ def _map(amps: np.ndarray, ks: np.ndarray, full: bool = False) -> _Batch:
     i under each assignment index in ks[i], split into shares.  Every batch
     gets its sphere rows; a `full` one (the pool) all of _Batch's arrays."""
     m, width = ks.shape
-    b = _Batch(amps, ks, _shared(m, width, 18), *((
+    b = _Batch(amps, ks, _shared(m, width, 17), *((
         _shared(m), _shared(m, width, 5), _shared(m, width, 4, dtype=complex),
         _shared(m, width, 4, dtype=complex)) if full else ()))
 
@@ -173,8 +173,9 @@ def _map(amps: np.ndarray, ks: np.ndarray, full: bool = False) -> _Batch:
             for j, k in enumerate(ks_i):
                 a = _ASSIGNMENTS[k]
                 ss = hopf.sphere_set(s, a)
-                chi, xi, bb, t, *rest = ss.ent
-                b.spheres[i, j] = (*ss.base, chi, xi, bb, *t, *rest, *ss.fiber.bloch)
+                ent = ss.ent
+                b.spheres[i, j] = (*ss.base, ent.chi, ent.xi, *ent.t, ent.c,
+                                   ent.x2, ent.x3, ent.x4, *ss.fiber.bloch)
                 if full:  # the state functions take the assignment's base qubit
                     rho = state.reduced_density(s, a.base_qubit)
                     b.rho_stats[i, j] = (state.concurrence_from_rho(rho),
@@ -304,9 +305,10 @@ class _SuiteRunner:
                    np.maximum(np.abs(np.abs(b) * sin[CHI] - c_ref), np.abs(c - c_ref)), pool)
         self.check("chi_northern_hemisphere", 1e-12, np.maximum(chi - math.pi / 2, -chi), pool)
         # Each sphere's Cartesian point from its angles: (x1, b, x0) from
-        # (theta, phi), t from (chi, xi), and the inner-sphere point b*t.
+        # (theta, phi), the inner-sphere point b*t, and t from (chi, xi),
+        # which are read back from t: atan2 against its own sine and cosine.
         self.check("sphere_angle_consistency", 1e-12, np.abs([
-            sp[..., X1] - sin[THETA] * cos[PHI], sp[..., BASE_B] - sin[THETA] * sin[PHI],
+            sp[..., X1] - sin[THETA] * cos[PHI], sp[..., B] - sin[THETA] * sin[PHI],
             sp[..., X0] - cos[THETA], sp[..., TZ] - cos[CHI],
             sp[..., TX] - sin[CHI] * cos[XI], sp[..., TY] - sin[CHI] * sin[XI],
             sp[..., X2] - b * sp[..., TX], sp[..., X3] - b * sp[..., TY],
@@ -324,7 +326,7 @@ class _SuiteRunner:
         # A fiber-qubit unitary: on B under A_BASE, on A under B_BASE.
         u = _su2(_unit(self.rng.standard_normal((n, 4))))
         after = _map(_act(u, self.amps[:n], ks[:, 0] == 1), ks)
-        local = [X0, X1, BASE_B, THETA, X2, X3, X4, CHI]
+        local = [X0, X1, B, THETA, X2, X3, X4, CHI]
         self.check("fiber_unitary_base_locality", 1e-12,
                    np.abs(after.spheres[..., local] - before[..., local]).max(axis=2), after)
         want = gates._matmul(gates.bloch_rotation(u)[:, None], before[..., BLOCH, None])[..., 0]
@@ -359,7 +361,7 @@ class _SuiteRunner:
         ra, rb = _bloch(fa), _bloch(fb)
         base, fib = np.stack((ra, rb), axis=1), np.stack((rb, ra), axis=1)
         self.check("separable_base_is_bloch", 1e-12,
-                   np.abs(rows[..., [X1, BASE_B, X0]] - base).max(axis=2), products)
+                   np.abs(rows[..., [X1, B, X0]] - base).max(axis=2), products)
         self.check("separable_fiber_is_bloch", 1e-12,
                    np.abs(rows[..., BLOCH] - fib).max(axis=2), products)
 

@@ -49,7 +49,7 @@ def test_basis_00_spheres():
     assert ss.base.theta == 0.0
     assert ss.base.phi == 0.0
     assert ss.base.x0 == pytest.approx(1.0)
-    assert ss.ent.b == 0.0
+    assert ss.base.b == 0.0
     assert ss.ent.chi == 0.0
     assert ss.ent.xi == 0.0
     assert ss.ent.t == (0, 0, 1)
@@ -120,7 +120,7 @@ def test_branch_points_reach_every_branch():
             ent, theta, theta_f = ss.ent, ss.base.theta, ss.fiber.theta_f
             branches = {
                 "p = 0": ent.x2 == ent.x3 == ent.x4 == 0.0,
-                "x4 = 0, p != 0": ent.x4 == 0.0 and ent.b != 0.0,
+                "x4 = 0, p != 0": ent.x4 == 0.0 and ss.base.b != 0.0,
                 "theta = 0": theta == 0.0,
                 "theta = pi": theta == math.pi,
                 "|ca| = 0": theta_f == math.pi,
@@ -149,8 +149,8 @@ def test_signed_zero_branches():
                   Assignment.A_BASE),
                  (TwoQubitState(0j, complex(0.5, -0.5), complex(0, 0.5), complex(0, -0.5)),
                   Assignment.B_BASE)):
-        ent = sphere_set(s, a).ent
-        assert repr(ent.x4) == "-0.0" and ent.b > 0, (s, a)
+        ss = sphere_set(s, a)
+        assert repr(ss.ent.x4) == "-0.0" and ss.base.b > 0, (s, a)
 
 
 product_states = st.integers(0, 2**32 - 1).map(
@@ -215,32 +215,26 @@ def scale_b(ss, f):
     """ss with b scaled by f and the entanglement sphere kept consistent."""
     b = f * ss.base.b
     x2, x3, x4 = (b * v for v in ss.ent.t)
-    return ss._replace(base=ss.base._replace(b=b),
-                       ent=ss.ent._replace(b=b, x2=x2, x3=x3, x4=x4, c=math.hypot(x2, x3)))
+    return ss._replace(base=ss.base._replace(b=b), ent=ss.ent._replace(x2=x2, x3=x3, x4=x4))
 
 
 # Each set breaks one check and passes every check before it.
 @pytest.mark.parametrize("broken, error, check", [
     (lambda ss: ss._replace(base=ss.base._replace(x1=ss.base.x1 + 1e-3)),
      InvalidSphereSet, "base Cartesian/angle consistency"),
-    (lambda ss: ss._replace(ent=ss.ent._replace(chi=math.pi / 2 + 0.1)),
+    # t tipped 0.1 below the equator: chi = pi/2 + 0.1.
+    (lambda ss: ss._replace(ent=ss.ent._replace(t=(0.0, math.cos(0.1), -math.sin(0.1)))),
      InvalidSphereSet, "outside [0, pi/2]"),
-    (lambda ss: ss._replace(ent=ss.ent._replace(xi=ss.ent.xi + 1e-3)),
-     InvalidSphereSet, "t/(chi, xi) consistency"),
-    (lambda ss: ss._replace(ent=ss.ent._replace(c=ss.ent.c + 1e-3)),
+    (lambda ss: ss._replace(ent=ss.ent._replace(x2=ss.ent.x2 + 1e-3)),
      InvalidSphereSet, "entanglement-sphere consistency"),
     # |b| off by 9e-10 passes the base check but moves |x|^2 by 1.8e-9.
     (lambda ss: scale_b(ss, 1.0 + 9e-10), InvalidSphereSet, "unit 5-space norm"),
-    (lambda ss: ss._replace(fiber=ss.fiber._replace(
-        bloch=(ss.fiber.bloch[0] + 1e-3, *ss.fiber.bloch[1:]))),
-     InvalidSphereSet, "fiber bloch/angle consistency"),
     # |t| = 1 + 1e-10 is within 1e-9 of every angle check, not of 1e-12.
     (lambda ss: ss._replace(ent=ss.ent._replace(t=tuple((1.0 + 1e-10) * v for v in ss.ent.t))),
      InvalidSphereSet, "unit t axis"),
     # A consistent set whose assignment is a label, not an Assignment.
     (lambda ss: ss._replace(assignment="A"), InvalidSphereSet, "assignment 'A'"),
-], ids=["base", "southern-chi", "t-angles", "entanglement", "5-norm", "fiber-bloch", "unit-t",
-        "assignment"])
+], ids=["base", "southern-chi", "entanglement", "5-norm", "unit-t", "assignment"])
 def test_reconstruct_rejects_invalid_set(broken, error, check):
     ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)
     with pytest.raises(error, match=re.escape(check)):
@@ -253,13 +247,11 @@ def test_sphere_set_rejects_a_non_assignment(a):
         sphere_set(TwoQubitState.bell("phi+"), a)
 
 
-# Every float of a sphere set, named as InvalidSphereSet names it.
+# Every stored float of a sphere set, named as InvalidSphereSet names it.
 SPHERE_SET_FLOATS = [
     "base.theta", "base.phi", "base.x1", "base.b", "base.x0",
-    "ent.chi", "ent.xi", "ent.b", "ent.t[0]", "ent.t[1]", "ent.t[2]",
-    "ent.c", "ent.x2", "ent.x3", "ent.x4",
+    "ent.t[0]", "ent.t[1]", "ent.t[2]", "ent.x2", "ent.x3", "ent.x4",
     "fiber.theta_f", "fiber.phi_f", "fiber.zeta_f",
-    "fiber.bloch[0]", "fiber.bloch[1]", "fiber.bloch[2]",
 ]
 
 
@@ -315,20 +307,15 @@ def ref_base_and_entanglement(q1, q2):
     if pnorm == 0.0:
         b = 0.0
         t = K[1:]
-        chi = 0.0
-        xi = 0.0
     else:
         b = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
         t = (x2 / b, x3 / b, x4 / b)
-        chi = math.atan2(math.hypot(t[0], t[1]), t[2])
-        xi = math.atan2(t[1], t[0])
 
-    c = math.hypot(x2, x3)
     theta = math.atan2(math.hypot(x1, b), x0)
     phi = 0.0 if (theta == 0.0 or theta == math.pi) else math.atan2(b, x1)
 
     return (BaseSphere(theta=theta, phi=phi, x1=x1, b=b, x0=x0),
-            EntanglementSphere(chi=chi, xi=xi, b=b, t=t, c=c, x2=x2, x3=x3, x4=x4))
+            EntanglementSphere(t=t, x2=x2, x3=x3, x4=x4))
 
 
 def ref_fiber_angles(q_f):
@@ -361,9 +348,15 @@ def ref_fiber(q1, q2, base, ent):
     half = 0.5 * base.theta
     q_f = add(scale(math.cos(half), q1),
               scale(math.sin(half), hamilton(exp_axis((0.0, *ent.t), -base.phi), q2)))
-    theta_f, phi_f, zeta_f = ref_fiber_angles(q_f)
-    return FiberSphere(theta_f=theta_f, phi_f=phi_f, zeta_f=zeta_f,
-                       bloch=ref_fiber_bloch(theta_f, phi_f, zeta_f))
+    return FiberSphere(*ref_fiber_angles(q_f))
+
+
+def ref_derived(ss):
+    """The values a sphere set computes on each read: chi, xi and c from
+    the stored t, x2 and x3, and the fiber Bloch point."""
+    tx, ty, tz = ss.ent.t
+    return (math.atan2(math.hypot(tx, ty), tz), math.atan2(ty, tx),
+            math.hypot(ss.ent.x2, ss.ent.x3), ref_fiber_bloch(*ss.fiber))
 
 
 def ref_sphere_set(s, a):
@@ -401,6 +394,8 @@ def assert_matches_reference(states):
             ss = sphere_set(s, a)
             want = ref_sphere_set(s, a)
             assert ss == want and repr(ss) == repr(want), (s, a)
+            derived = (ss.ent.chi, ss.ent.xi, ss.ent.c, ss.fiber.bloch)
+            assert repr(derived) == repr(ref_derived(want)), (s, a)
             got, want = reconstruct(ss), ref_reconstruct(want)
             assert got == want and repr(got) == repr(want), (s, a)
 

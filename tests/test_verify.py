@@ -113,8 +113,7 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
     pool_state = [random_state(rng) for _ in range(bad + 1)][bad]
 
     def bent_fiber(ss):
-        x, y, z = ss.fiber.bloch
-        return ss._replace(fiber=ss.fiber._replace(bloch=(x + 1e-6, y, z)))
+        return ss._replace(fiber=ss.fiber._replace(zeta_f=ss.fiber.zeta_f + 1e-6))
 
     # Per case: the hopf function, which of its calls is perturbed and how, the
     # entry that fails and the witness's assignment.  The pool maps state i
