@@ -7,11 +7,14 @@ x1 + b*t carries the base-sphere azimuthal data and the entanglement
 coordinates, and the fiber versor completes an exactly invertible
 seven-angle parameterization.
 
-The map and its inverse work on quaternion components (``quatmath``'s
-``Components`` tuples).  The entanglement axis ``t`` is stored as the
-point (tx, ty, tz) of S^2.  Each exponential e^(t*angle) is written out
-as cos(angle) + t*sin(angle), from a sine and cosine taken once per call;
-``reconstruct`` checks that a caller's ``t`` is a unit axis.
+The map and its inverse work on the packed floats: each quaternion product,
+conjugate, squared norm, join and split is written out where it is used,
+in the same expressions and order as ``quatmath``'s functions, so the
+results are theirs bit for bit (``tests/test_hopf.py`` pins that).  The
+entanglement axis ``t`` is stored as the point (tx, ty, tz) of S^2.  Each
+exponential e^(t*angle) is written out as cos(angle) + t*sin(angle), from
+a sine and cosine taken once per call; ``reconstruct`` checks that a
+caller's ``t`` is a unit axis.
 """
 
 from __future__ import annotations
@@ -20,16 +23,6 @@ import math
 from enum import Enum
 from typing import NamedTuple, NoReturn
 
-from .quatmath import (
-    Components,
-    J,
-    K,
-    conj,
-    hamilton,
-    join_components,
-    norm_sq,
-    split_components,
-)
 from .state import DensityMatrix, TwoQubitState
 
 VALID_TOL = 1e-9
@@ -49,7 +42,7 @@ class Assignment(Enum):
 
     @property
     def base_qubit(self) -> str:
-        return self.value
+        return self._value_
 
     @property
     def fiber_qubit(self) -> str:
@@ -116,40 +109,28 @@ class SphereSet(NamedTuple):
     fiber: FiberSphere
 
 
-def _fiber_angles(q_f: Components) -> tuple[float, float, float]:
-    ca, cb = split_components(q_f)
-    ma, mb = abs(ca), abs(cb)
-    theta_f = 2.0 * math.atan2(mb, ma)
-    if ma == 0.0:
-        zeta_f = 0.0
-        phi_f = math.atan2(cb.imag, cb.real)
-    elif mb == 0.0:
-        zeta_f = math.atan2(ca.imag, ca.real)
-        phi_f = zeta_f
-    else:
-        zeta_f = math.atan2(ca.imag, ca.real)
-        phi_f = math.atan2(cb.imag, cb.real) + zeta_f
-        if phi_f > math.pi:
-            phi_f -= 2.0 * math.pi
-        elif phi_f <= -math.pi:
-            phi_f += 2.0 * math.pi
-    return theta_f, phi_f, zeta_f
-
-
 def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
     """Pack (q1, q2), form P = 2*q2*conj(q1) = x1 + b*t, and decompose the
     fiber versor q_f = cos(theta/2)*q1 + sin(theta/2)*e^(-t*phi)*q2."""
     if a is Assignment.A_BASE:
-        q1, q2 = join_components(s.alpha, s.beta), join_components(s.gamma, s.delta)
+        c1, d1, c2, d2 = s
     elif a is Assignment.B_BASE:
-        q1, q2 = join_components(s.alpha, s.gamma), join_components(s.beta, s.delta)
+        c1, c2, d1, d2 = s
     else:
         raise ValueError(f"assignment must be an Assignment, got {a!r}")
-    x0 = norm_sq(q1) - norm_sq(q2)
-    pw, px, py, pz = hamilton(q2, conj(q1))
-
-    x1 = 2.0 * pw
-    x2, x3, x4 = 2.0 * px, 2.0 * py, 2.0 * pz
+    # q1 = c1 + d1*j = (a0, a1, a2, a3) and q2 = c2 + d2*j = (b0, b1, b2, b3),
+    # where c + d*j = (c.real, -d.imag, d.real, c.imag).  complex() first: an
+    # int amplitude's zero imaginary part must negate to -0.0, as a float's.
+    c1, d1, c2, d2 = complex(c1), complex(d1), complex(c2), complex(d2)
+    a0, a1, a2, a3 = c1.real, -d1.imag, d1.real, c1.imag
+    b0, b1, b2, b3 = c2.real, -d2.imag, d2.real, c2.imag
+    x0 = (a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3) - (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3)
+    # The Hamilton product q2 * (a0, -a1, -a2, -a3).  Negation is exact and
+    # x - (-y) is x + y bit for bit, so conj's signs fold into the terms.
+    x1 = 2.0 * (b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3)
+    x2 = 2.0 * (-b0 * a1 + b1 * a0 - b2 * a3 + b3 * a2)
+    x3 = 2.0 * (-b0 * a2 + b1 * a3 + b2 * a0 - b3 * a1)
+    x4 = 2.0 * (-b0 * a3 - b1 * a2 + b2 * a1 + b3 * a0)
     pnorm = math.sqrt(x2 * x2 + x3 * x3 + x4 * x4)
     if pnorm >= 1e-140:
         scale = 1.0
@@ -166,7 +147,7 @@ def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
     # ties (x4 == 0, p != 0) take b > 0, and p == 0 collapses to t = k.
     if pnorm == 0.0:
         b = 0.0
-        tx, ty, tz = K[1:]
+        tx, ty, tz = 0.0, 0.0, 1.0
     else:
         bu = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
         tx, ty, tz = u2 / bu, u3 / bu, u4 / bu
@@ -178,14 +159,34 @@ def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
 
     half = 0.5 * theta
     ch, sh = math.cos(half), math.sin(half)
-    qw, qx, qy, qz = q1
-    # e^(-t*phi); t is a unit axis by construction.
+    # r = e^(-t*phi) * q2; t is a unit axis by construction.
     cp, sp = math.cos(-phi), math.sin(-phi)
-    rw, rx, ry, rz = hamilton((cp, sp * tx, sp * ty, sp * tz), q2)
-    fiber = FiberSphere(*_fiber_angles(
-        (ch * qw + sh * rw, ch * qx + sh * rx, ch * qy + sh * ry, ch * qz + sh * rz)))
-    return SphereSet(a, BaseSphere(theta, phi, x1, b, x0),
-                     EntanglementSphere((tx, ty, tz), x2, x3, x4), fiber)
+    ex, ey, ez = sp * tx, sp * ty, sp * tz
+    rw = cp * b0 - ex * b1 - ey * b2 - ez * b3
+    rx = cp * b1 + ex * b0 + ey * b3 - ez * b2
+    ry = cp * b2 - ex * b3 + ey * b0 + ez * b1
+    rz = cp * b3 + ex * b2 - ey * b1 + ez * b0
+    # q_f = ch*q1 + sh*r = ca + cb*j, with ca = (fw, fz) and cb = (fy, -fx).
+    fw, fx, fy, fz = ch * a0 + sh * rw, ch * a1 + sh * rx, ch * a2 + sh * ry, ch * a3 + sh * rz
+    ma, mb = abs(complex(fw, fz)), abs(complex(fy, -fx))
+    theta_f = 2.0 * math.atan2(mb, ma)
+    if ma == 0.0:
+        zeta_f = 0.0
+        phi_f = math.atan2(-fx, fy)
+    elif mb == 0.0:
+        zeta_f = math.atan2(fz, fw)
+        phi_f = zeta_f
+    else:
+        zeta_f = math.atan2(fz, fw)
+        phi_f = math.atan2(-fx, fy) + zeta_f
+        if phi_f > math.pi:
+            phi_f -= 2.0 * math.pi
+        elif phi_f <= -math.pi:
+            phi_f += 2.0 * math.pi
+    return tuple.__new__(SphereSet, (
+        a, tuple.__new__(BaseSphere, (theta, phi, x1, b, x0)),
+        tuple.__new__(EntanglementSphere, ((tx, ty, tz), x2, x3, x4)),
+        tuple.__new__(FiberSphere, (theta_f, phi_f, zeta_f))))
 
 
 def _bad(name: str, err: float, tol: float = VALID_TOL) -> NoReturn:
@@ -225,7 +226,7 @@ def _validate(ss: SphereSet) -> tuple[float, float]:
     if err > VALID_TOL:
         _bad("base Cartesian/angle consistency", err)
 
-    chi, c = ss.ent.chi, ss.ent.c
+    chi, c = math.atan2(math.hypot(tx, ty), tz), math.hypot(x2, x3)
     if not (-VALID_TOL <= chi <= math.pi / 2 + VALID_TOL):
         raise InvalidSphereSet(f"chi {chi!r} outside [0, pi/2]")
     err = max(abs(x2 - b * tx),
@@ -248,35 +249,50 @@ def _validate(ss: SphereSet) -> tuple[float, float]:
 def reconstruct(ss: SphereSet) -> TwoQubitState:
     """Exact inverse of sphere_set: q1 = cos(theta/2)*q_f, q2 = sin(theta/2)*e^(t*phi)*q_f."""
     cp, sp = _validate(ss)
-    tx, ty, tz = ss.ent.t
+    theta_f, phi_f, zeta_f = ss.fiber
     # The fiber versor q_f = (cos(theta_f/2) + sin(theta_f/2)*e^(k*phi_f)*j) * e^(k*zeta_f).
-    half = 0.5 * ss.fiber.theta_f
+    half = 0.5 * theta_f
     ch, sh = math.cos(half), math.sin(half)
     # e^(k*angle) = (c, 0, 0, s), its zeros written s*0.0 to keep their sign.
-    c, s = math.cos(ss.fiber.phi_f), math.sin(ss.fiber.phi_f)
-    w, x, y, z = hamilton((c, s * 0.0, s * 0.0, s), J)
-    c, s = math.cos(ss.fiber.zeta_f), math.sin(ss.fiber.zeta_f)
-    # (ch, 0, 0, 0) + sh*(w, x, y, z), with the signed zeros that sum gives.
-    w, x, y, z = hamilton((ch + sh * w, 0.0 + sh * x, 0.0 + sh * y, 0.0 + sh * z),
-                          (c, s * 0.0, s * 0.0, s))
+    # Its product with j = (0, 0, 1, 0), the terms times 1.0 and the zeros
+    # times 0.0 written as the values they equal bit for bit.
+    c, s = math.cos(phi_f), math.sin(phi_f)
+    c0, s0 = c * 0.0, s * 0.0
+    w, x, y, z = c0 - s0 - s0 - s0, c0 + s0 + s0 - s, c - s0 + s0 + s0, c0 + s0 - s0 + s0
+    # (ch, 0, 0, 0) + sh*(w, x, y, z), with the signed zeros that sum gives,
+    # times e^(k*zeta_f).
+    w, x, y, z = ch + sh * w, 0.0 + sh * x, 0.0 + sh * y, 0.0 + sh * z
+    c, s = math.cos(zeta_f), math.sin(zeta_f)
+    s0 = s * 0.0
+    w, x, y, z = (w * c - x * s0 - y * s0 - z * s,
+                  w * s0 + x * c + y * s - z * s0,
+                  w * s0 - x * s + y * c + z * s0,
+                  w * s + x * s0 - y * s0 + z * c)
+    # e^(t*phi) * q_f.
+    tx, ty, tz = ss.ent.t
+    ex, ey, ez = sp * tx, sp * ty, sp * tz
+    rw = cp * w - ex * x - ey * y - ez * z
+    rx = cp * x + ex * w + ey * z - ez * y
+    ry = cp * y - ex * z + ey * w + ez * x
+    rz = cp * z + ex * y - ey * x + ez * w
     half = 0.5 * ss.base.theta
     ch, sh = math.cos(half), math.sin(half)
-    rw, rx, ry, rz = hamilton((cp, sp * tx, sp * ty, sp * tz), (w, x, y, z))
-    c1, c2 = split_components((ch * w, ch * x, ch * y, ch * z))
-    c3, c4 = split_components((sh * rw, sh * rx, sh * ry, sh * rz))
+    # Split q1 = ch*q_f and q2 = sh*r into c + d*j: c = (w, z), d = (y, -x).
+    c1, d1 = complex(ch * w, ch * z), complex(ch * y, -(ch * x))
+    c2, d2 = complex(sh * rw, sh * rz), complex(sh * ry, -(sh * rx))
     if ss.assignment is Assignment.A_BASE:
-        return TwoQubitState(c1, c2, c3, c4)
+        return TwoQubitState(c1, d1, c2, d2)
     if ss.assignment is Assignment.B_BASE:
-        return TwoQubitState(c1, c3, c2, c4)
+        return TwoQubitState(c1, c2, d1, d2)
     raise InvalidSphereSet(f"assignment {ss.assignment!r} is not an Assignment")
 
 
 def rho_from_spheres(ss: SphereSet) -> DensityMatrix:
     """Reduced density matrix of the base qubit from (x0, x1, x4) alone."""
     x0, x1, x4 = ss.base.x0, ss.base.x1, ss.ent.x4
-    return DensityMatrix(
-        rho00=complex((1.0 + x0) / 2.0, 0.0),
-        rho01=complex(x1 / 2.0, -x4 / 2.0),
-        rho10=complex(x1 / 2.0, x4 / 2.0),
-        rho11=complex((1.0 - x0) / 2.0, 0.0),
-    )
+    return tuple.__new__(DensityMatrix, (
+        complex((1.0 + x0) / 2.0, 0.0),
+        complex(x1 / 2.0, -x4 / 2.0),
+        complex(x1 / 2.0, x4 / 2.0),
+        complex((1.0 - x0) / 2.0, 0.0),
+    ))

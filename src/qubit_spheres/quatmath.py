@@ -6,8 +6,10 @@ unit, so ``complex(a, b)`` embeds as the quaternion ``(a, 0, 0, b)``.
 
 A quaternion is a plain ``(w, x, y, z)`` float tuple (``Components``),
 and each formula is written once as a function on such tuples.  Scalar
-multiples and sums are written out componentwise by the caller.  The sphere
-maps in ``hopf`` and the invariants in ``verify`` call these functions.
+multiples and sums are written out componentwise by the caller.  The
+quaternion invariants in ``verify`` and the reference map in
+``tests/test_hopf.py`` call these functions; ``hopf`` writes the same
+formulas out inline, and that reference holds it to them bit for bit.
 """
 
 from __future__ import annotations

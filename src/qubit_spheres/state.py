@@ -131,15 +131,17 @@ def reduced_density(s: TwoQubitState, which: str) -> DensityMatrix:
     """Partial trace over the other qubit by direct index summation:
     rho_ab = sum_c psi_{a c} conj(psi_{b c}), with B's index first for B
     (the same formula with beta and gamma swapped)."""
-    a, b, g, d = s.amplitudes()
-    if _check_qubit(which) == "B":
+    a, b, g, d = s
+    if which == "B":
         b, g = g, b
-    return DensityMatrix(
+    elif which != "A":
+        _check_qubit(which)  # raises: neither label
+    return tuple.__new__(DensityMatrix, (
         a * a.conjugate() + b * b.conjugate(),
         a * g.conjugate() + b * d.conjugate(),
         g * a.conjugate() + d * b.conjugate(),
         g * g.conjugate() + d * d.conjugate(),
-    )
+    ))
 
 
 def concurrence_det(s: TwoQubitState) -> float:
@@ -160,7 +162,11 @@ def concurrence_from_rho(rho: DensityMatrix) -> float:
 
 def coherence_d(rho: DensityMatrix) -> float:
     """Scalar coherence sqrt(2*Tr rho^2 - 1); complementary to concurrence."""
-    return _sqrt_clamped(2.0 * rho.purity() - 1.0)
+    r00, r01, _, r11 = rho
+    radicand = 2.0 * (abs(r00) ** 2 + abs(r11) ** 2 + 2 * abs(r01) ** 2) - 1.0
+    if radicand < -RADICAND_TOL:
+        raise NegativeRadicand(f"radicand {radicand!r} below -{RADICAND_TOL}")
+    return math.sqrt(max(radicand, 0.0))
 
 
 def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:

@@ -38,7 +38,7 @@ DEFAULT_SAMPLES = 10_000
 _ASSIGNMENTS = tuple(Assignment)
 
 # The fewest pool states worth a forked process: a fork, its page faults and
-# the reaping cost a few ms, and a share of 1000 states maps in about 0.1 s.
+# the reaping cost a few ms, and a share of 1000 states maps in about 0.08 s.
 MIN_SHARE = 1000
 
 # Columns of a sphere-set row (_map): base, entanglement, fiber Bloch point.

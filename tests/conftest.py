@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from qubit_spheres.quatmath import Components, norm_sq
-from qubit_spheres.state import TwoQubitState, random_amplitudes, random_state
+from qubit_spheres.state import (
+    BASIS_NAMES,
+    BELL_NAMES,
+    TwoQubitState,
+    random_amplitudes,
+    random_state,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -55,6 +61,36 @@ def exp_axis(t: Components, angle: float) -> Components:
 def random_product_state(rng: np.random.Generator) -> TwoQubitState:
     """Product of two Haar-uniform qubits, the factor of A then of B."""
     return TwoQubitState(*np.kron(*random_amplitudes(rng, 2, dim=2)).tolist())
+
+
+def near_degenerate_sweep(exponents=range(3, 16)) -> list[TwoQubitState]:
+    """Basis, Bell and product states perturbed by eps = 10**-k for k in
+    exponents (default 1e-3 ... 1e-15), where the base poles, b = 0 and
+    chi = 0 make the angles ill-conditioned."""
+    rng = np.random.default_rng(41)
+    centres = [TwoQubitState.basis(label).vector() for label in BASIS_NAMES]
+    centres += [TwoQubitState.bell(name).vector() for name in BELL_NAMES]
+    centres += [random_product_state(rng).vector() for _ in range(4)]
+    states = [TwoQubitState(1 + 1e-10, 0j, 0j, 0j)]
+    for v in centres:
+        for k in exponents:
+            for _ in range(4):
+                z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                w = v + 10.0 ** -k * z / np.linalg.norm(z)
+                states.append(TwoQubitState.from_amplitudes(*w))
+    return states
+
+
+# Exact states on each branch of the map: p = 0 and the base poles (basis
+# states), x4 = 0 with p != 0 (real Bell states), and both fiber poles.
+BRANCH_POINTS = ([TwoQubitState.basis(label) for label in BASIS_NAMES]
+                 + [TwoQubitState.bell(name) for name in BELL_NAMES])
+
+
+# Amplitudes spelled as int and float, not complex: the map must read their
+# zero imaginary parts as it reads complex(0.0) ones.
+SPELLED_STATES = [TwoQubitState(1, 0, 0, 0), TwoQubitState(0, 1, 0, 0),
+                  TwoQubitState(0.0, 0.0, 1.0, 0.0), TwoQubitState(0, 0, 0, 1.0)]
 
 
 @pytest.fixture(scope="session")

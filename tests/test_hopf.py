@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import X4_60_70, entangler_60_70_state, exp_axis, random_product_state
+from conftest import (
+    BRANCH_POINTS,
+    SPELLED_STATES,
+    X4_60_70,
+    entangler_60_70_state,
+    exp_axis,
+    near_degenerate_sweep,
+    random_product_state,
+)
 from qubit_spheres.hopf import (
     Assignment,
     BaseSphere,
@@ -70,24 +78,6 @@ def test_round_trip_examples():
             assert amp_error(reconstruct(sphere_set(s, a)), s) < 1e-12
 
 
-def near_degenerate_sweep(exponents=range(3, 16)) -> list[TwoQubitState]:
-    """Basis, Bell and product states perturbed by eps = 10**-k for k in
-    exponents (default 1e-3 ... 1e-15), where the base poles, b = 0 and
-    chi = 0 make the angles ill-conditioned."""
-    rng = np.random.default_rng(41)
-    centres = [TwoQubitState.basis(label).vector() for label in BASIS_NAMES]
-    centres += [TwoQubitState.bell(name).vector() for name in BELL_NAMES]
-    centres += [random_product_state(rng).vector() for _ in range(4)]
-    states = [TwoQubitState(1 + 1e-10, 0j, 0j, 0j)]
-    for v in centres:
-        for k in exponents:
-            for _ in range(4):
-                z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-                w = v + 10.0 ** -k * z / np.linalg.norm(z)
-                states.append(TwoQubitState.from_amplitudes(*w))
-    return states
-
-
 def assert_round_trip(s: TwoQubitState, a: Assignment):
     # reconstruct returns a unit vector, so the input's own norm defect (up
     # to NORM_TOL) comes back as error.
@@ -104,12 +94,6 @@ def test_near_degenerate_round_trip():
     for s in near_degenerate_sweep() + near_degenerate_sweep(TINY_EXPONENTS):
         for a in Assignment:
             assert_round_trip(s, a)
-
-
-# Exact states on each branch of the map: p = 0 and the base poles (basis
-# states), x4 = 0 with p != 0 (real Bell states), and both fiber poles.
-BRANCH_POINTS = ([TwoQubitState.basis(label) for label in BASIS_NAMES]
-                 + [TwoQubitState.bell(name) for name in BELL_NAMES])
 
 
 def test_branch_points_reach_every_branch():
@@ -131,24 +115,36 @@ def test_branch_points_reach_every_branch():
     assert hit == set(branches)
 
 
-def test_signed_zero_branches():
-    # The pole rule: phi = 0 at theta = 0 and pi, whatever the signs of the
-    # zeros that atan2(b, x1) would read there.
+def signed_zero_spellings() -> list[TwoQubitState]:
+    """Each basis state with its seven zero parts spelled 0.0 or -0.0."""
+    states = []
     for label in BASIS_NAMES:
         parts = [p for amp in TwoQubitState.basis(label) for p in (amp.real, amp.imag)]
         for signs in itertools.product((1.0, -1.0), repeat=7):
             zeros = iter(signs)
             spelled = [p or next(zeros) * 0.0 for p in parts]
-            s = TwoQubitState(*map(complex, spelled[::2], spelled[1::2]))
-            for a in Assignment:
-                base = sphere_set(s, a).base
-                assert base.theta in (0.0, math.pi) and repr(base.phi) == "0.0", (s, a)
-    # The tie rule: x4 = -0.0 with p != 0 takes b > 0.  complex(0, -0.5), not
-    # the literal -0.5j, which is (-0-0.5j) and gives x4 = +0.0.
-    for s, a in ((TwoQubitState(0j, complex(0, 0.5), complex(0.5, -0.5), complex(0, -0.5)),
-                  Assignment.A_BASE),
-                 (TwoQubitState(0j, complex(0.5, -0.5), complex(0, 0.5), complex(0, -0.5)),
-                  Assignment.B_BASE)):
+            states.append(TwoQubitState(*map(complex, spelled[::2], spelled[1::2])))
+    return states
+
+
+# States whose P has x4 = -0.0 and p != 0 under the given assignment.
+# complex(0, -0.5), not the literal -0.5j, which is (-0-0.5j) and gives
+# x4 = +0.0.
+TIE_STATES = ((TwoQubitState(0j, complex(0, 0.5), complex(0.5, -0.5), complex(0, -0.5)),
+               Assignment.A_BASE),
+              (TwoQubitState(0j, complex(0.5, -0.5), complex(0, 0.5), complex(0, -0.5)),
+               Assignment.B_BASE))
+
+
+def test_signed_zero_branches():
+    # The pole rule: phi = 0 at theta = 0 and pi, whatever the signs of the
+    # zeros that atan2(b, x1) would read there.
+    for s in signed_zero_spellings():
+        for a in Assignment:
+            base = sphere_set(s, a).base
+            assert base.theta in (0.0, math.pi) and repr(base.phi) == "0.0", (s, a)
+    # The tie rule: x4 = -0.0 with p != 0 takes b > 0.
+    for s, a in TIE_STATES:
         ss = sphere_set(s, a)
         assert repr(ss.ent.x4) == "-0.0" and ss.base.b > 0, (s, a)
 
@@ -302,14 +298,18 @@ def ref_base_and_entanglement(q1, q2):
 
     x1 = p[0]
     x2, x3, x4 = p[1:]
-    pnorm = math.sqrt(x2 * x2 + x3 * x3 + x4 * x4)
+    # Below |p| = 1e-140, t comes from p scaled by the exact 2**600.
+    k = 1.0 if math.sqrt(x2 * x2 + x3 * x3 + x4 * x4) >= 1e-140 else 2.0 ** 600
+    u = scale(k, p[1:])
+    pnorm = math.sqrt(norm_sq((0.0, *u)))
 
     if pnorm == 0.0:
         b = 0.0
         t = K[1:]
     else:
-        b = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
-        t = (x2 / b, x3 / b, x4 / b)
+        bu = math.copysign(pnorm, x4) if x4 != 0.0 else pnorm
+        t = tuple(v / bu for v in u)
+        b = bu / k
 
     theta = math.atan2(math.hypot(x1, b), x0)
     phi = 0.0 if (theta == 0.0 or theta == math.pi) else math.atan2(b, x1)
@@ -405,4 +405,6 @@ def test_kernel_matches_reference_on_pool(state_pool):
 
 
 def test_kernel_matches_reference_near_degenerate():
-    assert_matches_reference(near_degenerate_sweep() + BRANCH_POINTS)
+    assert_matches_reference(near_degenerate_sweep() + near_degenerate_sweep(TINY_EXPONENTS)
+                             + BRANCH_POINTS + SPELLED_STATES + signed_zero_spellings()
+                             + [s for s, _ in TIE_STATES])

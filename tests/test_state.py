@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import C_60_70, D_60_70, X4_60_70, entangler_60_70_state
+from conftest import (
+    BRANCH_POINTS,
+    C_60_70,
+    D_60_70,
+    SPELLED_STATES,
+    X4_60_70,
+    entangler_60_70_state,
+    near_degenerate_sweep,
+)
+from qubit_spheres.hopf import Assignment, rho_from_spheres, sphere_set
 from qubit_spheres.oracles import partial_trace
 from qubit_spheres.state import (
     DensityMatrix,
@@ -149,3 +158,44 @@ def test_concurrence_agreement_any_state(a, b, g, d):
             assert concurrence_from_rho(rho) == pytest.approx(c, abs=1e-7)
         d_val = coherence_d(rho)
         assert d_val * d_val + c * c == pytest.approx(1.0, abs=1e-12)
+
+
+# -- reference: the density maps as their docstring formulas ------------------
+# Each written in the kernel's expression order, so that the kernel must
+# reproduce it bit for bit.
+
+def ref_reduced_density(s, which):
+    """rho_ab = sum_c psi_{a c} conj(psi_{b c}), psi indexed [A][B] ([B][A] for B)."""
+    psi = ((s.alpha, s.beta), (s.gamma, s.delta))
+    if which == "B":
+        psi = tuple(zip(*psi))
+    return DensityMatrix(*(psi[i][0] * psi[j][0].conjugate() + psi[i][1] * psi[j][1].conjugate()
+                           for i in (0, 1) for j in (0, 1)))
+
+
+def ref_rho_from_spheres(ss):
+    """rho = (1 + r.sigma)/2 with the base qubit's Bloch vector r = (x1, x4, x0)."""
+    rx, ry, rz = ss.base.x1, ss.ent.x4, ss.base.x0
+    return DensityMatrix(complex((1.0 + rz) / 2.0, 0.0), complex(rx / 2.0, -ry / 2.0),
+                         complex(rx / 2.0, ry / 2.0), complex((1.0 - rz) / 2.0, 0.0))
+
+
+def ref_scalars(rho):
+    """coherence_d = sqrt(2 Tr rho^2 - 1) and concurrence_from_rho =
+    sqrt(2 (1 - Tr rho^2)), each radicand clamped at 0, where
+    Tr rho^2 = |rho00|^2 + |rho11|^2 + 2|rho01|^2 for a Hermitian rho."""
+    p = abs(rho.rho00) ** 2 + abs(rho.rho11) ** 2 + 2 * abs(rho.rho01) ** 2
+    return math.sqrt(max(2.0 * p - 1.0, 0.0)), math.sqrt(max(2.0 * (1.0 - p), 0.0))
+
+
+def test_density_maps_match_reference(state_pool):
+    # repr, not only ==: it tells -0.0 from 0.0 and an int from a float.
+    for s in state_pool[:2000] + near_degenerate_sweep() + BRANCH_POINTS + SPELLED_STATES:
+        for a in Assignment:
+            ss = sphere_set(s, a)
+            rho, rho_s = reduced_density(s, a.base_qubit), rho_from_spheres(ss)
+            want, want_s = ref_reduced_density(s, a.base_qubit), ref_rho_from_spheres(ss)
+            got = (rho, rho_s, *(f(r) for r in (rho, rho_s)
+                                 for f in (coherence_d, concurrence_from_rho)))
+            assert repr(got) == repr(
+                (want, want_s, *ref_scalars(want), *ref_scalars(want_s))), (s, a)
