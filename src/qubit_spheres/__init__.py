@@ -1,66 +1,28 @@
 """Three-sphere geometric toolkit for two-qubit pure states."""
 
-from .gates import Circuit, Gate, TrajectoryStep, apply, expand, parse_circuit, rotation, run
-from .hopf import (
-    Assignment,
-    BaseSphere,
-    EntanglementSphere,
-    FiberSphere,
-    SphereSet,
-    reconstruct,
-    rho_from_spheres,
-    sphere_set,
-)
-from .quatmath import ComplexK
-from .state import (
-    DensityMatrix,
-    TwoQubitState,
-    bloch_vector,
-    coherence_d,
-    concurrence_det,
-    concurrence_from_rho,
-    random_state,
-    reduced_density,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "BaseSphere",
-    "Circuit",
-    "ComplexK",
-    "DensityMatrix",
-    "EntanglementSphere",
-    "FiberSphere",
-    "Gate",
-    "SphereSet",
-    "TrajectoryStep",
-    "TwoQubitState",
-    "VerificationReport",
-    "apply",
-    "bloch_vector",
-    "coherence_d",
-    "concurrence_det",
-    "concurrence_from_rho",
-    "expand",
-    "parse_circuit",
-    "random_state",
-    "reconstruct",
-    "reduced_density",
-    "rho_from_spheres",
-    "rotation",
-    "run",
-    "run_suite",
-    "sphere_set",
-]
+# Each public name by the module that defines it.  A name's module is imported
+# on its first use, so that importing the package imports none of them (and
+# numpy, which verify needs, only with verify's names).
+_MODULES = {
+    "gates": ("Circuit", "Gate", "TrajectoryStep", "apply", "expand", "parse_circuit",
+              "rotation", "run"),
+    "hopf": ("Assignment", "BaseSphere", "EntanglementSphere", "FiberSphere", "SphereSet",
+             "reconstruct", "rho_from_spheres", "sphere_set"),
+    "quatmath": ("ComplexK",),
+    "state": ("DensityMatrix", "TwoQubitState", "bloch_vector", "coherence_d",
+              "concurrence_det", "concurrence_from_rho", "random_state", "reduced_density"),
+    "verify": ("VerificationReport", "run_suite"),
+}
+_MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    # verify needs numpy; it is imported on first use of its names, so that
-    # importing the package (and so every CLI command but verify) does not.
-    if name in ("VerificationReport", "run_suite"):
-        from . import verify
-
-        return getattr(verify, name)
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,7 @@
 """Executable invariant suite: every library-level property, run on random data.
 
 The suite draws one deterministic pool of Haar-random states per seed and
-smaller derived draws.  One mapper (_map) sends each batch of states, the
+smaller derived draws.  One mapper (_mapping) sends each batch of states, the
 pool and the moved and product states derived from it, through the scalar
 kernel the CLI runs into arrays kept beside the batch's amplitudes.  Every
 entry is an array of per-sample errors reduced by max; an entry whose
@@ -9,15 +9,20 @@ samples are a batch's states names its worst one as a witness.  Products
 are elementwise (gates._matmul) and complex ones real (gates._product), so
 the report depends on neither evaluation order, BLAS kernel nor SIMD level.
 
-A batch is split into contiguous shares (_shares).  The process forks a
-child for each share after the first and maps the first itself; each writes
-its rows by the same scalar code into anonymous shared memory, so the report
-is byte-identical to a one-process pass.  A share whose child fails is
-mapped again here, which raises the child's error.
+A batch is mapped in CHUNKS chunks of consecutive states.  The process forks
+a child per CPU but one (_processes), and every process claims chunks from a
+pipe that holds each chunk's index as one byte.  A chunk's rows are gathered
+in lists and written, by the same scalar code in whichever process maps
+them, into anonymous shared memory with one slice assignment per array, so
+the report is byte-identical to a one-process pass.  While the children map
+the pool, this process runs everything that reads no pool row, then claims
+the chunks left.  A chunk whose child failed is mapped again here, which
+raises the child's error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
@@ -38,10 +43,13 @@ DEFAULT_SAMPLES = 10_000
 _ASSIGNMENTS = tuple(Assignment)
 
 # The fewest pool states worth a forked process: a fork, its page faults and
-# the reaping cost a few ms, and a share of 1000 states maps in about 0.08 s.
+# the reaping cost a few ms, and 1000 states map in about 0.08 s.
 MIN_SHARE = 1000
+# Chunks a batch is claimed in, each as one byte from a pipe: at most 256, so
+# that the pipe holds them all.  More chunks even out the processes' ends.
+CHUNKS = 128
 
-# Columns of a sphere-set row (_map): base, entanglement, fiber Bloch point.
+# Columns of a sphere-set row (_mapping): base, entanglement, fiber Bloch point.
 THETA, PHI, X1, B, X0, CHI, XI, TX, TY, TZ, C, X2, X3, X4 = range(14)
 BLOCH = slice(14, 17)
 
@@ -120,17 +128,15 @@ def _act(u: np.ndarray, amps: np.ndarray, on_a) -> np.ndarray:
     return np.take_along_axis(moved.reshape(-1, 4), order, 1)
 
 
-def _shares(n: int) -> list[tuple[int, int]]:
-    """Contiguous [lo, hi) shares of range(n): one per CPU this process may
-    run on, none smaller than MIN_SHARE.  One share from CPython 3.12 on,
-    where os.fork() warns in a process with a second thread (numpy's
-    OpenBLAS thread) and the warning may be raised after the child exists."""
+def _processes(n: int) -> int:
+    """Processes to map n states by: one per CPU this process may run on,
+    none with fewer than MIN_SHARE states.  One from CPython 3.12 on, where
+    os.fork() warns in a process with a second thread (numpy's OpenBLAS
+    thread) and the warning may be raised after the child exists."""
     cpus = 1
     if hasattr(os, "sched_getaffinity") and sys.version_info < (3, 12):
         cpus = len(os.sched_getaffinity(0))
-    k = max(1, min(cpus, n // MIN_SHARE))
-    bounds = [n * j // k for j in range(k + 1)]
-    return list(zip(bounds, bounds[1:]))
+    return max(1, min(cpus, n // MIN_SHARE))
 
 
 def _shared(*shape: int, dtype=float) -> np.ndarray:
@@ -145,7 +151,7 @@ def _elementwise(f, a: np.ndarray) -> np.ndarray:
 
 
 class _Batch(NamedTuple):
-    """States amps (m, 4) and _map's rows: row [i, j] is state i under the
+    """States amps (m, 4) and _mapping's rows: row [i, j] is state i under the
     assignment _ASSIGNMENTS[ks[i, j]].  Only the pool has those after `spheres`."""
     amps: np.ndarray
     ks: np.ndarray | None = None
@@ -154,39 +160,61 @@ class _Batch(NamedTuple):
     rho_stats: np.ndarray | None = None  # concurrence_from_rho, coherence_d, bloch
     rec: np.ndarray | None = None        # reconstruct
     rho: np.ndarray | None = None        # rho_from_spheres
+    trig: np.ndarray | None = None       # sine, then cosine, of theta, phi, chi, xi
 
 
-def _map(amps: np.ndarray, ks: np.ndarray, full: bool = False) -> _Batch:
+@contextlib.contextmanager
+def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
     """The one map: states amps (m, 4) through the CLI's scalar kernel, state
-    i under each assignment index in ks[i], split into shares.  Every batch
-    gets its sphere rows; a `full` one (the pool) all of _Batch's arrays."""
+    i under each assignment index in ks[i].  Every batch gets its sphere rows;
+    a `full` one (the pool) all of _Batch's arrays.  Yields the batch while
+    the children map it; its arrays are filled once the block ends."""
     m, width = ks.shape
     b = _Batch(amps, ks, _shared(m, width, 17), *((
         _shared(m), _shared(m, width, 5), _shared(m, width, 4, dtype=complex),
-        _shared(m, width, 4, dtype=complex)) if full else ()))
+        _shared(m, width, 4, dtype=complex), _shared(m, width, 8)) if full else ()))
+    done = _shared(CHUNKS, dtype=np.uint8)
 
-    def map_rows(lo: int, hi: int):
-        for i, (v, ks_i) in enumerate(zip(amps[lo:hi].tolist(), ks[lo:hi].tolist()), lo):
+    def map_chunk(c: int):
+        lo, hi = m * c // CHUNKS, m * (c + 1) // CHUNKS
+        # One list per array of b after ks, in _Batch's field order.
+        out = spheres, conc, stats, recs, rhos, trig = [], [], [], [], [], []
+        for v, ks_i in zip(amps[lo:hi].tolist(), ks[lo:hi].tolist()):
             s = TwoQubitState(*v)
             if full:
-                b.conc[i] = state.concurrence_det(s)
-            for j, k in enumerate(ks_i):
+                conc.append(state.concurrence_det(s))
+            for k in ks_i:
                 a = _ASSIGNMENTS[k]
                 ss = hopf.sphere_set(s, a)
-                ent = ss.ent
-                b.spheres[i, j] = (*ss.base, ent.chi, ent.xi, *ent.t, ent.c,
-                                   ent.x2, ent.x3, ent.x4, *ss.fiber.bloch)
+                base, ent = ss.base, ss.ent
+                chi, xi = ent.chi, ent.xi
+                spheres += (*base, chi, xi, *ent.t, ent.c, ent.x2, ent.x3, ent.x4,
+                            *ss.fiber.bloch)
                 if full:  # the state functions take the assignment's base qubit
                     rho = state.reduced_density(s, a.base_qubit)
-                    b.rho_stats[i, j] = (state.concurrence_from_rho(rho),
-                                         state.coherence_d(rho), *state.bloch_vector(rho))
-                    b.rec[i, j] = hopf.reconstruct(ss)
-                    b.rho[i, j] = hopf.rho_from_spheres(ss)
+                    stats += (state.concurrence_from_rho(rho), state.coherence_d(rho),
+                              *state.bloch_vector(rho))
+                    recs += hopf.reconstruct(ss)
+                    rhos += hopf.rho_from_spheres(ss)
+                    angles = (base.theta, base.phi, chi, xi)
+                    trig += (*map(math.sin, angles), *map(math.cos, angles))
+        # One slice assignment per array: a numpy row write costs about 1.4 us.
+        for arr, values in zip(b[2:], out):
+            if arr is not None:
+                arr[lo:hi] = np.array(values, arr.dtype).reshape(arr[lo:hi].shape)
+        done[c] = 1
 
-    first, *left = _shares(m)  # left: the shares this process maps after its own
-    children = {}
+    r, w = os.pipe()
+    os.write(w, bytes(range(CHUNKS)))
+    os.close(w)
+
+    def claim():  # until the pipe is empty
+        while c := os.read(r, 1):
+            map_chunk(c[0])
+
+    children = []
     try:
-        while left:
+        for _ in range(_processes(m) - 1):
             try:
                 pid = os.fork()
             except OSError:
@@ -194,18 +222,26 @@ def _map(amps: np.ndarray, ks: np.ndarray, full: bool = False) -> _Batch:
             if pid == 0:
                 status = 1
                 try:
-                    map_rows(*left[0])
+                    claim()
                     status = 0
                 finally:
                     os._exit(status)
-            children[pid] = left.pop(0)
-        map_rows(*first)
+            children.append(pid)
+        yield b
+        claim()
     finally:
-        for pid, share in children.items():
-            if os.waitpid(pid, 0)[1] != 0:
-                left.append(share)
-    for share in left:
-        map_rows(*share)
+        os.close(r)
+        for pid in children:
+            os.waitpid(pid, 0)
+    # A chunk claimed by a child that failed: mapped here, which raises its error.
+    for c in np.flatnonzero(done == 0).tolist():
+        map_chunk(c)
+
+
+def _map(amps: np.ndarray, ks: np.ndarray, full: bool = False) -> _Batch:
+    """The batch _mapping fills, with nothing run beside it."""
+    with _mapping(amps, ks, full) as b:
+        pass
     return b
 
 
@@ -213,14 +249,22 @@ class _SuiteRunner:
     def __init__(self, seed: int, samples: int):
         self.rng = np.random.default_rng(seed)
         self.samples = samples
-        self.results: list[InvariantResult] = []
         self.amps = state.random_amplitudes(self.rng, samples)
-        # The one pass over the pool, each state under A_BASE, then B_BASE.
-        self.pool = _map(self.amps, np.tile([0, 1], (samples, 1)), full=True)
-        self.c_ref = oracles.concurrence(self.amps)
-        # Sine and cosine of each sphere angle, by libm as the kernel takes them.
-        self.sin, self.cos = ({k: _elementwise(f, self.pool.spheres[..., k])
-                               for k in (THETA, PHI, CHI, XI)} for f in (math.sin, math.cos))
+
+    def draw(self):
+        """Every other random input, in one fixed order: the report's bytes depend on it."""
+        rng, n = self.rng, min(self.samples, 1000)
+        self.quaternions = rng.standard_normal((n, 22))
+        # Per moved state: a quaternion, then whether the unitary acts on qubit A.
+        self.moves = [(rng.standard_normal(4), rng.integers(2) == 0) for _ in range(n)]
+        self.fiber_u = rng.standard_normal((n, 4))
+        self.mu = rng.uniform(-math.pi, math.pi, (n, 1))
+        self.factors = state.random_amplitudes(rng, 2 * n, dim=2)  # of A, then of B
+        self.random_gates = [_random_gate(rng) for _ in range(min(self.samples, 500))]
+        self.angles = rng.uniform(-2 * math.pi, 2 * math.pi, 20).tolist()
+        self.circuits = [[_random_gate(rng) for _ in range(int(rng.integers(1, 7)))]
+                         for _ in range(min(self.samples, 200))]
+        self.applied_gates = [_random_gate(rng) for _ in range(min(self.samples, 500))]
 
     def check(self, name: str, threshold: float, err: np.ndarray, batch: _Batch | None = None,
               samples: int | None = None):
@@ -241,9 +285,8 @@ class _SuiteRunner:
     # -- quaternion algebra ------------------------------------------------
 
     def quaternion_invariants(self):
-        n = min(self.samples, 1000)
         # Per sample: a, b, c, then au and bu made unit, then z.
-        d = self.rng.standard_normal((n, 22))
+        d = self.quaternions
         a, b, c = d[:, 0:4].T, d[:, 4:8].T, d[:, 8:12].T
         au, bu = _unit(d[:, 12:16]).T, _unit(d[:, 16:20]).T
         e_assoc = np.subtract(hamilton(hamilton(a, b), c), hamilton(a, hamilton(b, c)))
@@ -264,27 +307,27 @@ class _SuiteRunner:
     # -- state-level properties --------------------------------------------
 
     def state_invariants(self):
+        n = min(self.samples, 1000)
+        moved = _Batch(_act(_su2(_unit(np.array([q for q, _ in self.moves]))), self.amps[:n],
+                            [on_a for _, on_a in self.moves]))
+        c2 = np.array([state.concurrence_det(TwoQubitState(*v)) for v in moved.amps.tolist()])
+        yield
         c = self.pool.conc[:, None]
         c_rho, d, rx, ry, rz = np.moveaxis(self.pool.rho_stats, -1, 0)
         # Both qubits of each state, counted as one sample.
-        n = self.samples
-        self.check("concurrence_triple_agreement", 1e-10, np.abs(c_rho - c), self.pool, n)
-        self.check("coherence_complementarity", 1e-12, np.abs(d * d + c * c - 1.0), self.pool, n)
+        m = self.samples
+        self.check("concurrence_triple_agreement", 1e-10, np.abs(c_rho - c), self.pool, m)
+        self.check("coherence_complementarity", 1e-12, np.abs(d * d + c * c - 1.0), self.pool, m)
         self.check("bloch_vector_norm", 1e-10,
-                   np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)), self.pool, n)
-
-        n = min(self.samples, 1000)
-        # Per sample: a quaternion, then whether the unitary acts on qubit A.
-        draws = [(self.rng.standard_normal(4), self.rng.integers(2) == 0) for _ in range(n)]
-        moved = _Batch(_act(_su2(_unit(np.array([q for q, _ in draws]))), self.amps[:n],
-                            [on_a for _, on_a in draws]))
-        c2 = np.array([state.concurrence_det(TwoQubitState(*v)) for v in moved.amps.tolist()])
+                   np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)), self.pool, m)
         self.check("local_unitary_concurrence_invariance", 1e-10,
                    np.abs(c2 - self.pool.conc[:n]), moved)
 
     # -- sphere map ----------------------------------------------------------
 
     def hopf_invariants(self):
+        c_ref = oracles.concurrence(self.amps)[:, None]
+        yield
         pool = self.pool
         diff = pool.rec - self.amps[:, None, :]
         self.check("round_trip_reconstruction", 1e-10,
@@ -300,7 +343,6 @@ class _SuiteRunner:
         del diff, sq  # freed before the checks below make pool-sized arrays of their own
         sp, sin, cos = pool.spheres, self.sin, self.cos
         b, c, chi = sp[..., B], sp[..., C], sp[..., CHI]
-        c_ref = self.c_ref[:, None]
         self.check("concurrence_consistency", 1e-10,
                    np.maximum(np.abs(np.abs(b) * sin[CHI] - c_ref), np.abs(c - c_ref)), pool)
         self.check("chi_northern_hemisphere", 1e-12, np.maximum(chi - math.pi / 2, -chi), pool)
@@ -321,34 +363,36 @@ class _SuiteRunner:
         n = min(self.samples, 1000)
         # State i is mapped under A_BASE if i is even, else B_BASE: rows (n, 1).
         ks = np.arange(n)[:, None] % 2
+        # A fiber-qubit unitary: on B under A_BASE, on A under B_BASE.
+        u = _su2(_unit(self.fiber_u))
+        fibered = _map(_act(u, self.amps[:n], ks[:, 0] == 1), ks)
+        rot = gates.bloch_rotation(u)[:, None]
+        # A y rotation of the base qubit by mu.
+        mu = self.mu
+        u = np.array([gates.rotation("y", m) for m in mu.ravel().tolist()])
+        rotated = _map(_act(u, self.amps[:n], ks[:, 0] == 0), ks)
+        sin_mu, cos_mu = _elementwise(math.sin, mu), _elementwise(math.cos, mu)
+        yield
         before = self.pool.spheres[np.arange(n)[:, None], ks]
 
-        # A fiber-qubit unitary: on B under A_BASE, on A under B_BASE.
-        u = _su2(_unit(self.rng.standard_normal((n, 4))))
-        after = _map(_act(u, self.amps[:n], ks[:, 0] == 1), ks)
         local = [X0, X1, B, THETA, X2, X3, X4, CHI]
         self.check("fiber_unitary_base_locality", 1e-12,
-                   np.abs(after.spheres[..., local] - before[..., local]).max(axis=2), after)
-        want = gates._matmul(gates.bloch_rotation(u)[:, None], before[..., BLOCH, None])[..., 0]
+                   np.abs(fibered.spheres[..., local] - before[..., local]).max(axis=2), fibered)
+        want = gates._matmul(rot, before[..., BLOCH, None])[..., 0]
         self.check("fiber_unitary_bloch_rotation", 1e-9,
-                   np.abs(after.spheres[..., BLOCH] - want).max(axis=2), after)
+                   np.abs(fibered.spheres[..., BLOCH] - want).max(axis=2), fibered)
 
-        mu = self.rng.uniform(-math.pi, math.pi, (n, 1))
-        u = np.array([gates.rotation("y", m) for m in mu.ravel().tolist()])
-        after = _map(_act(u, self.amps[:n], ks[:, 0] == 0), ks)
         fixed = [B, X2, X3, X4, CHI, C]
         self.check("base_yrotation_fixes_entanglement", 1e-12,
-                   np.abs(after.spheres[..., fixed] - before[..., fixed]).max(axis=2), after)
-        sin_mu, cos_mu = _elementwise(math.sin, mu), _elementwise(math.cos, mu)
+                   np.abs(rotated.spheres[..., fixed] - before[..., fixed]).max(axis=2), rotated)
         x0, x1 = before[..., X0], before[..., X1]
         self.check("base_yrotation_plane_rotation", 1e-10, np.maximum(
-            np.abs(after.spheres[..., X1] - (x0 * sin_mu + x1 * cos_mu)),
-            np.abs(after.spheres[..., X0] - (x0 * cos_mu - x1 * sin_mu))), after)
+            np.abs(rotated.spheres[..., X1] - (x0 * sin_mu + x1 * cos_mu)),
+            np.abs(rotated.spheres[..., X0] - (x0 * cos_mu - x1 * sin_mu))), rotated)
 
     def separability_invariants(self):
         n = min(self.samples, 1000)
-        v = state.random_amplitudes(self.rng, 2 * n, dim=2)  # the factor of A, then of B
-        fa, fb = v[0::2], v[1::2]
+        fa, fb = self.factors[0::2], self.factors[1::2]
         amps = gates._product(fa[:, :, None], fb[:, None, :]).reshape(n, 4)
         products = _map(amps, np.tile([0, 1], (n, 1)))
         rows = products.spheres
@@ -368,6 +412,7 @@ class _SuiteRunner:
     # -- oracle cross-checks -------------------------------------------------
 
     def oracle_invariants(self):
+        yield
         grid = self.amps.reshape(-1, 2, 2)
         ref = np.stack([oracles.partial_trace(grid, a.base_qubit).reshape(-1, 4)
                         for a in _ASSIGNMENTS], axis=1)
@@ -396,13 +441,11 @@ class _SuiteRunner:
     # -- gates ----------------------------------------------------------------
 
     def gate_invariants(self):
-        n = min(self.samples, 500)
-        u = np.array([gates.expand(_random_gate(self.rng)) for _ in range(n)])
+        u = np.array([gates.expand(g) for g in self.random_gates])
         self.check("expanded_gate_unitarity", 1e-12,
                    np.abs(gates._matmul(u, u.conj().swapaxes(1, 2)) - np.eye(4)).max(axis=(1, 2)))
 
-        mu = self.rng.uniform(-2 * math.pi, 2 * math.pi, 20).tolist()
-        rx, ry, rz = (np.array([gates.rotation(axis, m) for m in mu]) for axis in "xyz")
+        rx, ry, rz = (np.array([gates.rotation(axis, m) for m in self.angles]) for axis in "xyz")
         e_x = rx - gates._matmul(gates._matmul(gates.rotation("z", -math.pi / 2), ry),
                                  gates.rotation("z", math.pi / 2))
         e_z = rz - gates._matmul(gates._matmul(gates.rotation("x", math.pi / 2), ry),
@@ -423,17 +466,15 @@ class _SuiteRunner:
         self.check("entangler_concurrence_law", 1e-9, np.array(e_sweep))
         self.check("entangler_superposition_degree", 1e-12, np.array(e_sup))
 
-        n = min(self.samples, 200)
         e_traj = []  # one error per step; a circuit is one sample
-        for _ in range(n):
-            gs = [_random_gate(self.rng) for _ in range(int(self.rng.integers(1, 7)))]
+        for gs in self.circuits:
             e_traj += [abs(step.spheres_a.ent.c - step.spheres_b.ent.c)
                        for step in gates.run(gates.Circuit(gates=tuple(gs)))]
-        self.check("trajectory_concurrence_match", 1e-10, np.array(e_traj), samples=n)
+        self.check("trajectory_concurrence_match", 1e-10, np.array(e_traj),
+                   samples=len(self.circuits))
 
-        # Drawn last, so that no other invariant's inputs move.
-        n = min(self.samples, 500)
-        gs = [_random_gate(self.rng) for _ in range(n)]
+        gs = self.applied_gates
+        n = len(gs)
         got = np.array([gates.apply(TwoQubitState(*v), g)
                         for v, g in zip(self.amps[:n].tolist(), gs)])
         diff = got - gates._matmul(np.array([gates.expand(g) for g in gs]),
@@ -442,14 +483,27 @@ class _SuiteRunner:
                    self.pool)
 
     def run(self) -> tuple[InvariantResult, ...]:
-        self.quaternion_invariants()
-        self.state_invariants()
-        self.hopf_invariants()
-        self.equivariance_invariants()
-        self.separability_invariants()
-        self.oracle_invariants()
-        self.gate_invariants()
-        return tuple(self.results)
+        # A group that reads pool rows is a generator that yields before its
+        # first read.  All that comes before a yield, and every other group,
+        # runs while the children map the pool.  Each group keeps its own
+        # entries, so that the report lists them in the groups' order.
+        groups = (self.quaternion_invariants, self.state_invariants, self.hopf_invariants,
+                  self.equivariance_invariants, self.separability_invariants,
+                  self.oracle_invariants, self.gate_invariants)
+        entries = [[] for _ in groups]
+        rests = []
+        # The one pass over the pool, each state under A_BASE, then B_BASE.
+        with _mapping(self.amps, np.tile([0, 1], (self.samples, 1)), full=True) as self.pool:
+            self.draw()
+            for group, self.results in zip(groups, entries):
+                rests.append(iter(group() or ()))
+                next(rests[-1], None)
+        # Sine and cosine of each sphere angle, by libm as the kernel takes them.
+        trig = np.moveaxis(self.pool.trig, -1, 0)
+        self.sin, self.cos = (dict(zip((THETA, PHI, CHI, XI), t)) for t in (trig[:4], trig[4:]))
+        for rest, self.results in zip(rests, entries):
+            next(rest, None)
+        return tuple(r for group in entries for r in group)
 
 
 def _random_gate(rng: np.random.Generator) -> gates.Gate:

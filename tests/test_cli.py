@@ -184,9 +184,13 @@ def test_verify_loads_numpy_on_demand():
     proc = _python("-m", "qubit_spheres", "verify", "--samples", "10", importtime=True)
     assert proc.returncode == 0
     assert "numpy" in _imported(proc.stderr)
+    # A bare import loads no submodule; `import *` still yields every name.
     proc = _python("-c", "import sys, qubit_spheres\n"
                          "assert 'numpy' not in sys.modules\n"
+                         "loaded = [m for m in sys.modules if m.startswith('qubit_spheres.')]\n"
+                         "assert loaded == [], loaded\n"
                          "from qubit_spheres import *\n"
+                         "assert set(qubit_spheres.__all__) <= set(globals())\n"
                          "assert isinstance(run_suite(seed=1, samples=5), VerificationReport)\n")
     assert proc.returncode == 0, proc.stderr
 

@@ -115,30 +115,45 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
     def bent_fiber(ss):
         return ss._replace(fiber=ss.fiber._replace(zeta_f=ss.fiber.zeta_f + 1e-6))
 
-    # Per case: the hopf function, which of its calls is perturbed and how, the
-    # entry that fails and the witness's assignment.  The pool maps state i
-    # under A_BASE, then B_BASE; its 2n sphere sets are followed by those of
-    # the n fiber-unitary moved states (state i under B_BASE if i is odd), the
-    # n y-rotated ones, and the n product states under both assignments.
+    # The amplitudes of every batch _map sends through the kernel but the pool,
+    # in the order mapped: the fiber-unitary moved states (state i under
+    # B_BASE if i is odd), the y-rotated ones and the product states.
+    batches = []
+    map_batch = verify._map
+
+    def recorded_map(amps, ks, full=False):
+        if not full:
+            batches.append(amps)
+        return map_batch(amps, ks, full)
+
+    # Per case: the hopf function and the call of it that is perturbed (that
+    # of state `bad` of the pool or of a recorded batch, under the witness's
+    # assignment) and how, and the entry that fails.
     cases = [
-        ("reconstruct", 2 * bad + 2,
+        ("reconstruct", None,
          lambda out: TwoQubitState.from_amplitudes(out.alpha + 1e-6, *out[1:]),
          "round_trip_reconstruction", "B"),
         # A NaN error, whose max_error is written as null.
-        ("rho_from_spheres", 2 * bad + 2, lambda out: out._replace(rho00=complex(math.nan)),
+        ("rho_from_spheres", None, lambda out: out._replace(rho00=complex(math.nan)),
          "rho_from_spheres_vs_partial_trace", "B"),
-        ("sphere_set", 2 * n + bad + 1, bent_fiber, "fiber_unitary_bloch_rotation", "B"),
-        ("sphere_set", 4 * n + 2 * bad + 1, bent_fiber, "separable_fiber_is_bloch", "A"),
+        ("sphere_set", 0, bent_fiber, "fiber_unitary_bloch_rotation", "B"),
+        ("sphere_set", 2, bent_fiber, "separable_fiber_is_bloch", "A"),
     ]
-    for plant, call, perturb, name, assignment in cases:
+    for plant, batch, perturb, name, assignment in cases:
         original = getattr(verify.hopf, plant)
-        calls = []
+        a = verify.Assignment(assignment)
+        target = verify.hopf.sphere_set(pool_state, a)
+        batches.clear()
 
         def perturbed(*args):
-            calls.append(args)
             out = original(*args)
-            return perturb(out) if len(calls) == call else out
+            if plant != "sphere_set":  # reconstruct and rho_from_spheres take the set
+                hit = args[0] == target
+            else:
+                hit = len(batches) > batch and args == (tuple(batches[batch][bad].tolist()), a)
+            return perturb(out) if hit else out
 
+        monkeypatch.setattr(verify, "_map", recorded_map)
         monkeypatch.setattr(verify.hopf, plant, perturbed)
         assert cli.main(["verify", "--seed", str(seed), "--samples", str(n)]) == 1
         entries = json.loads(capsys.readouterr().out)["invariants"]
@@ -149,9 +164,8 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
         assert (failed[0]["max_error"] is None) == (plant == "rho_from_spheres")
         witness = failed[0]["witness"]
         assert (witness["sample"], witness["assignment"]) == (bad, assignment)
-        # The state that was mapped: the perturbed sphere_set's own (moved or
-        # product) state, else pool state `bad`.
-        want = [v for c in (calls[call - 1][0] if plant == "sphere_set" else pool_state)
+        # The state that was mapped: state `bad` of the perturbed batch.
+        want = [v for c in (pool_state if batch is None else batches[batch][bad].tolist())
                 for v in (c.real, c.imag)]
         assert witness["state"] == ",".join(map(repr, want))
 
@@ -230,13 +244,26 @@ def test_verify_report_is_the_same_on_every_blas_kernel():
 
 # -- the pool pass split over processes ----------------------------------------
 
-# Odd, so that two shares are uneven.
+# Odd, so that the chunks are uneven.
 SPLIT_SAMPLES = 2 * verify.MIN_SHARE + 1
 
 
 def allow_cpus(monkeypatch, n):
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """A list that gets the pid of each process that forks from here on."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(verify.os, "fork", counted_fork)
+    return forks
 
 
 def assert_no_child_left():
@@ -246,16 +273,9 @@ def assert_no_child_left():
 
 @pytest.mark.skipif(sys.version_info >= (3, 12), reason="the pass never forks there")
 def test_split_pass_gives_the_one_process_report(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(verify.os, "fork", counted_fork)
+    forks = count_forks(monkeypatch)
     allow_cpus(monkeypatch, 2)
-    assert verify._shares(SPLIT_SAMPLES) == [(0, 1000), (1000, 2001)]
+    assert verify._processes(SPLIT_SAMPLES) == 2
     split = dumps(run_suite(seed=9, samples=SPLIT_SAMPLES).to_dict())
     assert forks == [os.getpid()]
     assert_no_child_left()
@@ -276,29 +296,40 @@ def test_split_pass_gives_the_one_process_report(monkeypatch):
 def test_pass_stays_in_one_process_from_python_3_12(monkeypatch):
     allow_cpus(monkeypatch, 2)
     monkeypatch.setattr(verify, "sys", SimpleNamespace(version_info=(3, 12, 0)))
-    assert verify._shares(SPLIT_SAMPLES) == [(0, SPLIT_SAMPLES)]
+    assert verify._processes(SPLIT_SAMPLES) == 1
     monkeypatch.setattr(verify, "sys", SimpleNamespace(version_info=(3, 11, 7)))
-    assert verify._shares(SPLIT_SAMPLES) == [(0, 1000), (1000, 2001)]
+    assert verify._processes(SPLIT_SAMPLES) == 2
 
 
 class Planted(Exception):
     pass
 
 
-@pytest.mark.parametrize("bad", [1500, 10], ids=["child-share", "parent-share"])
+@pytest.mark.parametrize("bad", [1500, 10, None], ids=["child-share", "parent-share",
+                                                      "parent-group"])
 def test_split_pass_raises_a_failure_here_and_reaps_every_child(monkeypatch, bad):
+    """A fault in a late or an early pool chunk, whichever process maps it,
+    or in a group this process runs while the children map the pool."""
     seed = 9
-    alpha = state.random_amplitudes(np.random.default_rng(seed), SPLIT_SAMPLES)[bad, 0]
-    reconstruct = verify.hopf.reconstruct
+    if bad is None:
+        def planted(f):  # the product states' factors
+            raise Planted("product state")
 
-    def planted(ss):
-        s = reconstruct(ss)
-        if abs(s.alpha - alpha) < 1e-12:
-            raise Planted(f"pool state {bad}")
-        return s
+        monkeypatch.setattr(verify, "_bloch", planted)
+    else:
+        alpha = state.random_amplitudes(np.random.default_rng(seed), SPLIT_SAMPLES)[bad, 0]
+        reconstruct = verify.hopf.reconstruct
 
-    monkeypatch.setattr(verify.hopf, "reconstruct", planted)
+        def planted(ss):
+            s = reconstruct(ss)
+            if abs(s.alpha - alpha) < 1e-12:
+                raise Planted(f"pool state {bad}")
+            return s
+
+        monkeypatch.setattr(verify.hopf, "reconstruct", planted)
+    forks = count_forks(monkeypatch)
     allow_cpus(monkeypatch, 2)
-    with pytest.raises(Planted, match=f"pool state {bad}$"):
+    with pytest.raises(Planted, match="product state$" if bad is None else f"pool state {bad}$"):
         run_suite(seed=seed, samples=SPLIT_SAMPLES)
+    assert len(forks) == verify._processes(SPLIT_SAMPLES) - 1  # none from CPython 3.12 on
     assert_no_child_left()
