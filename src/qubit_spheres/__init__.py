@@ -12,7 +12,6 @@ _MODULES = {
               "rotation", "run"),
     "hopf": ("Assignment", "BaseSphere", "EntanglementSphere", "FiberSphere", "SphereSet",
              "reconstruct", "rho_from_spheres", "sphere_set"),
-    "quatmath": ("ComplexK",),
     "state": ("DensityMatrix", "TwoQubitState", "bloch_vector", "coherence_d",
               "concurrence_det", "concurrence_from_rho", "random_state", "reduced_density"),
     "verify": ("VerificationReport", "run_suite"),

@@ -4,6 +4,16 @@ Both oracles work on a batch of amplitude rows at once, as numpy arrays, with
 elementwise sums in a fixed order, so each row rounds as it would alone.
 This module must stay independent of the sphere machinery: it may import
 only numpy.  Tests enforce that no sphere-map code is reachable from here.
+
+It is also the home of the reference quaternion algebra.  Basis rules:
+ij = k, jk = i, ki = j, i^2 = j^2 = k^2 = -1.  Complex amplitudes entering
+the algebra use *k* as their imaginary unit, so ``complex(a, b)`` embeds as
+the quaternion ``(a, 0, 0, b)``.  A quaternion is a plain ``(w, x, y, z)``
+tuple of floats or of numpy arrays (``Components``), and each formula is
+written once as a function on such tuples.  ``verify``'s
+``outer_product_structure`` and the tests' reference sphere map call these
+functions; the sphere map writes the same formulas out inline, and that
+reference holds it to them bit for bit.
 """
 
 from __future__ import annotations
@@ -42,3 +52,45 @@ def concurrence(amps: np.ndarray) -> np.ndarray:
     z_re = sum(s * (re[:, i] * re[:, j] - im[:, i] * im[:, j]) for s, i, j in terms)
     z_im = sum(s * (re[:, i] * im[:, j] + im[:, i] * re[:, j]) for s, i, j in terms)
     return np.hypot(z_re, z_im)
+
+
+Components = tuple[float, float, float, float]
+
+
+def hamilton(a: Components, b: Components) -> Components:
+    """Hamilton product a*b (non-commutative)."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
+
+
+def conj(q: Components) -> Components:
+    w, x, y, z = q
+    return (w, -x, -y, -z)
+
+
+def norm_sq(q: Components) -> float:
+    w, x, y, z = q
+    return w * w + x * x + y * y + z * z
+
+
+def split_components(q: Components) -> tuple[complex, complex]:
+    """Split q = a + b*j into the complex-in-k pair (a, b).
+
+    From the basis rules, b*j = b_re*j - b_im*i, so the components
+    map as a = (w, z) and b = (y, -x).  The inverse is join_components.
+    """
+    w, x, y, z = q
+    return complex(w, z), complex(y, -x)
+
+
+def join_components(a: complex, b: complex) -> Components:
+    """Recompose a + b*j; exact inverse of split_components.
+
+    join_components(c, 0.0) embeds a complex-in-k c as (c.real, -0.0, 0.0, c.imag).
+    """
+    a, b = complex(a), complex(b)
+    return (a.real, -b.imag, b.real, a.imag)

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .quatmath import ComplexK
-
 if TYPE_CHECKING:
     import numpy as np
 
@@ -37,7 +35,7 @@ class NegativeRadicand(ValueError):
 # The class form of NamedTuple forbids overriding __new__, hence the
 # functional base.
 class TwoQubitState(NamedTuple("TwoQubitState", [
-        ("alpha", ComplexK), ("beta", ComplexK), ("gamma", ComplexK), ("delta", ComplexK)])):
+        ("alpha", complex), ("beta", complex), ("gamma", complex), ("delta", complex)])):
     """Amplitudes of |00>, |01>, |10>, |11>; unit norm, global phase kept.
 
     Qubit A is the most-significant factor: index = 2*a + b.
@@ -45,7 +43,7 @@ class TwoQubitState(NamedTuple("TwoQubitState", [
 
     __slots__ = ()
 
-    def __new__(cls, alpha: ComplexK, beta: ComplexK, gamma: ComplexK, delta: ComplexK):
+    def __new__(cls, alpha: complex, beta: complex, gamma: complex, delta: complex):
         n = _norm(alpha, beta, gamma, delta)
         # Written so that a NaN norm fails the check too.
         if not abs(n - 1.0) <= NORM_TOL:
@@ -88,7 +86,7 @@ class TwoQubitState(NamedTuple("TwoQubitState", [
             raise ValueError(f"bell name must be one of {BELL_NAMES}, got {name!r}")
         return cls(*(complex(v) for v in table[name]))
 
-    def amplitudes(self) -> tuple[ComplexK, ComplexK, ComplexK, ComplexK]:
+    def amplitudes(self) -> tuple[complex, complex, complex, complex]:
         return (self.alpha, self.beta, self.gamma, self.delta)
 
     def vector(self) -> np.ndarray:
@@ -110,10 +108,10 @@ def _norm(a: complex, b: complex, g: complex, d: complex) -> float:
 class DensityMatrix(NamedTuple):
     """2x2 reduced density matrix of one qubit (Hermitian, trace 1)."""
 
-    rho00: ComplexK
-    rho01: ComplexK
-    rho10: ComplexK
-    rho11: ComplexK
+    rho00: complex
+    rho01: complex
+    rho10: complex
+    rho11: complex
 
     def purity(self) -> float:
         """Tr(rho^2), real for a Hermitian matrix."""

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qubit_spheres.quatmath import Components, norm_sq
+from qubit_spheres.oracles import Components, norm_sq
 from qubit_spheres.state import (
     BASIS_NAMES,
     BELL_NAMES,
@@ -29,6 +29,12 @@ def child_env() -> dict[str, str]:
 
 
 DEG = math.pi / 180
+
+# The quaternion basis units, as oracles' (w, x, y, z) tuples.
+ONE: Components = (1.0, 0.0, 0.0, 0.0)
+I: Components = (0.0, 1.0, 0.0, 0.0)
+J: Components = (0.0, 0.0, 1.0, 0.0)
+K: Components = (0.0, 0.0, 0.0, 1.0)
 
 # Oracle-derived constants for the rx(60)+cry(70) worked state.
 C_60_70 = 0.496731764892154          # sin(60 deg) * sin(35 deg)

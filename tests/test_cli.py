@@ -177,6 +177,8 @@ def test_commands_without_arrays_do_not_import_numpy(tmp_path, argv):
     names = _imported(proc.stderr)
     assert "qubit_spheres.cli" in names
     assert sorted(n for n in names if n.split(".")[0] == "numpy") == []
+    # The reference quaternion algebra lives there, beside numpy.
+    assert "qubit_spheres.oracles" not in names
     assert "dataclasses" not in names
 
 

@@ -11,6 +11,8 @@ from conftest import (
     BRANCH_POINTS,
     SPELLED_STATES,
     X4_60_70,
+    J,
+    K,
     entangler_60_70_state,
     exp_axis,
     near_degenerate_sweep,
@@ -28,9 +30,7 @@ from qubit_spheres.hopf import (
     rho_from_spheres,
     sphere_set,
 )
-from qubit_spheres.quatmath import (
-    J,
-    K,
+from qubit_spheres.oracles import (
     conj,
     hamilton,
     join_components,

@@ -4,11 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qubit_spheres.quatmath import (
-    ONE,
-    I,
-    J,
-    K,
+from conftest import ONE, I, J, K
+from qubit_spheres.oracles import (
     conj,
     hamilton,
     join_components,
