@@ -147,24 +147,25 @@ def concurrence_det(s: TwoQubitState) -> float:
     return 2.0 * abs(s.alpha * s.delta - s.beta * s.gamma)
 
 
-def _sqrt_clamped(radicand: float) -> float:
+def concurrence_from_rho(rho: DensityMatrix) -> float:
+    """Concurrence from a reduced density matrix: sqrt(2*(1 - Tr rho^2)).
+
+    Ill-conditioned near c = 0 whatever the formula: the floats of rho fix
+    c^2 only to about one rounding unit, so c only to about its square root.
+    """
+    radicand = 2.0 * (1.0 - rho.purity())
     if radicand < -RADICAND_TOL:
         raise NegativeRadicand(f"radicand {radicand!r} below -{RADICAND_TOL}")
     return math.sqrt(max(radicand, 0.0))
-
-
-def concurrence_from_rho(rho: DensityMatrix) -> float:
-    """Concurrence from a reduced density matrix: sqrt(2*(1 - Tr rho^2))."""
-    return _sqrt_clamped(2.0 * (1.0 - rho.purity()))
 
 
 def coherence_d(rho: DensityMatrix) -> float:
-    """Scalar coherence sqrt(2*Tr rho^2 - 1); complementary to concurrence."""
+    """Scalar coherence d, complementary to concurrence: the length of the
+    Bloch vector, hypot(rho00 - rho11, 2|rho01|).  It equals
+    sqrt(2*Tr rho^2 - 1) at trace 1, but that radicand cancels near d = 0,
+    where its square root keeps no correct digit."""
     r00, r01, _, r11 = rho
-    radicand = 2.0 * (abs(r00) ** 2 + abs(r11) ** 2 + 2 * abs(r01) ** 2) - 1.0
-    if radicand < -RADICAND_TOL:
-        raise NegativeRadicand(f"radicand {radicand!r} below -{RADICAND_TOL}")
-    return math.sqrt(max(radicand, 0.0))
+    return math.hypot((r00 - r11).real, 2.0 * abs(r01))
 
 
 def bloch_vector(rho: DensityMatrix) -> tuple[float, float, float]:
