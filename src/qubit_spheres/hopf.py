@@ -11,11 +11,10 @@ The map and its inverse work on the packed floats: each quaternion product,
 conjugate, squared norm, join and split is written out where it is used,
 in the same expressions and order as the reference functions in
 ``oracles``, so the results are theirs bit for bit (``tests/test_hopf.py``
-pins that).  The
-entanglement axis ``t`` is stored as the point (tx, ty, tz) of S^2.  Each
-exponential e^(t*angle) is written out as cos(angle) + t*sin(angle), from
-a sine and cosine taken once per call; ``reconstruct`` checks that a
-caller's ``t`` is a unit axis.
+pins that).  The entanglement axis ``t`` is stored as the point (tx, ty,
+tz) of S^2.  Each exponential e^(t*angle) is written out as cos(angle) +
+t*sin(angle), from a sine and cosine taken once per call; ``reconstruct``
+checks that a caller's ``t`` is a unit axis.
 """
 
 from __future__ import annotations

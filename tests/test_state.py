@@ -121,7 +121,7 @@ def test_coherence_keeps_its_digits_near_a_bell_state(eps):
     rho = reduced_density(TwoQubitState(complex(alpha), 0j, 0j, complex(delta)), "A")
     # rho01 = 0 exactly, so d is |rho00 - rho11|, exact from the float amplitudes.
     exact = abs(Fraction(alpha) ** 2 - Fraction(delta) ** 2)
-    # Rounding alpha^2 and delta^2 costs up to u/4 each (u = 2^-53) before
+    # Rounding alpha^2 and delta^2 costs up to u/2 each (u = 2^-53) before
     # they cancel, so d is good to a few u absolute, not relative: its
     # relative condition number from the amplitudes is about 1/d.
     assert abs(Fraction(coherence_d(rho)) - exact) <= Fraction(4, 2**53)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -305,17 +306,30 @@ class Planted(Exception):
     pass
 
 
-@pytest.mark.parametrize("bad", [1500, 10, None], ids=["child-share", "parent-share",
-                                                      "parent-group"])
+@pytest.mark.parametrize("bad", [1500, 10, None, "claim"], ids=[
+    "child-share", "parent-share", "parent-group", "parent-claim"])
 def test_split_pass_raises_a_failure_here_and_reaps_every_child(monkeypatch, bad):
     """A fault in a late or an early pool chunk, whichever process maps it,
-    or in a group this process runs while the children map the pool."""
+    in a group this process runs while the children map the pool, or in a
+    chunk this process claims while a child still maps."""
     seed = 9
     if bad is None:
         def planted(f):  # the product states' factors
             raise Planted("product state")
 
         monkeypatch.setattr(verify, "_bloch", planted)
+    elif bad == "claim":
+        parent, reconstruct, slept = os.getpid(), verify.hopf.reconstruct, []
+
+        def planted(ss):
+            if os.getpid() == parent:
+                raise Planted("pool state claim")
+            if not slept:  # a child's first call waits, so this process claims a chunk
+                slept.append(True)
+                time.sleep(0.5)
+            return reconstruct(ss)
+
+        monkeypatch.setattr(verify.hopf, "reconstruct", planted)
     else:
         alpha = state.random_amplitudes(np.random.default_rng(seed), SPLIT_SAMPLES)[bad, 0]
         reconstruct = verify.hopf.reconstruct
