@@ -12,7 +12,7 @@ import math
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .hopf import Assignment, SphereSet, sphere_set
+from .hopf import A_BASE, B_BASE, SphereSet, sphere_set
 from .state import TwoQubitState, _check_qubit, concurrence_det
 
 if TYPE_CHECKING:
@@ -249,11 +249,11 @@ class TrajectoryStep:
 
     @cached_property
     def spheres_a(self) -> SphereSet:
-        return sphere_set(self.state, Assignment.A_BASE)
+        return sphere_set(self.state, A_BASE)
 
     @cached_property
     def spheres_b(self) -> SphereSet:
-        return sphere_set(self.state, Assignment.B_BASE)
+        return sphere_set(self.state, B_BASE)
 
     def spheres(self, label: str) -> SphereSet:
         return self.spheres_a if _check_qubit(label) == "A" else self.spheres_b

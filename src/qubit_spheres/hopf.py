@@ -46,7 +46,11 @@ class Assignment(Enum):
 
     @property
     def fiber_qubit(self) -> str:
-        return "B" if self is Assignment.A_BASE else "A"
+        return "B" if self is A_BASE else "A"
+
+
+# Read by name: on CPython 3.11 each Assignment.A_BASE read runs EnumType.__getattr__.
+A_BASE, B_BASE = Assignment.A_BASE, Assignment.B_BASE
 
 
 class BaseSphere(NamedTuple):
@@ -112,9 +116,9 @@ class SphereSet(NamedTuple):
 def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
     """Pack (q1, q2), form P = 2*q2*conj(q1) = x1 + b*t, and decompose the
     fiber versor q_f = cos(theta/2)*q1 + sin(theta/2)*e^(-t*phi)*q2."""
-    if a is Assignment.A_BASE:
+    if a is A_BASE:
         c1, d1, c2, d2 = s
-    elif a is Assignment.B_BASE:
+    elif a is B_BASE:
         c1, c2, d1, d2 = s
     else:
         raise ValueError(f"assignment must be an Assignment, got {a!r}")
@@ -253,15 +257,12 @@ def reconstruct(ss: SphereSet) -> TwoQubitState:
     # The fiber versor q_f = (cos(theta_f/2) + sin(theta_f/2)*e^(k*phi_f)*j) * e^(k*zeta_f).
     half = 0.5 * theta_f
     ch, sh = math.cos(half), math.sin(half)
-    # e^(k*angle) = (c, 0, 0, s), its zeros written s*0.0 to keep their sign.
-    # Its product with j = (0, 0, 1, 0), the terms times 1.0 and the zeros
-    # times 0.0 written as the values they equal bit for bit.
+    # (ch, 0, 0, 0) + sh*e^(k*phi_f)*j, with e^(k*angle) = (c, 0, 0, s), bit
+    # for bit: the terms left out are signed zeros, added to ch or c, which
+    # are never 0 (no double is a zero of cos), or to the leading 0.0.
     c, s = math.cos(phi_f), math.sin(phi_f)
-    c0, s0 = c * 0.0, s * 0.0
-    w, x, y, z = c0 - s0 - s0 - s0, c0 + s0 + s0 - s, c - s0 + s0 + s0, c0 + s0 - s0 + s0
-    # (ch, 0, 0, 0) + sh*(w, x, y, z), with the signed zeros that sum gives,
-    # times e^(k*zeta_f).
-    w, x, y, z = ch + sh * w, 0.0 + sh * x, 0.0 + sh * y, 0.0 + sh * z
+    w, x, y, z = ch, 0.0 - sh * s, 0.0 + sh * c, 0.0
+    # Times e^(k*zeta_f), its zeros written s*0.0 to keep their sign.
     c, s = math.cos(zeta_f), math.sin(zeta_f)
     s0 = s * 0.0
     w, x, y, z = (w * c - x * s0 - y * s0 - z * s,
@@ -280,9 +281,9 @@ def reconstruct(ss: SphereSet) -> TwoQubitState:
     # Split q1 = ch*q_f and q2 = sh*r into c + d*j: c = (w, z), d = (y, -x).
     c1, d1 = complex(ch * w, ch * z), complex(ch * y, -(ch * x))
     c2, d2 = complex(sh * rw, sh * rz), complex(sh * ry, -(sh * rx))
-    if ss.assignment is Assignment.A_BASE:
+    if ss.assignment is A_BASE:
         return TwoQubitState(c1, d1, c2, d2)
-    if ss.assignment is Assignment.B_BASE:
+    if ss.assignment is B_BASE:
         return TwoQubitState(c1, c2, d1, d2)
     raise InvalidSphereSet(f"assignment {ss.assignment!r} is not an Assignment")
 
