@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error.
 All human-facing angles are degrees; JSON field names carry _deg suffixes.
+Each command imports the modules it runs in its function, after its input parses.
 """
 
 from __future__ import annotations
@@ -10,9 +11,6 @@ import argparse
 import math
 import sys
 
-from . import records, render
-from .gates import TrajectoryStep, parse_circuit_file, run
-from .jsonfmt import dumps
 from .state import BASIS_NAMES, BELL_NAMES, NotNormalizable, TwoQubitState, _norm
 
 USAGE_EXIT = 2
@@ -53,7 +51,9 @@ def _parse_state(args) -> tuple[TwoQubitState, dict]:
              else TwoQubitState.from_amplitudes(*amps))
     except NotNormalizable as exc:
         raise NotNormalizable(f"--state: {exc}") from None
-    return s, {"kind": "state", "amplitudes": records.amplitude_list(s)}
+    from .jsonfmt import sig15
+
+    return s, {"kind": "state", "amplitudes": [sig15(p) for z in s for p in (z.real, z.imag)]}
 
 
 def _assignments(flag: str) -> tuple[str, ...]:
@@ -62,40 +62,42 @@ def _assignments(flag: str) -> tuple[str, ...]:
 
 def _cmd_map(args) -> int:
     s, input_block = _parse_state(args)
+    from . import records
+    from .jsonfmt import dumps
+
     record = records.state_record(s, _assignments(args.assignment))
     sys.stdout.write(records.text(record) if args.format == "text"
                      else dumps(records.document(input_block, [record])))
     return 0
 
 
-def _circuit_input_block(circuit) -> dict:
-    return {
-        "kind": "circuit",
-        "initial": circuit.initial,
-        "gates": [g.describe() for g in circuit.gates],
-    }
-
-
 def _cmd_run(args) -> int:
+    from .gates import parse_circuit_file, run
+
     circuit = parse_circuit_file(args.circuit)
     steps = run(circuit)
+    from . import records
+    from .jsonfmt import dumps
+
     chosen = _assignments(args.assignment)
-    if args.steps:
-        recs = [records.step_record(step, chosen) for step in steps]
-    else:
-        recs = [records.step_record(steps[-1], chosen)]
-    doc = records.document(_circuit_input_block(circuit), recs)
-    sys.stdout.write(dumps(doc))
+    recs = [records.step_record(step, chosen) for step in (steps if args.steps else steps[-1:])]
+    block = {"kind": "circuit", "initial": circuit.initial,
+             "gates": [g.describe() for g in circuit.gates]}
+    sys.stdout.write(dumps(records.document(block, recs)))
     return 0
 
 
 def _cmd_render(args) -> int:
     if args.circuit is not None:
+        from .gates import parse_circuit_file, run
+
         circuit = parse_circuit_file(args.circuit)
         step = run(circuit)[-1]
         title = "circuit: " + "; ".join(g.describe() for g in circuit.gates)
     else:
         s, input_block = _parse_state(args)
+        from .gates import TrajectoryStep
+
         step = TrajectoryStep(0, None, s)
         if input_block["kind"] == "bell":
             title = f"bell {input_block['name']}"
@@ -103,14 +105,16 @@ def _cmd_render(args) -> int:
             title = f"basis |{input_block['label']}>"
         else:
             title = "state " + ",".join(f"{v:.4g}" for v in input_block["amplitudes"])
+    from . import render
+
     render.render_to_file(args.out, step, assignments=_assignments(args.assignment),
                           title=title)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    # Imported here: verify needs numpy, which no other command loads.
-    from . import verify
+    from . import verify  # which imports numpy, as no other command does
+    from .jsonfmt import dumps
 
     # An option left out takes run_suite's default.
     given = {k: v for k, v in (("seed", args.seed), ("samples", args.samples))

@@ -11,11 +11,14 @@ from __future__ import annotations
 import json
 from functools import cache
 from math import degrees
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .gates import TrajectoryStep
-from .jsonfmt import LEAF, Document, numbers, sig15, template
-from .state import TwoQubitState, coherence_d, reduced_density
+from .hopf import A_BASE, B_BASE, SphereSet, sphere_set
+from .jsonfmt import LEAF, Document, numbers, template
+from .state import TwoQubitState, _check_qubit, coherence_d, concurrence_det, reduced_density
+
+if TYPE_CHECKING:
+    from .gates import TrajectoryStep
 
 SCHEMA_VERSION = "1"
 
@@ -57,26 +60,23 @@ def _text_template(assignments: tuple[str, ...]) -> str:
                       "coherence d_B: %.9f", ""])
 
 
-def _numbers(step: TrajectoryStep, assignments: tuple[str, ...]) -> list[str]:
-    """The snapshot's number leaves in the field order of _template."""
-    values = [p for amp in step.state for p in (amp.real, amp.imag)]
-    for label in assignments:
-        _, base, ent, fib = step.spheres(label)
+def _numbers(s: TwoQubitState, sets: list[SphereSet], concurrence: float) -> list[str]:
+    """The number leaves, in _template's order, of a state, its sphere sets and concurrence."""
+    values = [p for amp in s for p in (amp.real, amp.imag)]
+    for _, base, ent, fib in sets:
         values += (degrees(base.theta), degrees(base.phi), base.x1, base.b, base.x0,
                    degrees(ent.chi), degrees(ent.xi), ent.c, ent.x2, ent.x3, ent.x4,
                    degrees(fib.theta_f), degrees(fib.phi_f), degrees(fib.zeta_f), *fib.bloch)
-    rhos = [reduced_density(step.state, q) for q in "AB"]
+    rhos = [reduced_density(s, q) for q in "AB"]
     values += [p for rho in rhos for z in rho for p in (z.real, z.imag)]
-    values += (step.concurrence, *map(coherence_d, rhos))
+    values += (concurrence, *map(coherence_d, rhos))
     return numbers(values)
 
 
-def amplitude_list(s: TwoQubitState) -> list[float]:
-    return [sig15(p) for amp in s for p in (amp.real, amp.imag)]
-
-
 def state_record(s: TwoQubitState, assignments: tuple[str, ...] = ("A", "B")) -> Record:
-    leaves = _numbers(TrajectoryStep(0, None, s), assignments)
+    sets = [sphere_set(s, A_BASE if _check_qubit(label) == "A" else B_BASE)
+            for label in assignments]
+    leaves = _numbers(s, sets, concurrence_det(s))
     return Record(assignments, tuple(leaves), _template(False, assignments))
 
 
@@ -88,7 +88,8 @@ def text(record: Record) -> str:
 
 def step_record(step: TrajectoryStep, assignments: tuple[str, ...] = ("A", "B")) -> Record:
     gate = json.dumps(None if step.gate is None else step.description)
-    leaves = (str(step.index), gate, *_numbers(step, assignments))
+    sets = [step.spheres(label) for label in assignments]
+    leaves = (str(step.index), gate, *_numbers(step.state, sets, step.concurrence))
     return Record(assignments, leaves, _template(True, assignments))
 
 

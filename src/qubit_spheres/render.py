@@ -7,9 +7,11 @@ same input always produces byte-identical output.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .gates import TrajectoryStep
-from .hopf import SphereSet
+if TYPE_CHECKING:
+    from .gates import TrajectoryStep
+    from .hopf import SphereSet
 
 # Orthographic camera direction (degrees): oblique view with +z up.
 VIEW_AZIMUTH_DEG = -60.0

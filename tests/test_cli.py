@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import C_60_70, CIRCUIT_DIR, GOLDEN_DIR, REPO_ROOT, child_env
-from qubit_spheres import cli, gates
+from qubit_spheres import cli, gates, records
 from qubit_spheres.hopf import sphere_set
 
 ENTANGLER_CIRC = str(CIRCUIT_DIR / "entangle_60_70.circ")
@@ -165,21 +165,28 @@ def _imported(stderr: str) -> set[str]:
             if line.startswith("import time:")}
 
 
-@pytest.mark.parametrize("argv", [
-    ["map", "--bell", "phi+"],
-    ["run", ENTANGLER_CIRC, "--steps"],
-    ["render", "--bell", "phi+", "--out", "{tmp}/bell.svg"],
+# Each call's package modules besides cli: none that it does not run, so none
+# that it compiles for nothing, and numpy in none of them.
+@pytest.mark.parametrize("argv,code,modules", [
+    (["map", "--bell", "phi+"], 0, {"state", "hopf", "records", "jsonfmt"}),
+    (["run", ENTANGLER_CIRC, "--steps"], 0, {"state", "hopf", "gates", "records", "jsonfmt"}),
+    (["render", "--bell", "phi+", "--out", "{tmp}/bell.svg"], 0,
+     {"state", "hopf", "gates", "render"}),
+    # A malformed state fails at parsing, before a module that would map it loads.
+    (["map", "--state=nan,0,0,0,0,0,0,0"], 2, {"state"}),
+    (["map", "--state=1e200,0,0,0,0,0,0,0"], 2, {"state"}),
 ])
-def test_commands_without_arrays_do_not_import_numpy(tmp_path, argv):
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, code, modules):
     proc = _python("-m", "qubit_spheres", *(arg.format(tmp=tmp_path) for arg in argv),
                    importtime=True)
-    assert proc.returncode == 0
+    assert proc.returncode == code
     names = _imported(proc.stderr)
-    assert "qubit_spheres.cli" in names
+    assert {n for n in names if n.startswith("qubit_spheres.")} == {
+        f"qubit_spheres.{m}" for m in ("cli", *modules)}
     assert sorted(n for n in names if n.split(".")[0] == "numpy") == []
-    # The reference quaternion algebra lives there, beside numpy.
-    assert "qubit_spheres.oracles" not in names
     assert "dataclasses" not in names
+    errors = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
+    assert len(errors) == (code != 0) and all(line.startswith("error: ") for line in errors)
 
 
 def test_verify_loads_numpy_on_demand():
@@ -210,7 +217,9 @@ def test_each_command_maps_only_what_it_prints(tmp_path, capsys, monkeypatch, ar
         counted.append(a)
         return sphere_set(s, a)
 
-    monkeypatch.setattr(gates, "sphere_set", counting_sphere_set)
+    # Every name the map is looked up by: steps map through gates, map's record through records.
+    for module in (gates, records):
+        monkeypatch.setattr(module, "sphere_set", counting_sphere_set)
     code, _, _ = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 0
     assert len(counted) == calls
