@@ -336,6 +336,11 @@ class _SuiteRunner:
         # The base qubit's Bloch vector is (x1, x4, x0).
         self.check("bloch_vector_is_base_point", 1e-12,
                    np.abs(pool.rho_stats[..., 2:] - sp[..., [X1, X4, X0]]).max(axis=2), pool)
+        # Its length is d, from reduced_density.  1e-15 = 9u (u = 2^-53): each
+        # side is a few u off (sums of unit-bounded products, then hypots).
+        d, x0, x1, x4 = pool.rho_stats[..., 1], sp[..., X0], sp[..., X1], sp[..., X4]
+        self.check("coherence_is_base_bloch_length", 1e-15,
+                   np.abs(d - np.hypot(np.hypot(x0, x1), x4)), pool)
 
     def equivariance_invariants(self):
         n = min(self.samples, 1000)
