@@ -167,7 +167,7 @@ def _imported(stderr: str) -> set[str]:
 
 # Each call's package modules besides cli: none that it does not run, so none
 # that it compiles for nothing, and numpy in none of them.
-@pytest.mark.parametrize("argv,code,modules", [
+IMPORT_SETS = [
     (["map", "--bell", "phi+"], 0, {"state", "hopf", "records", "jsonfmt"}),
     (["run", ENTANGLER_CIRC, "--steps"], 0, {"state", "hopf", "gates", "records", "jsonfmt"}),
     (["render", "--bell", "phi+", "--out", "{tmp}/bell.svg"], 0,
@@ -175,8 +175,12 @@ def _imported(stderr: str) -> set[str]:
     # A malformed state fails at parsing, before a module that would map it loads.
     (["map", "--state=nan,0,0,0,0,0,0,0"], 2, {"state"}),
     (["map", "--state=1e200,0,0,0,0,0,0,0"], 2, {"state"}),
-])
-def test_each_command_imports_only_what_it_runs(tmp_path, argv, code, modules):
+]
+
+
+@pytest.mark.parametrize("argv,code,modules", IMPORT_SETS,
+                         ids=[f"argv{i}" for i in range(len(IMPORT_SETS))])
+def test_commands_without_arrays_do_not_import_numpy(tmp_path, argv, code, modules):
     proc = _python("-m", "qubit_spheres", *(arg.format(tmp=tmp_path) for arg in argv),
                    importtime=True)
     assert proc.returncode == code
