@@ -29,6 +29,8 @@ Record = NamedTuple("Record", [("assignments", tuple), ("leaves", tuple), ("temp
 
 @cache
 def _template(with_step: bool, assignments: tuple[str, ...]) -> str:
+    if repeated := [a for a in assignments if assignments.count(a) > 1]:
+        raise ValueError(f"assignment label {repeated[0]!r} is repeated")
     sphere = {
         "base": dict.fromkeys(("theta_deg", "phi_deg", "x1", "b", "x0"), LEAF),
         "entanglement": dict.fromkeys(("chi_deg", "xi_deg", "c", "x2", "x3", "x4"), LEAF),

@@ -39,17 +39,6 @@ K: Components = (0.0, 0.0, 0.0, 1.0)
 # Oracle-derived constants for the rx(60)+cry(70) worked state.
 C_60_70 = 0.496731764892154          # sin(60 deg) * sin(35 deg)
 X4_60_70 = -0.709406479916222        # -sin(60 deg) * cos(35 deg)
-D_60_70 = 0.867904115526091          # sqrt(1 - C_60_70^2)
-
-
-def entangler_60_70_state() -> TwoQubitState:
-    """State after rx A 60 ; cry A B 70 from |00>, written out by hand."""
-    return TwoQubitState(
-        complex(math.cos(30 * DEG)),
-        0j,
-        complex(0.0, -math.sin(30 * DEG) * math.cos(35 * DEG)),
-        complex(0.0, -math.sin(30 * DEG) * math.sin(35 * DEG)),
-    )
 
 
 def exp_axis(t: Components, angle: float) -> Components:

@@ -66,6 +66,7 @@ def test_run_final_only(capsys):
 def test_run_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.circ"
     for text, message in (("rx A sixty\n", "BadAngle: line 1: bad angle 'sixty'"),
+                          ("rx A inf\n", "BadAngle: line 1: angle 'inf' is not finite"),
                           ("foo A\n", "UnknownGate: line 1: unknown gate 'foo'")):
         bad.write_text(text)
         code, _, err = run_cli(capsys, "run", str(bad))

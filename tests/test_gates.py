@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import C_60_70, DEG
+from conftest import DEG
 from qubit_spheres import records
 from qubit_spheres.gates import (
     GATE_KINDS,
@@ -75,17 +75,6 @@ def every_gate():
                 yield Gate(kind=kind, target=target, control=control, angle=angle)
 
 
-def test_rotation_identity_and_double_cover():
-    assert np.allclose(rotation("y", 0.0), np.eye(2), atol=1e-15)
-    assert np.allclose(rotation("x", 2 * math.pi), -np.eye(2), atol=1e-12)
-
-
-def test_rotation_determinant_one():
-    for axis in "xyz":
-        for angle in (0.3, 1.2, -2.5):
-            assert np.linalg.det(rotation(axis, angle)) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_rotation_matches_reference_bit_for_bit():
     for axis in "xyz":
         for angle in REF_ANGLES:
@@ -106,39 +95,6 @@ def test_apply_matches_expanded_matrix():
             want = expand(g) @ s.vector()
             got = apply(s, g).amplitudes()
             assert max(abs(x - complex(y)) for x, y in zip(got, want)) <= 4 * 2.0**-52
-
-
-def test_expand_rx_on_a():
-    g = Gate(kind="rx", target="A", angle=60 * DEG)
-    v = expand(g) @ TwoQubitState.basis("00").vector()
-    want = np.array([math.cos(30 * DEG), 0, -1j * math.sin(30 * DEG), 0])
-    assert np.max(np.abs(v - want)) < 1e-15
-
-
-def test_expand_cry_block_action():
-    s = TwoQubitState(complex(math.cos(30 * DEG)), 0j,
-                      complex(0, -math.sin(30 * DEG)), 0j)
-    g = Gate(kind="cry", control="A", target="B", angle=70 * DEG)
-    v = expand(g) @ s.vector()
-    want = np.array([math.cos(30 * DEG), 0,
-                     -1j * math.sin(30 * DEG) * math.cos(35 * DEG),
-                     -1j * math.sin(30 * DEG) * math.sin(35 * DEG)])
-    assert np.max(np.abs(v - want)) < 1e-15
-
-
-def test_cx_flips_target():
-    s = apply(TwoQubitState.basis("10"), Gate(kind="cx", control="A", target="B"))
-    assert s.amplitudes() == pytest.approx((0, 0, 0, 1))
-    s = apply(TwoQubitState.basis("00"), Gate(kind="cx", control="A", target="B"))
-    assert s.amplitudes() == pytest.approx((1, 0, 0, 0))
-
-
-def test_control_on_b():
-    # B controls: |01> flips qubit A, |00> untouched.
-    s = apply(TwoQubitState.basis("01"), Gate(kind="cx", control="B", target="A"))
-    assert s.amplitudes() == pytest.approx((0, 0, 0, 1))
-    s = apply(TwoQubitState.basis("00"), Gate(kind="cx", control="B", target="A"))
-    assert s.amplitudes() == pytest.approx((1, 0, 0, 0))
 
 
 # 1e307 rad is finite, but its degrees are not: no circuit file can state it.
@@ -173,35 +129,11 @@ def test_gate_argument_validation():
         Gate(kind="rx", target="C", angle=1.0)
 
 
-def test_apply_identity_and_involution():
-    s = TwoQubitState.bell("psi-")
-    same = apply(s, Gate(kind="rz", target="A", angle=0.0))
-    assert same.amplitudes() == pytest.approx(s.amplitudes())
-    twice = apply(apply(s, Gate(kind="x", target="A")), Gate(kind="x", target="A"))
-    assert twice.amplitudes() == pytest.approx(s.amplitudes())
-
-
 def test_run_empty_circuit():
     steps = run(Circuit(gates=()))
     assert len(steps) == 1
     assert steps[0].description == "initial"
     assert steps[0].concurrence == 0.0
-
-
-def test_run_entangler():
-    steps = run(parse_circuit("rx A 60\ncry A B 70\n"))
-    assert len(steps) == 3
-    assert steps[-1].concurrence == pytest.approx(C_60_70, abs=1e-12)
-    # maximal entanglement at eta=90, omega=180
-    steps = run(parse_circuit("rx A 90\ncry A B 180\n"))
-    assert steps[-1].concurrence == pytest.approx(1.0, abs=1e-12)
-
-
-def test_run_records_both_assignments():
-    steps = run(parse_circuit("ry A 42\ncrx A B 33\n"))
-    for step in steps:
-        assert step.spheres_a.ent.c == pytest.approx(step.spheres_b.ent.c, abs=1e-10)
-        assert step.concurrence == pytest.approx(step.spheres_a.ent.c, abs=1e-10)
 
 
 def test_spheres_rejects_an_unknown_label():
@@ -213,6 +145,8 @@ def test_spheres_rejects_an_unknown_label():
             step.spheres(label)
     with pytest.raises(ValueError, match="qubit label must be 'A' or 'B'"):
         records.state_record(step.state, ("A", "X"))
+    with pytest.raises(ValueError, match="assignment label 'A' is repeated"):
+        records.state_record(step.state, ("A", "A"))
 
 
 def test_bloch_rotation_oracle():
@@ -229,38 +163,21 @@ def test_parse_circuit_comments_and_blanks():
     assert c.gates[0].describe() == "ry B 90"
 
 
-def test_parse_circuit_bad_angle():
-    with pytest.raises(BadAngle) as exc:
-        parse_circuit("rx A sixty")
-    assert exc.value.line_no == 1
-
-
-def test_parse_circuit_unknown_gate():
-    with pytest.raises(UnknownGate) as exc:
-        parse_circuit("ry B 90\nfrob A 10")
-    assert exc.value.line_no == 2
-
-
-def test_parse_circuit_bad_qubit_label():
-    with pytest.raises(ParseError) as exc:
-        parse_circuit("ry B 90\nry C 10")
-    assert exc.value.line_no == 2
-
-
-def test_parse_circuit_u4_not_expressible():
-    with pytest.raises(UnknownGate):
-        parse_circuit("u4 A 10")
-
-
-def test_parse_circuit_arity_errors():
-    with pytest.raises(ParseError):
-        parse_circuit("rx A")
-    with pytest.raises(ParseError):
-        parse_circuit("x A 10")
-    with pytest.raises(ParseError):
-        parse_circuit("cx A B 10")
-    with pytest.raises(ParseError):
-        parse_circuit("cx B B")
+# A gate name outside GATE_KINDS (u4 among them) takes the unknown-gate branch.
+@pytest.mark.parametrize("text, error, line_no", [
+    ("rx A sixty", BadAngle, 1),
+    ("ry B 90\nfrob A 10", UnknownGate, 2),
+    ("ry B 90\nry C 10", ParseError, 2),
+    ("rx A", ParseError, 1),
+    ("x A 10", ParseError, 1),
+    ("cx A B 10", ParseError, 1),
+    ("cx B B", ParseError, 1),
+], ids=["bad-angle", "unknown-gate", "bad-qubit-label", "rx-arity", "x-arity", "cx-arity",
+        "cx-wiring"])
+def test_parse_circuit_errors(text, error, line_no):
+    with pytest.raises(error) as exc:
+        parse_circuit(text)
+    assert exc.value.line_no == line_no
 
 
 def test_gate_describe_roundtrip():

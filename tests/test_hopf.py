@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from conftest import (
     BRANCH_POINTS,
     SPELLED_STATES,
-    X4_60_70,
     J,
     K,
-    entangler_60_70_state,
     exp_axis,
     near_degenerate_sweep,
     random_product_state,
@@ -27,7 +25,6 @@ from qubit_spheres.hopf import (
     SphereSet,
     _validate,
     reconstruct,
-    rho_from_spheres,
     sphere_set,
 )
 from qubit_spheres.oracles import (
@@ -52,30 +49,9 @@ def amp_error(s1, s2):
     return max(abs(a - b) for a, b in zip(s1.amplitudes(), s2.amplitudes()))
 
 
-def test_basis_00_spheres():
-    ss = sphere_set(TwoQubitState.basis("00"), Assignment.A_BASE)
-    assert ss.base.theta == 0.0
-    assert ss.base.phi == 0.0
-    assert ss.base.x0 == pytest.approx(1.0)
-    assert ss.base.b == 0.0
-    assert ss.ent.chi == 0.0
-    assert ss.ent.xi == 0.0
-    assert ss.ent.t == (0, 0, 1)
-    assert ss.ent.c == 0.0
-    assert ss.fiber.theta_f == pytest.approx(0.0, abs=1e-12)
-    assert ss.fiber.zeta_f == pytest.approx(0.0, abs=1e-12)
-
-
 def pool_sets(states) -> list:
     """Sphere sets of `states` under A_BASE, then under B_BASE."""
     return [sphere_set(s, a) for a in Assignment for s in states]
-
-
-def test_round_trip_examples():
-    for s in (TwoQubitState.basis("00"), TwoQubitState.bell("phi+"),
-              entangler_60_70_state()):
-        for a in Assignment:
-            assert amp_error(reconstruct(sphere_set(s, a)), s) < 1e-12
 
 
 def assert_round_trip(s: TwoQubitState, a: Assignment):
@@ -194,17 +170,6 @@ def test_fiber_versor_is_unit(state_pool):
     # cos and sin of theta/2 (q2 also turned by the unit e^(t*phi)).
     for ss in pool_sets(state_pool[:500]):
         assert reconstruct(ss).norm() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rho_from_spheres_examples():
-    rho = rho_from_spheres(sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE))
-    assert rho.rho00 == pytest.approx(0.5, abs=1e-12)
-    assert abs(rho.rho01) < 1e-12
-    rho = rho_from_spheres(sphere_set(TwoQubitState.basis("00"), Assignment.A_BASE))
-    assert rho.rho00 == pytest.approx(1.0, abs=1e-12)
-    rho = rho_from_spheres(sphere_set(entangler_60_70_state(), Assignment.A_BASE))
-    assert rho.rho00.real == pytest.approx(0.75, abs=1e-12)
-    assert abs(rho.rho01.imag) == pytest.approx(abs(X4_60_70) / 2, abs=1e-12)
 
 
 def scale_b(ss, f):

@@ -6,44 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (
-    BRANCH_POINTS,
-    C_60_70,
-    D_60_70,
-    SPELLED_STATES,
-    X4_60_70,
-    entangler_60_70_state,
-    near_degenerate_sweep,
-)
+from conftest import BRANCH_POINTS, SPELLED_STATES, near_degenerate_sweep
 from qubit_spheres.hopf import Assignment, rho_from_spheres, sphere_set
-from qubit_spheres.oracles import partial_trace
 from qubit_spheres.state import (
     DensityMatrix,
     NegativeRadicand,
     NormOutOfTolerance,
     NotNormalizable,
     TwoQubitState,
-    bloch_vector,
     coherence_d,
     concurrence_det,
     concurrence_from_rho,
     random_state,
     reduced_density,
 )
-
-def test_basis_states():
-    s = TwoQubitState.basis("00")
-    assert s.amplitudes() == (1 + 0j, 0j, 0j, 0j)
-    assert concurrence_det(s) == 0.0
-
-
-def test_bell_construction():
-    s = TwoQubitState.bell("phi+")
-    r = 1 / math.sqrt(2)
-    assert s.alpha == pytest.approx(r)
-    assert s.delta == pytest.approx(r)
-    assert concurrence_det(s) == pytest.approx(1.0, abs=1e-15)
-
 
 def test_from_amplitudes_renormalizes():
     s = TwoQubitState.from_amplitudes(0.6, 0, 0, 0.8000001)
@@ -63,53 +39,10 @@ def test_constructor_enforces_norm():
         TwoQubitState(complex(math.nan), 0j, 0j, 0j)
 
 
-def test_reduced_density_bell():
-    rho = reduced_density(TwoQubitState.bell("phi+"), "A")
-    assert rho.rho00 == pytest.approx(0.5)
-    assert rho.rho11 == pytest.approx(0.5)
-    assert abs(rho.rho01) < 1e-15
-
-
-def test_reduced_density_product():
-    rho = reduced_density(TwoQubitState.basis("00"), "A")
-    assert rho.rho00 == pytest.approx(1.0)
-    assert rho.rho11 == pytest.approx(0.0)
-
-
-def test_reduced_density_matches_oracle(state_pool):
-    for s in state_pool[:300]:
-        for which in ("A", "B"):
-            got = np.array(reduced_density(s, which))
-            ref = partial_trace(s.vector().reshape(1, 2, 2), which).ravel()
-            assert np.max(np.abs(got - ref)) < 1e-15
-
-
-def test_concurrence_values():
-    assert concurrence_det(TwoQubitState.basis("00")) == 0.0
-    assert concurrence_det(TwoQubitState.bell("phi+")) == pytest.approx(1.0, abs=1e-15)
-    assert concurrence_det(entangler_60_70_state()) == pytest.approx(C_60_70, abs=1e-12)
-
-
-def test_concurrence_from_rho():
-    half_identity = DensityMatrix(0.5 + 0j, 0j, 0j, 0.5 + 0j)
-    assert concurrence_from_rho(half_identity) == pytest.approx(1.0, abs=1e-12)
-    pure = DensityMatrix(1 + 0j, 0j, 0j, 0j)
-    assert concurrence_from_rho(pure) == pytest.approx(0.0, abs=1e-12)
-    rho = reduced_density(entangler_60_70_state(), "A")
-    assert concurrence_from_rho(rho) == pytest.approx(C_60_70, abs=1e-12)
-
-
 def test_concurrence_from_rho_rejects_bad_matrix():
     bogus = DensityMatrix(1.5 + 0j, 0j, 0j, -0.5 + 0j)
     with pytest.raises(NegativeRadicand):
         concurrence_from_rho(bogus)
-
-
-def test_coherence_values():
-    assert coherence_d(DensityMatrix(1 + 0j, 0j, 0j, 0j)) == pytest.approx(1.0)
-    assert coherence_d(DensityMatrix(0.5 + 0j, 0j, 0j, 0.5 + 0j)) == pytest.approx(0.0, abs=1e-12)
-    rho = reduced_density(entangler_60_70_state(), "A")
-    assert coherence_d(rho) == pytest.approx(D_60_70, abs=1e-12)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10])
@@ -125,18 +58,6 @@ def test_coherence_keeps_its_digits_near_a_bell_state(eps):
     # they cancel, so d is good to a few u absolute, not relative: its
     # relative condition number from the amplitudes is about 1/d.
     assert abs(Fraction(coherence_d(rho)) - exact) <= Fraction(4, 2**53)
-
-
-def test_bloch_vector():
-    assert bloch_vector(DensityMatrix(1 + 0j, 0j, 0j, 0j)) == (0.0, 0.0, 1.0)
-    assert bloch_vector(DensityMatrix(0.5 + 0j, 0j, 0j, 0.5 + 0j)) == (0.0, 0.0, 0.0)
-    rho = reduced_density(entangler_60_70_state(), "A")
-    rx, ry, rz = bloch_vector(rho)
-    assert rx == pytest.approx(0.0, abs=1e-12)
-    assert ry == pytest.approx(X4_60_70, abs=1e-12)
-    assert rz == pytest.approx(0.5, abs=1e-12)
-    c = concurrence_det(entangler_60_70_state())
-    assert rx * rx + ry * ry + rz * rz == pytest.approx(1 - c * c, abs=1e-12)
 
 
 def test_random_state_deterministic():

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import C_60_70, child_env, entangler_60_70_state, random_product_state
+from conftest import child_env, random_product_state
 from qubit_spheres import cli, oracles, state, verify
 from qubit_spheres.jsonfmt import dumps
 from qubit_spheres.state import TwoQubitState, random_state
@@ -73,15 +73,6 @@ def test_batched_oracle_concurrence_is_the_per_state_form_bit_for_bit(state_pool
                      for psi in states])
     assert got.tobytes() == want.tobytes()
     assert not got[3004:3010].any()  # the basis rows and the two exact products
-
-
-def test_oracle_concurrence_values():
-    product = TwoQubitState.from_amplitudes(0.5, 0.5, 0.5, 0.5)
-    c = oracles.concurrence(np.array([s.vector() for s in (
-        TwoQubitState.bell("phi+"), entangler_60_70_state(), product)]))
-    assert c[0] == pytest.approx(1.0, abs=1e-15)
-    assert c[1] == pytest.approx(C_60_70, abs=1e-12)
-    assert c[2] <= 1e-12
 
 
 def test_oracles_do_not_touch_sphere_code():
