@@ -97,6 +97,21 @@ def test_apply_matches_expanded_matrix():
             assert max(abs(x - complex(y)) for x, y in zip(got, want)) <= 4 * 2.0**-52
 
 
+def test_cx_flips_target():
+    s = apply(TwoQubitState.basis("10"), Gate(kind="cx", control="A", target="B"))
+    assert s.amplitudes() == pytest.approx((0, 0, 0, 1))
+    s = apply(TwoQubitState.basis("00"), Gate(kind="cx", control="A", target="B"))
+    assert s.amplitudes() == pytest.approx((1, 0, 0, 0))
+
+
+def test_control_on_b():
+    # B controls: |01> flips qubit A, |00> untouched.
+    s = apply(TwoQubitState.basis("01"), Gate(kind="cx", control="B", target="A"))
+    assert s.amplitudes() == pytest.approx((0, 0, 0, 1))
+    s = apply(TwoQubitState.basis("00"), Gate(kind="cx", control="B", target="A"))
+    assert s.amplitudes() == pytest.approx((1, 0, 0, 0))
+
+
 # 1e307 rad is finite, but its degrees are not: no circuit file can state it.
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e307, -1e307])
 def test_rotation_gate_rejects_non_finite_angle(bad):
@@ -134,6 +149,13 @@ def test_run_empty_circuit():
     assert len(steps) == 1
     assert steps[0].description == "initial"
     assert steps[0].concurrence == 0.0
+
+
+def test_run_records_both_assignments():
+    steps = run(parse_circuit("ry A 42\ncrx A B 33\n"))
+    for step in steps:
+        assert step.spheres_a.ent.c == pytest.approx(step.spheres_b.ent.c, abs=1e-10)
+        assert step.concurrence == pytest.approx(step.spheres_a.ent.c, abs=1e-10)
 
 
 def test_spheres_rejects_an_unknown_label():

@@ -21,6 +21,12 @@ from qubit_spheres.state import (
     reduced_density,
 )
 
+def test_basis_states():
+    s = TwoQubitState.basis("00")
+    assert s.amplitudes() == (1 + 0j, 0j, 0j, 0j)
+    assert concurrence_det(s) == 0.0
+
+
 def test_from_amplitudes_renormalizes():
     s = TwoQubitState.from_amplitudes(0.6, 0, 0, 0.8000001)
     assert s.norm() == pytest.approx(1.0, abs=1e-15)
