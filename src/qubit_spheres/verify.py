@@ -1,23 +1,18 @@
 """Executable invariant suite: every library-level property, run on random data.
 
-The suite draws one deterministic pool of Haar-random states per seed and
-smaller derived draws.  One mapper (_mapping) sends each batch of states, the
-pool and the moved and product states derived from it, through the scalar
-kernel the CLI runs into arrays kept beside the batch's amplitudes.  Every
-entry is an array of per-sample errors reduced by max; an entry whose
-samples are a batch's states names its worst one as a witness.  Products
-are elementwise (gates._matmul) and complex ones real (gates._product), so
-the report depends on neither evaluation order, BLAS kernel nor SIMD level.
+One seeded pool of Haar-random states, and smaller batches derived from it,
+go through the scalar kernel the CLI runs (_mapping).  Every entry is an
+array of per-sample errors reduced by max; an entry whose samples are a
+batch's states names its worst one as a witness.  Products are elementwise
+(gates._matmul) and complex ones real (gates._product), so the report
+depends on neither evaluation order, BLAS kernel nor SIMD level.
 
-A batch is mapped in CHUNKS chunks of consecutive states.  The process forks
-a child per CPU but one (_processes), and every process claims chunks from a
-pipe that holds each chunk's index as one byte.  A chunk's rows are gathered
-in lists and written, by the same scalar code in whichever process maps
-them, into anonymous shared memory with one slice assignment per array, so
-the report is byte-identical to a one-process pass.  While the children map
-the pool, this process runs everything that reads no pool row, then claims
-the chunks left.  A chunk whose child failed is mapped again here, which
-raises the child's error.
+A batch is mapped in CHUNKS chunks, claimed from a pipe by this process and
+a forked child per CPU but one (_processes).  The process that maps a pool
+chunk also computes its errors (_pool_errors), elementwise per row, so only
+sphere rows, concurrences and errors reach shared memory, and the report is
+byte-identical to a one-process pass.  While the children map the pool,
+this process runs everything that reads no pool row.
 """
 
 from __future__ import annotations
@@ -40,6 +35,7 @@ DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 10_000
 
 _ASSIGNMENTS = tuple(Assignment)
+_BASE_QUBITS = tuple(a.base_qubit for a in _ASSIGNMENTS)
 
 # The fewest pool states worth a forked process: a fork, its page faults and
 # the reaping cost a few ms, and 1000 states map in about 0.08 s.
@@ -144,9 +140,15 @@ def _shared(*shape: int, dtype=float) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, math.prod(shape) * dtype.itemsize), dtype).reshape(shape)
 
 
-def _elementwise(f, a: np.ndarray) -> np.ndarray:
-    """f (a math function) applied to every element of a."""
-    return np.fromiter(map(f, a.ravel().tolist()), float, a.size).reshape(a.shape)
+# The pool entries and their thresholds, in report order: column j of
+# _Batch.errors holds the errors of entry j.
+POOL_ENTRIES = {
+    "concurrence_triple_agreement": 1e-10, "coherence_complementarity": 1e-12,
+    "bloch_vector_norm": 1e-10, "round_trip_reconstruction": 1e-10, "unit_s4_norm": 1e-12,
+    "b_squared_decomposition": 1e-12, "concurrence_consistency": 1e-10,
+    "chi_northern_hemisphere": 1e-12, "sphere_angle_consistency": 1e-12,
+    "bloch_vector_is_base_point": 1e-12, "coherence_is_base_bloch_length": 1e-15,
+    "rho_from_spheres_vs_partial_trace": 1e-12, "outer_product_structure": 1e-12}
 
 
 class _Batch(NamedTuple):
@@ -154,12 +156,63 @@ class _Batch(NamedTuple):
     assignment _ASSIGNMENTS[ks[i, j]].  Only the pool has those after `spheres`."""
     amps: np.ndarray
     ks: np.ndarray | None = None
-    spheres: np.ndarray | None = None    # sphere_set (columns THETA...)
-    conc: np.ndarray | None = None       # concurrence_det, one per state
-    rho_stats: np.ndarray | None = None  # concurrence_from_rho, coherence_d, bloch
-    rec: np.ndarray | None = None        # reconstruct
-    rho: np.ndarray | None = None        # rho_from_spheres
-    trig: np.ndarray | None = None       # sine, then cosine, of theta, phi, chi, xi
+    spheres: np.ndarray | None = None  # sphere_set (columns THETA...)
+    conc: np.ndarray | None = None     # concurrence_det, one per state
+    errors: np.ndarray | None = None   # _pool_errors, one column per POOL_ENTRIES entry
+
+
+def _pool_errors(amps, sp, conc, stats, rec, rho, trig) -> np.ndarray:
+    """Errors (n, 2, len(POOL_ENTRIES)) of pool states amps (n, 4) under A_BASE,
+    then B_BASE, from the kernel's values (_mapping): sphere rows sp,
+    concurrence_det conc, the state functions' stats, reconstruct rec,
+    rho_from_spheres rho, and trig.  Each error is elementwise per row, as
+    the oracles are, so a chunk's errors have the bits of the whole pool's."""
+    c, c_ref = conc[:, None], oracles.concurrence(amps)[:, None]
+    c_rho, d, rx, ry, rz = stats.transpose(2, 0, 1)
+    sin_th, sin_ph, sin_chi, sin_xi, cos_th, cos_ph, cos_chi, cos_xi = trig.transpose(2, 0, 1)
+    x1, b, x0, chi, _, tx, ty, tz, cc, x2, x3, x4 = sp[..., X1:X4 + 1].transpose(2, 0, 1)
+    # x ** 2 as Python's float power (libm pow) rounds it: x * x differs
+    # in the last bit for about one double in a thousand.
+    sq0, sq1, sq2, sq3, sq4, sq_b, sq_c = np.float_power(
+        sp[..., [X0, X1, X2, X3, X4, B, C]], 2).transpose(2, 0, 1)
+    diff = rec - amps[:, None, :]
+    grid = amps.reshape(-1, 2, 2)
+    ref = np.stack([oracles.partial_trace(grid, a.base_qubit).reshape(-1, 4)
+                    for a in _ASSIGNMENTS], axis=1)
+    # The pair (q1, q2) of each state and assignment, packed from the
+    # amplitudes as the hopf module docstring packs them: (alpha.re,
+    # -beta.im, beta.re, alpha.im | gamma.re, -delta.im, delta.re,
+    # gamma.im) under A_BASE, with beta and gamma swapped under B_BASE.
+    # The float view's columns are alpha.re, alpha.im, ..., delta.im.
+    q = amps.view(float)[:, [[0, 3, 2, 1, 4, 7, 6, 5], [0, 5, 4, 1, 2, 7, 6, 3]]]
+    q = (q * [1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0]).transpose(2, 0, 1)
+    # Off-diagonal structure: x1 + b*sin(chi)*e^(k*xi)*i + x4*k must
+    # rebuild the full quaternion product 2*q2*conj(q1).  The i/j part
+    # carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
+    p = [2.0 * w for w in oracles.hamilton(q[4:], oracles.conj(q[:4]))]
+    r, c_b = b * sin_chi, np.abs(b) * sin_chi
+    return np.array([
+        np.abs(c_rho - c), np.abs(d * d + c * c - 1.0),
+        np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)),
+        np.hypot(diff.real, diff.imag).max(axis=2),
+        np.abs(sq0 + sq1 + sq2 + sq3 + sq4 - 1.0), np.abs(sq_b - sq4 - sq_c),
+        np.maximum(np.abs(c_b - c_ref), np.abs(cc - c_ref)),
+        np.maximum(chi - math.pi / 2, -chi),
+        # Each sphere's Cartesian point from its angles: (x1, b, x0) from
+        # (theta, phi), the inner-sphere point b*t, and t from (chi, xi),
+        # which are read back from t: atan2 against its own sine and cosine.
+        np.abs([x1 - sin_th * cos_ph, b - sin_th * sin_ph, x0 - cos_th, tz - cos_chi,
+                tx - sin_chi * cos_xi, ty - sin_chi * sin_xi, x2 - b * tx, x3 - b * ty,
+                cc - c_b, x4 - b * cos_chi]).max(axis=0),
+        # The base qubit's Bloch vector is (x1, x4, x0).
+        np.abs([rx - x1, ry - x4, rz - x0]).max(axis=0),
+        # Its length is d, from reduced_density.  1e-15 = 9u (u = 2^-53): each
+        # side is a few u off (sums of unit-bounded products, then hypots).
+        np.abs(d - np.hypot(np.hypot(x0, x1), x4)),
+        np.abs(rho - ref).max(axis=2),
+        # e^(k*xi)*i = cos(xi)*i + sin(xi)*j.
+        np.abs([x1 - p[0], r * cos_xi - p[1], r * sin_xi - p[2], x4 - p[3]]).max(axis=0),
+    ]).transpose(1, 2, 0)
 
 
 @contextlib.contextmanager
@@ -169,38 +222,41 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
     a `full` one (the pool) all of _Batch's arrays.  Yields the batch while
     the children map it; its arrays are filled once the block ends."""
     m, width = ks.shape
-    b = _Batch(amps, ks, _shared(m, width, 17), *((
-        _shared(m), _shared(m, width, 5), _shared(m, width, 4, dtype=complex),
-        _shared(m, width, 4, dtype=complex), _shared(m, width, 8)) if full else ()))
+    b = _Batch(amps, ks, _shared(m, width, 17),
+               *((_shared(m), _shared(m, width, len(POOL_ENTRIES))) if full else ()))
     done = _shared(CHUNKS, dtype=np.uint8)
 
     def map_chunk(c: int):
         lo, hi = m * c // CHUNKS, m * (c + 1) // CHUNKS
-        # One list per array of b after ks, in _Batch's field order.
-        out = spheres, conc, stats, recs, rhos, trig = [], [], [], [], [], []
+        spheres, conc, stats, recs, rhos, trig = [], [], [], [], [], []
+        sin, cos = math.sin, math.cos
         for v, ks_i in zip(amps[lo:hi].tolist(), ks[lo:hi].tolist()):
             s = TwoQubitState(*v)
             if full:
                 conc.append(state.concurrence_det(s))
             for k in ks_i:
-                a = _ASSIGNMENTS[k]
-                ss = hopf.sphere_set(s, a)
+                ss = hopf.sphere_set(s, _ASSIGNMENTS[k])
                 base, ent = ss.base, ss.ent
                 chi, xi = ent.chi, ent.xi
                 spheres += (*base, chi, xi, *ent.t, ent.c, ent.x2, ent.x3, ent.x4,
                             *ss.fiber.bloch)
                 if full:  # the state functions take the assignment's base qubit
-                    rho = state.reduced_density(s, a.base_qubit)
+                    rho = state.reduced_density(s, _BASE_QUBITS[k])
                     stats += (state.concurrence_from_rho(rho), state.coherence_d(rho),
                               *state.bloch_vector(rho))
                     recs += hopf.reconstruct(ss)
                     rhos += hopf.rho_from_spheres(ss)
-                    angles = (base.theta, base.phi, chi, xi)
-                    trig += (*map(math.sin, angles), *map(math.cos, angles))
+                    # Sine, then cosine, of theta, phi, chi and xi, by libm.
+                    theta, phi = base[0], base[1]
+                    trig += (sin(theta), sin(phi), sin(chi), sin(xi),
+                             cos(theta), cos(phi), cos(chi), cos(xi))
         # One slice assignment per array: a numpy row write costs about 1.4 us.
-        for arr, values in zip(b[2:], out):
-            if arr is not None:
-                arr[lo:hi] = np.array(values, arr.dtype).reshape(arr[lo:hi].shape)
+        b.spheres[lo:hi] = sp = np.array(spheres, float).reshape(hi - lo, width, 17)
+        if full:  # the pool's errors, from values that stay in this process
+            b.conc[lo:hi] = conc
+            b.errors[lo:hi] = _pool_errors(amps[lo:hi], sp, b.conc[lo:hi], *(
+                np.array(v, t).reshape(hi - lo, width, k) for v, t, k in
+                ((stats, float, 5), (recs, complex, 4), (rhos, complex, 4), (trig, float, 8))))
         done[c] = 1
 
     r, w = os.pipe()
@@ -282,6 +338,12 @@ class _SuiteRunner:
         self.results.append(InvariantResult(name, err.size if samples is None else samples,
                                             worst, threshold, worst <= threshold, witness))
 
+    def pool_checks(self, *names: str, samples: int | None = None):
+        """Record pool entries, each from its column of the pool's errors."""
+        for name in names:
+            err = self.pool.errors[..., list(POOL_ENTRIES).index(name)]
+            self.check(name, POOL_ENTRIES[name], err, self.pool, samples)
+
     # -- state-level properties --------------------------------------------
 
     def state_invariants(self):
@@ -290,57 +352,20 @@ class _SuiteRunner:
                             [on_a for _, on_a in self.moves]))
         c2 = np.array([state.concurrence_det(TwoQubitState(*v)) for v in moved.amps.tolist()])
         yield
-        c = self.pool.conc[:, None]
-        c_rho, d, rx, ry, rz = np.moveaxis(self.pool.rho_stats, -1, 0)
         # Both qubits of each state, counted as one sample.
-        m = self.samples
-        self.check("concurrence_triple_agreement", 1e-10, np.abs(c_rho - c), self.pool, m)
-        self.check("coherence_complementarity", 1e-12, np.abs(d * d + c * c - 1.0), self.pool, m)
-        self.check("bloch_vector_norm", 1e-10,
-                   np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)), self.pool, m)
+        self.pool_checks("concurrence_triple_agreement", "coherence_complementarity",
+                         "bloch_vector_norm", samples=self.samples)
         self.check("local_unitary_concurrence_invariance", 1e-10,
                    np.abs(c2 - self.pool.conc[:n]), moved)
 
     # -- sphere map ----------------------------------------------------------
 
     def hopf_invariants(self):
-        c_ref = oracles.concurrence(self.amps)[:, None]
         yield
-        pool = self.pool
-        diff = pool.rec - self.amps[:, None, :]
-        self.check("round_trip_reconstruction", 1e-10,
-                   np.hypot(diff.real, diff.imag).max(axis=2), pool)
-        # x ** 2 as Python's float power (libm pow) rounds it: x * x differs
-        # in the last bit for about one double in a thousand.
-        # Only the columns the two checks read are squared.
-        cols = [X0, X1, X2, X3, X4, B, C]
-        sq = dict(zip(cols, np.moveaxis(np.float_power(pool.spheres[..., cols], 2), -1, 0)))
-        s4 = sq[X0] + sq[X1] + sq[X2] + sq[X3] + sq[X4]
-        self.check("unit_s4_norm", 1e-12, np.abs(s4 - 1.0), pool)
-        self.check("b_squared_decomposition", 1e-12, np.abs(sq[B] - sq[X4] - sq[C]), pool)
-        del diff, sq  # freed before the checks below make pool-sized arrays of their own
-        sp, sin, cos = pool.spheres, self.sin, self.cos
-        b, c, chi = sp[..., B], sp[..., C], sp[..., CHI]
-        self.check("concurrence_consistency", 1e-10,
-                   np.maximum(np.abs(np.abs(b) * sin[CHI] - c_ref), np.abs(c - c_ref)), pool)
-        self.check("chi_northern_hemisphere", 1e-12, np.maximum(chi - math.pi / 2, -chi), pool)
-        # Each sphere's Cartesian point from its angles: (x1, b, x0) from
-        # (theta, phi), the inner-sphere point b*t, and t from (chi, xi),
-        # which are read back from t: atan2 against its own sine and cosine.
-        self.check("sphere_angle_consistency", 1e-12, np.abs([
-            sp[..., X1] - sin[THETA] * cos[PHI], sp[..., B] - sin[THETA] * sin[PHI],
-            sp[..., X0] - cos[THETA], sp[..., TZ] - cos[CHI],
-            sp[..., TX] - sin[CHI] * cos[XI], sp[..., TY] - sin[CHI] * sin[XI],
-            sp[..., X2] - b * sp[..., TX], sp[..., X3] - b * sp[..., TY],
-            c - np.abs(b) * sin[CHI], sp[..., X4] - b * cos[CHI]]).max(axis=0), pool)
-        # The base qubit's Bloch vector is (x1, x4, x0).
-        self.check("bloch_vector_is_base_point", 1e-12,
-                   np.abs(pool.rho_stats[..., 2:] - sp[..., [X1, X4, X0]]).max(axis=2), pool)
-        # Its length is d, from reduced_density.  1e-15 = 9u (u = 2^-53): each
-        # side is a few u off (sums of unit-bounded products, then hypots).
-        d, x0, x1, x4 = pool.rho_stats[..., 1], sp[..., X0], sp[..., X1], sp[..., X4]
-        self.check("coherence_is_base_bloch_length", 1e-15,
-                   np.abs(d - np.hypot(np.hypot(x0, x1), x4)), pool)
+        self.pool_checks("round_trip_reconstruction", "unit_s4_norm", "b_squared_decomposition",
+                         "concurrence_consistency", "chi_northern_hemisphere",
+                         "sphere_angle_consistency", "bloch_vector_is_base_point",
+                         "coherence_is_base_bloch_length")
 
     def equivariance_invariants(self):
         n = min(self.samples, 1000)
@@ -351,10 +376,10 @@ class _SuiteRunner:
         fibered = _map(_act(u, self.amps[:n], ks[:, 0] == 1), ks)
         rot = gates.bloch_rotation(u)[:, None]
         # A y rotation of the base qubit by mu.
-        mu = self.mu
-        u = np.array([gates.rotation("y", m) for m in mu.ravel().tolist()])
+        mu = self.mu.ravel().tolist()
+        u = np.array([gates.rotation("y", m) for m in mu])
         rotated = _map(_act(u, self.amps[:n], ks[:, 0] == 0), ks)
-        sin_mu, cos_mu = _elementwise(math.sin, mu), _elementwise(math.cos, mu)
+        sin_mu, cos_mu = (np.array([[f(m)] for m in mu]) for f in (math.sin, math.cos))
         yield
         before = self.pool.spheres[np.arange(n)[:, None], ks]
 
@@ -396,30 +421,7 @@ class _SuiteRunner:
 
     def oracle_invariants(self):
         yield
-        grid = self.amps.reshape(-1, 2, 2)
-        ref = np.stack([oracles.partial_trace(grid, a.base_qubit).reshape(-1, 4)
-                        for a in _ASSIGNMENTS], axis=1)
-        self.check("rho_from_spheres_vs_partial_trace", 1e-12,
-                   np.abs(self.pool.rho - ref).max(axis=2), self.pool)
-        del ref  # freed before the pool-sized arrays below, as in hopf_invariants
-        # The pair (q1, q2) of each state and assignment, packed from the
-        # amplitudes as the hopf module docstring packs them: (alpha.re,
-        # -beta.im, beta.re, alpha.im | gamma.re, -delta.im, delta.re,
-        # gamma.im) under A_BASE, with beta and gamma swapped under B_BASE.
-        # The float view's columns are alpha.re, alpha.im, ..., delta.im.
-        q = self.amps.view(float)[:, [[0, 3, 2, 1, 4, 7, 6, 5], [0, 5, 4, 1, 2, 7, 6, 3]]]
-        q[..., [1, 5]] = -q[..., [1, 5]]
-        q = np.moveaxis(q, -1, 0)
-        # Off-diagonal structure: x1 + b*sin(chi)*e^(k*xi)*i + x4*k must
-        # rebuild the full quaternion product 2*q2*conj(q1).  The i/j part
-        # carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
-        p = [2.0 * w for w in oracles.hamilton(q[4:], oracles.conj(q[:4]))]
-        sp = self.pool.spheres
-        r = sp[..., B] * self.sin[CHI]
-        # e^(k*xi)*i = cos(xi)*i + sin(xi)*j.
-        rebuilt = (sp[..., X1], r * self.cos[XI], r * self.sin[XI], sp[..., X4])
-        self.check("outer_product_structure", 1e-12, np.abs(np.subtract(rebuilt, p)).max(axis=0),
-                   self.pool)
+        self.pool_checks("rho_from_spheres_vs_partial_trace", "outer_product_structure")
 
     # -- gates ----------------------------------------------------------------
 
@@ -480,9 +482,6 @@ class _SuiteRunner:
             for group, self.results in zip(groups, entries):
                 rests.append(iter(group() or ()))
                 next(rests[-1], None)
-        # Sine and cosine of each sphere angle, by libm as the kernel takes them.
-        trig = np.moveaxis(self.pool.trig, -1, 0)
-        self.sin, self.cos = (dict(zip((THETA, PHI, CHI, XI), t)) for t in (trig[:4], trig[4:]))
         for rest, self.results in zip(rests, entries):
             next(rest, None)
         return tuple(r for group in entries for r in group)

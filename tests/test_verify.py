@@ -285,6 +285,40 @@ def test_split_pass_gives_the_one_process_report(monkeypatch):
     assert_no_child_left()
 
 
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="the pass never forks there")
+def test_error_computed_in_a_child_names_its_witness(monkeypatch):
+    bad, a = 1500, verify.Assignment.B_BASE
+    row = state.random_amplitudes(np.random.default_rng(9), SPLIT_SAMPLES)[bad].tolist()
+    target, reconstruct = verify.hopf.sphere_set(TwoQubitState(*row), a), verify.hopf.reconstruct
+    where = verify._shared(1, dtype=np.int64)  # the pid that maps state `bad`
+
+    def planted(ss):
+        out = reconstruct(ss)
+        if ss == target:
+            where[0] = os.getpid()
+            return TwoQubitState.from_amplitudes(out.alpha + 1e-6, *out[1:])
+        return out
+
+    gate_invariants = verify._SuiteRunner.gate_invariants
+
+    def slow_gates(self):  # so that a child maps every pool chunk meanwhile
+        time.sleep(0.5)
+        gate_invariants(self)
+
+    monkeypatch.setattr(verify.hopf, "reconstruct", planted)
+    monkeypatch.setattr(verify._SuiteRunner, "gate_invariants", slow_gates)
+    allow_cpus(monkeypatch, 2)
+    split = run_suite(seed=9, samples=SPLIT_SAMPLES)
+    assert where[0] not in (0, os.getpid())
+    failed = [r for r in split.results if not r.passed]
+    assert [r.name for r in failed] == ["round_trip_reconstruction"]
+    assert failed[0].witness == {"sample": bad, "assignment": "B", "state": ",".join(
+        repr(v) for c in row for v in (c.real, c.imag))}
+    monkeypatch.setattr(verify._SuiteRunner, "gate_invariants", gate_invariants)
+    allow_cpus(monkeypatch, 1)
+    assert dumps(run_suite(seed=9, samples=SPLIT_SAMPLES).to_dict()) == dumps(split.to_dict())
+
+
 def test_pass_stays_in_one_process_from_python_3_12(monkeypatch):
     allow_cpus(monkeypatch, 2)
     monkeypatch.setattr(verify, "sys", SimpleNamespace(version_info=(3, 12, 0)))
