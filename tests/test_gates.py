@@ -186,20 +186,21 @@ def test_parse_circuit_comments_and_blanks():
 
 
 # A gate name outside GATE_KINDS (u4 among them) takes the unknown-gate branch.
-@pytest.mark.parametrize("text, error, line_no", [
-    ("rx A sixty", BadAngle, 1),
-    ("ry B 90\nfrob A 10", UnknownGate, 2),
-    ("ry B 90\nry C 10", ParseError, 2),
-    ("rx A", ParseError, 1),
-    ("x A 10", ParseError, 1),
-    ("cx A B 10", ParseError, 1),
-    ("cx B B", ParseError, 1),
+@pytest.mark.parametrize("text, error, message", [
+    ("rx A sixty", BadAngle, "line 1: bad angle 'sixty'"),
+    ("ry B 90\nfrob A 10", UnknownGate, "line 2: unknown gate 'frob'"),
+    ("ry B 90\nry C 10", ParseError, "line 2: target must be 'A' or 'B', got 'C'"),
+    ("rx A", ParseError, "line 1: rx expects 2 argument(s), got 1"),
+    ("x A 10", ParseError, "line 1: x expects 1 argument(s), got 2"),
+    ("cx A B 10", ParseError, "line 1: cx expects 2 argument(s), got 3"),
+    ("cx B B", ParseError, "line 1: cx: control equals target (B)"),
+    ("rx A 1 2", ParseError, "line 1: rx expects 2 argument(s), got 3"),
 ], ids=["bad-angle", "unknown-gate", "bad-qubit-label", "rx-arity", "x-arity", "cx-arity",
-        "cx-wiring"])
-def test_parse_circuit_errors(text, error, line_no):
+        "cx-wiring", "rx-extra-argument"])
+def test_parse_circuit_errors(text, error, message):
     with pytest.raises(error) as exc:
         parse_circuit(text)
-    assert exc.value.line_no == line_no
+    assert (exc.value.line_no, str(exc.value)) == (int(message.split()[1][:-1]), message)
 
 
 def test_gate_describe_roundtrip():
