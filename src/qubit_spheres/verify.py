@@ -148,7 +148,8 @@ POOL_ENTRIES = {
     "b_squared_decomposition": 1e-12, "concurrence_consistency": 1e-10,
     "chi_northern_hemisphere": 1e-12, "sphere_angle_consistency": 1e-12,
     "bloch_vector_is_base_point": 1e-12, "coherence_is_base_bloch_length": 1e-15,
-    "rho_from_spheres_vs_partial_trace": 1e-12, "outer_product_structure": 1e-12}
+    "rho_from_spheres_vs_partial_trace": 1e-12, "outer_product_structure": 1e-12,
+    "fiber_is_conditional_state": 1e-12}
 
 
 class _Batch(NamedTuple):
@@ -163,10 +164,9 @@ class _Batch(NamedTuple):
 
 def _pool_errors(amps, sp, conc, stats, rec, rho, trig) -> np.ndarray:
     """Errors (n, 2, len(POOL_ENTRIES)) of pool states amps (n, 4) under A_BASE,
-    then B_BASE, from the kernel's values (_mapping): sphere rows sp,
-    concurrence_det conc, the state functions' stats, reconstruct rec,
-    rho_from_spheres rho, and trig.  Each error is elementwise per row, as
-    the oracles are, so a chunk's errors have the bits of the whole pool's."""
+    then B_BASE, from the kernel's values that _mapping gathers.  Each error
+    is elementwise per row, as the oracles are, so a chunk's errors have the
+    bits of the whole pool's."""
     c, c_ref = conc[:, None], oracles.concurrence(amps)[:, None]
     c_rho, d, rx, ry, rz = stats.transpose(2, 0, 1)
     sin_th, sin_ph, sin_chi, sin_xi, cos_th, cos_ph, cos_chi, cos_xi = trig.transpose(2, 0, 1)
@@ -176,8 +176,7 @@ def _pool_errors(amps, sp, conc, stats, rec, rho, trig) -> np.ndarray:
     sq0, sq1, sq2, sq3, sq4, sq_b, sq_c = np.float_power(
         sp[..., [X0, X1, X2, X3, X4, B, C]], 2).transpose(2, 0, 1)
     diff = rec - amps[:, None, :]
-    grid = amps.reshape(-1, 2, 2)
-    ref = np.stack([oracles.partial_trace(grid, a.base_qubit).reshape(-1, 4)
+    ref = np.stack([oracles.partial_trace(amps.reshape(-1, 2, 2), a.base_qubit).reshape(-1, 4)
                     for a in _ASSIGNMENTS], axis=1)
     # The pair (q1, q2) of each state and assignment, packed from the
     # amplitudes as the hopf module docstring packs them: (alpha.re,
@@ -191,6 +190,12 @@ def _pool_errors(amps, sp, conc, stats, rec, rho, trig) -> np.ndarray:
     # carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
     p = [2.0 * w for w in oracles.hamilton(q[4:], oracles.conj(q[:4]))]
     r, c_b = b * sin_chi, np.abs(b) * sin_chi
+    # The fiber qubit's state given the base qubit in |0>: the Bloch vector of
+    # (alpha, beta) under A_BASE, (alpha, gamma) under B_BASE, over its squared
+    # norm (that of the normalized pair).  A zero pair (theta = pi) has none.
+    f = amps[:, [[0, 1], [0, 2]]]
+    n2 = (f.real * f.real + f.imag * f.imag).sum(axis=2)
+    cond = _bloch(f.reshape(-1, 2)).reshape(-1, 2, 3) / np.where(n2 > 0, n2, 1.0)[..., None]
     return np.array([
         np.abs(c_rho - c), np.abs(d * d + c * c - 1.0),
         np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)),
@@ -212,6 +217,7 @@ def _pool_errors(amps, sp, conc, stats, rec, rho, trig) -> np.ndarray:
         np.abs(rho - ref).max(axis=2),
         # e^(k*xi)*i = cos(xi)*i + sin(xi)*j.
         np.abs([x1 - p[0], r * cos_xi - p[1], r * sin_xi - p[2], x4 - p[3]]).max(axis=0),
+        np.where(n2 > 0, np.abs(sp[..., BLOCH] - cond).max(axis=2), 0.0),
     ]).transpose(1, 2, 0)
 
 
@@ -421,7 +427,8 @@ class _SuiteRunner:
 
     def oracle_invariants(self):
         yield
-        self.pool_checks("rho_from_spheres_vs_partial_trace", "outer_product_structure")
+        self.pool_checks("rho_from_spheres_vs_partial_trace", "outer_product_structure",
+                         "fiber_is_conditional_state")
 
     # -- gates ----------------------------------------------------------------
 
