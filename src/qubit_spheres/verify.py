@@ -162,29 +162,28 @@ class _Batch(NamedTuple):
     errors: np.ndarray | None = None   # _pool_errors, one column per POOL_ENTRIES entry
 
 
-def _pool_errors(amps, sp, conc, stats, rec, rho, trig) -> np.ndarray:
-    """Errors (n, 2, len(POOL_ENTRIES)) of pool states amps (n, 4) under A_BASE,
-    then B_BASE, from the kernel's values that _mapping gathers.  Each error
-    is elementwise per row, as the oracles are, so a chunk's errors have the
-    bits of the whole pool's."""
+def _pool_errors(amps, conc, sp, stats, rec, rho, trig) -> np.ndarray:
+    """Errors (n, 2, len(POOL_ENTRIES)) of pool states amps (n, 4) under A_BASE, then
+    B_BASE, from concurrence_det conc and the planes (k, n, 2) of _mapping's values.
+    Each is elementwise per row, as the oracles are: a chunk's have the pool's bits."""
     c, c_ref = conc[:, None], oracles.concurrence(amps)[:, None]
-    c_rho, d, rx, ry, rz = stats.transpose(2, 0, 1)
-    sin_th, sin_ph, sin_chi, sin_xi, cos_th, cos_ph, cos_chi, cos_xi = trig.transpose(2, 0, 1)
-    x1, b, x0, chi, _, tx, ty, tz, cc, x2, x3, x4 = sp[..., X1:X4 + 1].transpose(2, 0, 1)
+    c_rho, d, rx, ry, rz = stats
+    sin_th, sin_ph, sin_chi, sin_xi, cos_th, cos_ph, cos_chi, cos_xi = trig
+    x1, b, x0, chi, tx, ty, tz, cc, x2, x3, x4 = sp[[X1, B, X0, CHI, TX, TY, TZ, C, X2, X3, X4]]
     # x ** 2 as Python's float power (libm pow) rounds it: x * x differs
     # in the last bit for about one double in a thousand.
-    sq0, sq1, sq2, sq3, sq4, sq_b, sq_c = np.float_power(
-        sp[..., [X0, X1, X2, X3, X4, B, C]], 2).transpose(2, 0, 1)
-    diff = rec - amps[:, None, :]
-    ref = np.stack([oracles.partial_trace(amps.reshape(-1, 2, 2), a.base_qubit).reshape(-1, 4)
-                    for a in _ASSIGNMENTS], axis=1)
+    sq0, sq1, sq2, sq3, sq4, sq_b, sq_c = np.float_power(sp[[X0, X1, X2, X3, X4, B, C]], 2)
+    diff = rec - amps.T[:, :, None]
+    grid = np.asfortranarray(amps.reshape(-1, 2, 2))  # the oracle's loops then run along states
+    ref = np.stack([oracles.partial_trace(grid, a.base_qubit).reshape(-1, 4).T
+                    for a in _ASSIGNMENTS], axis=-1)
     # The pair (q1, q2) of each state and assignment, packed from the
     # amplitudes as the hopf module docstring packs them: (alpha.re,
     # -beta.im, beta.re, alpha.im | gamma.re, -delta.im, delta.re,
     # gamma.im) under A_BASE, with beta and gamma swapped under B_BASE.
     # The float view's columns are alpha.re, alpha.im, ..., delta.im.
     q = amps.view(float)[:, [[0, 3, 2, 1, 4, 7, 6, 5], [0, 5, 4, 1, 2, 7, 6, 3]]]
-    q = (q * [1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0]).transpose(2, 0, 1)
+    q = np.ascontiguousarray((q * [1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0]).transpose(2, 0, 1))
     # Off-diagonal structure: x1 + b*sin(chi)*e^(k*xi)*i + x4*k must
     # rebuild the full quaternion product 2*q2*conj(q1).  The i/j part
     # carries sign(b): c*e^(k*xi)*i alone only matches b >= 0.
@@ -195,11 +194,11 @@ def _pool_errors(amps, sp, conc, stats, rec, rho, trig) -> np.ndarray:
     # norm (that of the normalized pair).  A zero pair (theta = pi) has none.
     f = amps[:, [[0, 1], [0, 2]]]
     n2 = (f.real * f.real + f.imag * f.imag).sum(axis=2)
-    cond = _bloch(f.reshape(-1, 2)).reshape(-1, 2, 3) / np.where(n2 > 0, n2, 1.0)[..., None]
+    cond = _bloch(f.reshape(-1, 2)).T.reshape(3, -1, 2) / np.where(n2 > 0, n2, 1.0)
     return np.array([
         np.abs(c_rho - c), np.abs(d * d + c * c - 1.0),
         np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)),
-        np.hypot(diff.real, diff.imag).max(axis=2),
+        np.hypot(diff.real, diff.imag).max(axis=0),
         np.abs(sq0 + sq1 + sq2 + sq3 + sq4 - 1.0), np.abs(sq_b - sq4 - sq_c),
         np.maximum(np.abs(c_b - c_ref), np.abs(cc - c_ref)),
         np.maximum(chi - math.pi / 2, -chi),
@@ -214,10 +213,10 @@ def _pool_errors(amps, sp, conc, stats, rec, rho, trig) -> np.ndarray:
         # Its length is d, from reduced_density.  1e-15 = 9u (u = 2^-53): each
         # side is a few u off (sums of unit-bounded products, then hypots).
         np.abs(d - np.hypot(np.hypot(x0, x1), x4)),
-        np.abs(rho - ref).max(axis=2),
+        np.abs(rho - ref).max(axis=0),
         # e^(k*xi)*i = cos(xi)*i + sin(xi)*j.
         np.abs([x1 - p[0], r * cos_xi - p[1], r * sin_xi - p[2], x4 - p[3]]).max(axis=0),
-        np.where(n2 > 0, np.abs(sp[..., BLOCH] - cond).max(axis=2), 0.0),
+        np.where(n2 > 0, np.abs(sp[BLOCH] - cond).max(axis=0), 0.0),
     ]).transpose(1, 2, 0)
 
 
@@ -257,12 +256,13 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
                     trig += (sin(theta), sin(phi), sin(chi), sin(xi),
                              cos(theta), cos(phi), cos(chi), cos(xi))
         # One slice assignment per array: a numpy row write costs about 1.4 us.
-        b.spheres[lo:hi] = sp = np.array(spheres, float).reshape(hi - lo, width, 17)
+        b.spheres[lo:hi] = rows = np.array(spheres, float).reshape(hi - lo, width, 17)
         if full:  # the pool's errors, from values that stay in this process
             b.conc[lo:hi] = conc
-            b.errors[lo:hi] = _pool_errors(amps[lo:hi], sp, b.conc[lo:hi], *(
-                np.array(v, t).reshape(hi - lo, width, k) for v, t, k in
-                ((stats, float, 5), (recs, complex, 4), (rhos, complex, 4), (trig, float, 8))))
+            b.errors[lo:hi] = _pool_errors(amps[lo:hi], b.conc[lo:hi], *(
+                np.array(v, t).reshape(hi - lo, width, k).transpose(2, 0, 1).copy() for v, t, k in
+                ((rows, float, 17), (stats, float, 5), (recs, complex, 4), (rhos, complex, 4),
+                 (trig, float, 8))))
         done[c] = 1
 
     r, w = os.pipe()
