@@ -252,7 +252,7 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
                     recs += hopf.reconstruct(ss)
                     rhos += hopf.rho_from_spheres(ss)
                     # Sine, then cosine, of theta, phi, chi and xi, by libm.
-                    theta, phi = base[0], base[1]
+                    theta, phi = base.theta, base.phi
                     trig += (sin(theta), sin(phi), sin(chi), sin(xi),
                              cos(theta), cos(phi), cos(chi), cos(xi))
         # One slice assignment per array: a numpy row write costs about 1.4 us.
