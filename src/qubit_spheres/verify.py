@@ -106,11 +106,11 @@ def _unit(q: np.ndarray) -> np.ndarray:
 
 
 def _bloch(f: np.ndarray) -> np.ndarray:
-    """Bloch vectors (2 Re(conj(a) b), 2 Im(conj(a) b), |a|^2 - |b|^2) of rows (a, b)."""
-    ab = gates._product(f[:, 0].conj(), f[:, 1])
-    (ar, br), (ai, bi) = f.real.T, f.imag.T
-    return np.stack([2.0 * ab.real, 2.0 * ab.imag,
-                     (ar * ar + ai * ai) - (br * br + bi * bi)], axis=1)
+    """Bloch vectors (2 Re(conj(a) b), 2 Im(conj(a) b), |a|^2 - |b|^2), on a new first
+    axis, of the pairs (a, b) on f's last axis, in real arithmetic as gates._product is."""
+    (ar, br), (ai, bi) = np.moveaxis(f.real, -1, 0), np.moveaxis(f.imag, -1, 0)
+    return np.array([2.0 * (ar * br + ai * bi), 2.0 * (ar * bi - ai * br),
+                     (ar * ar + ai * ai) - (br * br + bi * bi)])
 
 
 def _act(u: np.ndarray, amps: np.ndarray, on_a) -> np.ndarray:
@@ -194,7 +194,7 @@ def _pool_errors(amps, conc, sp, stats, rec, rho, trig) -> np.ndarray:
     # norm (that of the normalized pair).  A zero pair (theta = pi) has none.
     f = amps[:, [[0, 1], [0, 2]]]
     n2 = (f.real * f.real + f.imag * f.imag).sum(axis=2)
-    cond = _bloch(f.reshape(-1, 2)).T.reshape(3, -1, 2) / np.where(n2 > 0, n2, 1.0)
+    cond = _bloch(f) / np.where(n2 > 0, n2, 1.0)
     return np.array([
         np.abs(c_rho - c), np.abs(d * d + c * c - 1.0),
         np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)),
@@ -416,7 +416,7 @@ class _SuiteRunner:
         self.check("separable_chi_or_b_zero", 1.0, e_cond, products)
         # Base and fiber become the factors' Bloch spheres: under A_BASE the
         # base is A's factor and the fiber B's, under B_BASE the reverse.
-        ra, rb = _bloch(fa), _bloch(fb)
+        ra, rb = _bloch(fa).T, _bloch(fb).T
         base, fib = np.stack((ra, rb), axis=1), np.stack((rb, ra), axis=1)
         self.check("separable_base_is_bloch", 1e-12,
                    np.abs(rows[..., [X1, B, X0]] - base).max(axis=2), products)
