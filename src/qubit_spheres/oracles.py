@@ -1,7 +1,9 @@
 """Ground-truth brute-force implementations used to cross-check everything.
 
 Both oracles work on a batch of amplitude rows at once, as numpy arrays, with
-elementwise sums in a fixed order, so each row rounds as it would alone.
+elementwise sums in a fixed order and complex products in real arithmetic,
+which numpy never fuses: each row rounds as it would alone, and as Python's
+complex arithmetic, on every CPU.
 This module must stay independent of the sphere machinery: it may import
 only numpy.  Tests enforce that no sphere-map code is reachable from here.
 
@@ -10,10 +12,7 @@ ij = k, jk = i, ki = j, i^2 = j^2 = k^2 = -1.  Complex amplitudes entering
 the algebra use *k* as their imaginary unit, so ``complex(a, b)`` embeds as
 the quaternion ``(a, 0, 0, b)``.  A quaternion is a plain ``(w, x, y, z)``
 tuple of floats or of numpy arrays (``Components``), and each formula is
-written once as a function on such tuples.  ``verify``'s
-``outer_product_structure`` and the tests' reference sphere map call these
-functions; the sphere map writes the same formulas out inline, and that
-reference holds it to them bit for bit.
+written once as a function on such tuples; the sphere map writes them inline.
 """
 
 from __future__ import annotations
@@ -22,14 +21,14 @@ import numpy as np
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+# Its nonzero entries (S_ij, i, j), in row order.
+_SPIN_FLIP_TERMS = [(s, i, j) for (i, j), s in np.ndenumerate(_SPIN_FLIP.real) if s]
 
 
 def partial_trace(m: np.ndarray, which: str) -> np.ndarray:
     """Reduced density matrices (n, 2, 2) of qubit `which` for the amplitude
     grids m[:, a, b] = <ab|psi>: rho[a, b] = sum_c g[a, c] conj(g[b, c]), g
-    the grid with `which`'s index first, as elementwise sums with the complex
-    products in real arithmetic (so a matrix rounds the same alone as in a
-    batch, and as Python's complex arithmetic, on every CPU)."""
+    the grid with `which`'s index first."""
     if which not in ("A", "B"):
         raise ValueError(f"qubit label must be 'A' or 'B', got {which!r}")
     g = m if which == "A" else m.transpose(0, 2, 1)
@@ -45,12 +44,10 @@ def concurrence(amps: np.ndarray) -> np.ndarray:
     """Concurrences (n,) of the states amps (n, 4) in the Wootters spin-flip
     form |psi^T (sigma_y x sigma_y) psi| (PRL 80, 2245, 1998): the sum over
     the nonzero entries S_ij, in row order, of S_ij psi_i psi_j, with the
-    modulus taken by np.hypot.  The complex products are written out in real
-    arithmetic, which numpy never fuses, so each rounds as Python's does."""
+    modulus taken by np.hypot."""
     re, im = amps.real, amps.imag
-    terms = [(s, i, j) for (i, j), s in np.ndenumerate(_SPIN_FLIP.real) if s]
-    z_re = sum(s * (re[:, i] * re[:, j] - im[:, i] * im[:, j]) for s, i, j in terms)
-    z_im = sum(s * (re[:, i] * im[:, j] + im[:, i] * re[:, j]) for s, i, j in terms)
+    z_re = sum(s * (re[:, i] * re[:, j] - im[:, i] * im[:, j]) for s, i, j in _SPIN_FLIP_TERMS)
+    z_im = sum(s * (re[:, i] * im[:, j] + im[:, i] * re[:, j]) for s, i, j in _SPIN_FLIP_TERMS)
     return np.hypot(z_re, z_im)
 
 

@@ -113,11 +113,6 @@ class DensityMatrix(NamedTuple):
     rho10: complex
     rho11: complex
 
-    def purity(self) -> float:
-        """Tr(rho^2), real for a Hermitian matrix."""
-        return (abs(self.rho00) ** 2 + abs(self.rho11) ** 2
-                + 2 * abs(self.rho01) ** 2)
-
 
 def _check_qubit(which: str) -> str:
     if which not in ("A", "B"):
@@ -153,7 +148,9 @@ def concurrence_from_rho(rho: DensityMatrix) -> float:
     Ill-conditioned near c = 0 whatever the formula: the floats of rho fix
     c^2 only to about one rounding unit, so c only to about its square root.
     """
-    radicand = 2.0 * (1.0 - rho.purity())
+    r00, r01, _, r11 = rho
+    # Tr rho^2, real for a Hermitian matrix.
+    radicand = 2.0 * (1.0 - (abs(r00) ** 2 + abs(r11) ** 2 + 2 * abs(r01) ** 2))
     if radicand < -RADICAND_TOL:
         raise NegativeRadicand(f"radicand {radicand!r} below -{RADICAND_TOL}")
     return math.sqrt(max(radicand, 0.0))
