@@ -193,14 +193,10 @@ def _kron(a: Matrix2, b: Matrix2) -> list[list[complex]]:
 
 
 def expand(g: Gate) -> np.ndarray:
-    """4x4 unitary of the gate in the (|00>,|01>,|10>,|11>) ordering.
-
-    kron(u, I) or kron(I, u) for a single-qubit gate, and kron(P0, I) +
-    kron(P1, u) with the projectors P0, P1 on the control for a controlled
-    one, built from the 2x2 tables with Python complex products and sums.
-    Those round as numpy's complex kron and add do, so the matrix equals
-    the np.kron construction bit for bit, signed zeros included.
-    """
+    """4x4 unitary of the gate in the (|00>,|01>,|10>,|11>) ordering, built
+    from the 2x2 tables with Python complex products and sums.  Those round
+    as numpy's complex kron and add do, so the matrix equals the np.kron
+    construction bit for bit, signed zeros included."""
     import numpy as np
 
     u = _table(g)

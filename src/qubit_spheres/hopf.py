@@ -11,10 +11,7 @@ The map and its inverse work on the packed floats: each quaternion product,
 conjugate, squared norm, join and split is written out where it is used,
 in the same expressions and order as the reference functions in
 ``oracles``, so the results are theirs bit for bit (``tests/test_hopf.py``
-pins that).  The entanglement axis ``t`` is stored as the point (tx, ty,
-tz) of S^2.  Each exponential e^(t*angle) is written out as cos(angle) +
-t*sin(angle), from a sine and cosine taken once per call; ``reconstruct``
-checks that a caller's ``t`` is a unit axis.
+pins that).
 """
 
 from __future__ import annotations
@@ -64,13 +61,10 @@ class BaseSphere(NamedTuple):
 
 
 class EntanglementSphere(NamedTuple):
-    """Unit axis t = (tx, ty, tz) and the inner-sphere point (x2, x3, x4) = b*t.
-
-    b is the base sphere's.  chi and xi, the angles of t, and the
-    concurrence c = hypot(x2, x3) = |b|*sin(chi), the radius of the inner
-    sphere's horizontal circle, are computed on each read; x4 = b*cos(chi)
-    is the imaginary coherence of the base qubit.
-    """
+    """Unit axis t = (tx, ty, tz) and the inner-sphere point (x2, x3, x4) = b*t,
+    b the base sphere's.  The concurrence c = |b|*sin(chi) is the radius of the
+    inner sphere's horizontal circle; x4 = b*cos(chi) is the base qubit's
+    imaginary coherence."""
 
     t: tuple[float, float, float]
     x2: float
