@@ -8,11 +8,11 @@ batch's states names its worst one as a witness.  Products are elementwise
 depends on neither evaluation order, BLAS kernel nor SIMD level.
 
 A batch is mapped in CHUNKS chunks, claimed from a pipe by this process and
-a forked child per CPU but one (_processes).  The process that maps a pool
-chunk also computes its errors (_pool_errors), elementwise per row, so only
-sphere rows, concurrences and errors reach shared memory, and the report is
-byte-identical to a one-process pass.  While the children map the pool,
-this process runs everything that reads no pool row.
+a forked child per CPU but one (_processes).  A process computes its pool
+chunks' errors (_pool_errors, per row) about FLUSH_STATES states at a time
+and keeps each chunk's largest per entry.  Only those, and the rows later
+groups read, reach shared memory: the report is byte-identical to a
+one-process pass.  Meanwhile this process runs all that reads no pool row.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ MIN_SHARE = 1000
 # Chunks a batch is claimed in, each as one byte from a pipe: at most 256, so
 # that the pipe holds them all.  More chunks even out the processes' ends.
 CHUNKS = 128
+# Pool states whose errors one _pool_errors call computes.  A call costs about
+# 0.3 ms of numpy overhead at any size: 10^4 states take about 22, not 128.
+# Peak RSS rose 0.2 MB at 400 and 3.1 MB at 1250 over one call per chunk.
+FLUSH_STATES = 400
+SUBSET = 1000  # states in the moved and product batches; the moved are the pool's first
 
 # Columns of a sphere-set row (_mapping): base, entanglement, fiber Bloch point.
 THETA, PHI, X1, B, X0, CHI, XI, TX, TY, TZ, C, X2, X3, X4 = range(14)
@@ -141,7 +146,7 @@ def _shared(*shape: int, dtype=float) -> np.ndarray:
 
 
 # The pool entries and their thresholds, in report order: column j of
-# _Batch.errors holds the errors of entry j.
+# _Batch.top and _Batch.at is entry j's.
 POOL_ENTRIES = {
     "concurrence_triple_agreement": 1e-10, "coherence_complementarity": 1e-12,
     "bloch_vector_norm": 1e-10, "round_trip_reconstruction": 1e-10, "unit_s4_norm": 1e-12,
@@ -157,15 +162,16 @@ class _Batch(NamedTuple):
     assignment _ASSIGNMENTS[ks[i, j]].  Only the pool has those after `spheres`."""
     amps: np.ndarray
     ks: np.ndarray | None = None
-    spheres: np.ndarray | None = None  # sphere_set (columns THETA...)
-    conc: np.ndarray | None = None     # concurrence_det, one per state
-    errors: np.ndarray | None = None   # _pool_errors, one column per POOL_ENTRIES entry
+    spheres: np.ndarray | None = None  # sphere_set (columns THETA...); the pool's first SUBSET
+    conc: np.ndarray | None = None     # concurrence_det, one per state of those
+    top: np.ndarray | None = None      # per chunk and entry, the largest error
+    at: np.ndarray | None = None       # and its first's flat (state, assignment) index
 
 
 def _pool_errors(amps, conc, sp, stats, rec, rho, trig) -> np.ndarray:
     """Errors (n, 2, len(POOL_ENTRIES)) of pool states amps (n, 4) under A_BASE, then
     B_BASE, from concurrence_det conc and the planes (k, n, 2) of _mapping's values.
-    Each is elementwise per row, as the oracles are: a chunk's have the pool's bits."""
+    Each is elementwise per row, as the oracles are: any rows' have the pool's bits."""
     c, c_ref = conc[:, None], oracles.concurrence(amps)[:, None]
     c_rho, d, rx, ry, rz = stats
     sin_th, sin_ph, sin_chi, sin_xi, cos_th, cos_ph, cos_chi, cos_xi = trig
@@ -227,12 +233,15 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
     a `full` one (the pool) all of _Batch's arrays.  Yields the batch while
     the children map it; its arrays are filled once the block ends."""
     m, width = ks.shape
-    b = _Batch(amps, ks, _shared(m, width, 17),
-               *((_shared(m), _shared(m, width, len(POOL_ENTRIES))) if full else ()))
+    kept, per_entry = min(m, SUBSET) if full else m, (CHUNKS, len(POOL_ENTRIES))
+    b = _Batch(amps, ks, _shared(kept, width, 17), *((
+        _shared(kept), _shared(*per_entry), _shared(*per_entry, dtype=np.int64)) if full else ()))
     done = _shared(CHUNKS, dtype=np.uint8)
+    edges = [m * c // CHUNKS for c in range(CHUNKS + 1)]  # chunk c is [edges[c], edges[c + 1])
+    held = []  # pool chunks mapped here and not yet reduced, with their values
 
     def map_chunk(c: int):
-        lo, hi = m * c // CHUNKS, m * (c + 1) // CHUNKS
+        lo, hi = edges[c], edges[c + 1]
         spheres, conc, stats, recs, rhos, trig = [], [], [], [], [], []
         sin, cos = math.sin, math.cos
         for v, ks_i in zip(amps[lo:hi].tolist(), ks[lo:hi].tolist()):
@@ -256,22 +265,39 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
                     trig += (sin(theta), sin(phi), sin(chi), sin(xi),
                              cos(theta), cos(phi), cos(chi), cos(xi))
         # One slice assignment per array: a numpy row write costs about 1.4 us.
-        b.spheres[lo:hi] = rows = np.array(spheres, float).reshape(hi - lo, width, 17)
-        if full:  # the pool's errors, from values that stay in this process
-            b.conc[lo:hi] = conc
-            b.errors[lo:hi] = _pool_errors(amps[lo:hi], b.conc[lo:hi], *(
-                np.array(v, t).reshape(hi - lo, width, k).transpose(2, 0, 1).copy() for v, t, k in
-                ((rows, float, 17), (stats, float, 5), (recs, complex, 4), (rhos, complex, 4),
-                 (trig, float, 8))))
-        done[c] = 1
+        rows = np.array(spheres, float).reshape(hi - lo, width, 17)
+        b.spheres[lo:hi] = rows[:max(kept - lo, 0)]
+        if not (full and hi > lo):
+            done[c] = 1
+            return
+        b.conc[lo:hi] = conc[:max(kept - lo, 0)]
+        held.append((c, np.array(conc), rows, *(
+            np.array(v, t).reshape(hi - lo, width, k) for v, t, k in
+            ((stats, float, 5), (recs, complex, 4), (rhos, complex, 4), (trig, float, 8)))))
+        if sum(len(h[1]) for h in held) >= FLUSH_STATES:
+            flush()
+
+    def flush():  # the held chunks' errors in one call; a chunk is done once reduced
+        if not held:
+            return
+        cs, *values = zip(*held)
+        i = np.concatenate([np.arange(edges[c], edges[c + 1]) for c in cs])  # their states
+        conc, *planes = (np.concatenate(v) for v in values)
+        err = _pool_errors(amps[i], conc, *(p.transpose(2, 0, 1).copy() for p in planes))
+        for c in cs:
+            e = err[(i >= edges[c]) & (i < edges[c + 1])].reshape(-1, len(POOL_ENTRIES))
+            b.top[c], b.at[c] = e.max(axis=0), e.argmax(axis=0) + edges[c] * width
+        done[list(cs)] = 1
+        held.clear()
 
     r, w = os.pipe()
     os.write(w, bytes(range(CHUNKS)))
     os.close(w)
 
-    def claim():  # until the pipe is empty
+    def claim():  # until the pipe is empty, then the chunks still held
         while c := os.read(r, 1):
             map_chunk(c[0])
+        flush()
 
     children = []
     try:
@@ -297,6 +323,7 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
     # A chunk claimed by a child that failed: mapped here, which raises its error.
     for c in np.flatnonzero(done == 0).tolist():
         map_chunk(c)
+    flush()
 
 
 def _map(amps: np.ndarray, ks: np.ndarray, full: bool = False) -> _Batch:
@@ -314,7 +341,7 @@ class _SuiteRunner:
 
     def draw(self):
         """Every other random input, in one fixed order: the report's bytes depend on it."""
-        rng, n = self.rng, min(self.samples, 1000)
+        rng, n = self.rng, min(self.samples, SUBSET)
         # The draw the quaternion laws once read, kept so every later draw is unchanged.
         rng.standard_normal((n, 22))
         # Per moved state: a quaternion, then whether the unitary acts on qubit A.
@@ -329,14 +356,16 @@ class _SuiteRunner:
         self.applied_gates = [_random_gate(rng) for _ in range(min(self.samples, 500))]
 
     def check(self, name: str, threshold: float, err: np.ndarray, batch: _Batch | None = None,
-              samples: int | None = None):
-        """Record an entry from its per-sample errors: err[i] of sample i, or
-        err[i, j] of batch state i under assignment ks[i, j].  A failing entry
-        whose samples are `batch`'s states names its worst.  NaN fails."""
+              samples: int | None = None, at: np.ndarray | None = None):
+        """Record an entry from its errors: err[i] of sample i, err[i, j] of batch state
+        i under ks[i, j], or chunk c's largest, first at flat index at[c] of ks.  A
+        failing entry whose samples are `batch`'s states names its worst.  NaN fails."""
         worst = max(float(err.max()), 0.0)
         witness = None
         if batch is not None and not worst <= threshold:
-            i, *j = np.unravel_index(int(err.argmax()), err.shape)
+            k = int(err.argmax())
+            i, *j = (np.unravel_index(k, err.shape) if at is None
+                     else np.unravel_index(int(at[k]), batch.ks.shape))
             witness = {"sample": int(i),
                        "assignment": _ASSIGNMENTS[batch.ks[i, j[0]]].value if j else None,
                        "state": ",".join(repr(v) for c in batch.amps[i].tolist()
@@ -345,15 +374,18 @@ class _SuiteRunner:
                                             worst, threshold, worst <= threshold, witness))
 
     def pool_checks(self, *names: str, samples: int | None = None):
-        """Record pool entries, each from its column of the pool's errors."""
+        """Record pool entries from the reductions of the chunks with states."""
+        pool, m = self.pool, len(self.pool.amps)
+        rows = np.diff(np.arange(CHUNKS + 1) * m // CHUNKS) > 0
         for name in names:
-            err = self.pool.errors[..., list(POOL_ENTRIES).index(name)]
-            self.check(name, POOL_ENTRIES[name], err, self.pool, samples)
+            j = list(POOL_ENTRIES).index(name)
+            self.check(name, POOL_ENTRIES[name], pool.top[rows, j], pool,
+                       pool.ks.size if samples is None else samples, pool.at[rows, j])
 
     # -- state-level properties --------------------------------------------
 
     def state_invariants(self):
-        n = min(self.samples, 1000)
+        n = min(self.samples, SUBSET)
         moved = _Batch(_act(_su2(_unit(np.array([q for q, _ in self.moves]))), self.amps[:n],
                             [on_a for _, on_a in self.moves]))
         c2 = np.array([state.concurrence_det(TwoQubitState(*v)) for v in moved.amps.tolist()])
@@ -374,7 +406,7 @@ class _SuiteRunner:
                          "coherence_is_base_bloch_length")
 
     def equivariance_invariants(self):
-        n = min(self.samples, 1000)
+        n = min(self.samples, SUBSET)
         # State i is mapped under A_BASE if i is even, else B_BASE: rows (n, 1).
         ks = np.arange(n)[:, None] % 2
         # A fiber-qubit unitary: on B under A_BASE, on A under B_BASE.
@@ -405,7 +437,7 @@ class _SuiteRunner:
             np.abs(rotated.spheres[..., X0] - (x0 * cos_mu - x1 * sin_mu))), rotated)
 
     def separability_invariants(self):
-        n = min(self.samples, 1000)
+        n = min(self.samples, SUBSET)
         fa, fb = self.factors[0::2], self.factors[1::2]
         amps = gates._product(fa[:, :, None], fb[:, None, :]).reshape(n, 4)
         products = _map(amps, np.tile([0, 1], (n, 1)))

@@ -125,9 +125,6 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
         ("reconstruct", None,
          lambda out: TwoQubitState.from_amplitudes(out.alpha + 1e-6, *out[1:]),
          "round_trip_reconstruction", "B"),
-        # A NaN error, whose max_error is written as null.
-        ("rho_from_spheres", None, lambda out: out._replace(rho00=complex(math.nan)),
-         "rho_from_spheres_vs_partial_trace", "B"),
         ("sphere_set", 0, bent_fiber, "fiber_unitary_bloch_rotation", "B"),
         ("sphere_set", 2, bent_fiber, "separable_fiber_is_bloch", "A"),
     ]
@@ -139,7 +136,7 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
 
         def perturbed(*args):
             out = original(*args)
-            if plant != "sphere_set":  # reconstruct and rho_from_spheres take the set
+            if plant != "sphere_set":  # reconstruct takes the set
                 hit = args[0] == target
             else:
                 hit = len(batches) > batch and args == (tuple(batches[batch][bad].tolist()), a)
@@ -153,7 +150,6 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
         failed = [e for e in entries if not e["passed"]]
         assert [e["name"] for e in failed] == [name]
         assert all("witness" not in e for e in entries if e["passed"])
-        assert (failed[0]["max_error"] is None) == (plant == "rho_from_spheres")
         witness = failed[0]["witness"]
         assert (witness["sample"], witness["assignment"]) == (bad, assignment)
         # The state that was mapped: state `bad` of the perturbed batch.
@@ -288,8 +284,9 @@ def test_split_pass_gives_the_one_process_report(monkeypatch):
 @pytest.mark.skipif(sys.version_info >= (3, 12), reason="the pass never forks there")
 def test_error_computed_in_a_child_names_its_witness(monkeypatch):
     bad, a = 1500, verify.Assignment.B_BASE
-    row = state.random_amplitudes(np.random.default_rng(9), SPLIT_SAMPLES)[bad].tolist()
-    target, reconstruct = verify.hopf.sphere_set(TwoQubitState(*row), a), verify.hopf.reconstruct
+    rows = state.random_amplitudes(np.random.default_rng(9), SPLIT_SAMPLES)[[bad, 10]].tolist()
+    target, early = (verify.hopf.sphere_set(TwoQubitState(*row), a) for row in rows)
+    reconstruct, rho_from_spheres = verify.hopf.reconstruct, verify.hopf.rho_from_spheres
     where = verify._shared(1, dtype=np.int64)  # the pid that maps state `bad`
 
     def planted(ss):
@@ -299,6 +296,10 @@ def test_error_computed_in_a_child_names_its_witness(monkeypatch):
             return TwoQubitState.from_amplitudes(out.alpha + 1e-6, *out[1:])
         return out
 
+    def nan_rho(ss):  # also at state 10, in an earlier chunk: the first NaN is the witness
+        out = rho_from_spheres(ss)
+        return out._replace(rho00=complex(math.nan)) if ss in (target, early) else out
+
     gate_invariants = verify._SuiteRunner.gate_invariants
 
     def slow_gates(self):  # so that a child maps every pool chunk meanwhile
@@ -306,17 +307,31 @@ def test_error_computed_in_a_child_names_its_witness(monkeypatch):
         gate_invariants(self)
 
     monkeypatch.setattr(verify.hopf, "reconstruct", planted)
+    monkeypatch.setattr(verify.hopf, "rho_from_spheres", nan_rho)
     monkeypatch.setattr(verify._SuiteRunner, "gate_invariants", slow_gates)
     allow_cpus(monkeypatch, 2)
     split = run_suite(seed=9, samples=SPLIT_SAMPLES)
     assert where[0] not in (0, os.getpid())
-    failed = [r for r in split.results if not r.passed]
-    assert [r.name for r in failed] == ["round_trip_reconstruction"]
-    assert failed[0].witness == {"sample": bad, "assignment": "B", "state": ",".join(
-        repr(v) for c in row for v in (c.real, c.imag))}
+    failed = [e for e in split.to_dict()["invariants"] if not e["passed"]]
+    assert [e["name"] for e in failed] == ["round_trip_reconstruction",
+                                           "rho_from_spheres_vs_partial_trace"]
+    assert failed[1]["max_error"] is None
+    assert [e["witness"] for e in failed] == [{"sample": i, "assignment": "B", "state": ",".join(
+        repr(v) for c in row for v in (c.real, c.imag))} for i, row in zip((bad, 10), rows)]
     monkeypatch.setattr(verify._SuiteRunner, "gate_invariants", gate_invariants)
     allow_cpus(monkeypatch, 1)
     assert dumps(run_suite(seed=9, samples=SPLIT_SAMPLES).to_dict()) == dumps(split.to_dict())
+
+
+def test_pool_batch_keeps_no_pool_sized_array(monkeypatch):
+    allow_cpus(monkeypatch, 2)
+    m, ks = SPLIT_SAMPLES, np.tile([0, 1], (SPLIT_SAMPLES, 1))
+    pool = verify._map(state.random_amplitudes(np.random.default_rng(9), m), ks, full=True)
+    assert max(len(x) for x in pool[2:]) <= 1000  # every array but the amps and ks given
+    assert pool.top.shape == pool.at.shape == (verify.CHUNKS, len(verify.POOL_ENTRIES))
+    # Each chunk's witness index lies in its own rows, whichever process mapped it.
+    edges = 2 * (np.arange(verify.CHUNKS + 1) * m // verify.CHUNKS)[:, None]
+    assert ((edges[:-1] <= pool.at) & (pool.at < edges[1:])).all()
 
 
 def test_pass_stays_in_one_process_from_python_3_12(monkeypatch):
