@@ -62,9 +62,9 @@ class BaseSphere(NamedTuple):
 
 class EntanglementSphere(NamedTuple):
     """Unit axis t = (tx, ty, tz) and the inner-sphere point (x2, x3, x4) = b*t,
-    b the base sphere's.  The concurrence c = |b|*sin(chi) is the radius of the
-    inner sphere's horizontal circle; x4 = b*cos(chi) is the base qubit's
-    imaginary coherence."""
+    b the base sphere's.  chi and xi, the angles of t, and the concurrence
+    c = |b|*sin(chi), the radius of the inner sphere's horizontal circle, are
+    computed on each read; x4 = b*cos(chi) is the base qubit's imaginary coherence."""
 
     t: tuple[float, float, float]
     x2: float
@@ -245,7 +245,8 @@ def _validate(ss: SphereSet) -> tuple[float, float]:
 
 
 def reconstruct(ss: SphereSet) -> TwoQubitState:
-    """Exact inverse of sphere_set: q1 = cos(theta/2)*q_f, q2 = sin(theta/2)*e^(t*phi)*q_f."""
+    """Exact inverse of sphere_set: q1 = cos(theta/2)*q_f, q2 = sin(theta/2)*e^(t*phi)*q_f.
+    Raises InvalidSphereSet on an inconsistent set, one whose t is not a unit axis among them."""
     cp, sp = _validate(ss)
     theta_f, phi_f, zeta_f = ss.fiber
     # The fiber versor q_f = (cos(theta_f/2) + sin(theta_f/2)*e^(k*phi_f)*j) * e^(k*zeta_f).

@@ -271,7 +271,7 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
             done[c] = 1
             return
         b.conc[lo:hi] = conc[:max(kept - lo, 0)]
-        held.append((c, np.array(conc), rows, *(
+        held.append((c, amps[lo:hi], np.array(conc), rows, *(
             np.array(v, t).reshape(hi - lo, width, k) for v, t, k in
             ((stats, float, 5), (recs, complex, 4), (rhos, complex, 4), (trig, float, 8)))))
         if sum(len(h[1]) for h in held) >= FLUSH_STATES:
@@ -281,11 +281,10 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
         if not held:
             return
         cs, *values = zip(*held)
-        i = np.concatenate([np.arange(edges[c], edges[c + 1]) for c in cs])  # their states
-        conc, *planes = (np.concatenate(v) for v in values)
-        err = _pool_errors(amps[i], conc, *(p.transpose(2, 0, 1).copy() for p in planes))
-        for c in cs:
-            e = err[(i >= edges[c]) & (i < edges[c + 1])].reshape(-1, len(POOL_ENTRIES))
+        a, conc, *planes = (np.concatenate(v) for v in values)
+        err = _pool_errors(a, conc, *(p.transpose(2, 0, 1).copy() for p in planes))
+        ends = width * np.cumsum([len(v) for v in values[0]])  # each chunk's rows of err
+        for c, e in zip(cs, np.split(err.reshape(-1, len(POOL_ENTRIES)), ends[:-1])):
             b.top[c], b.at[c] = e.max(axis=0), e.argmax(axis=0) + edges[c] * width
         done[list(cs)] = 1
         held.clear()
@@ -374,13 +373,12 @@ class _SuiteRunner:
                                             worst, threshold, worst <= threshold, witness))
 
     def pool_checks(self, *names: str, samples: int | None = None):
-        """Record pool entries from the reductions of the chunks with states."""
-        pool, m = self.pool, len(self.pool.amps)
-        rows = np.diff(np.arange(CHUNKS + 1) * m // CHUNKS) > 0
+        """Record pool entries from the chunks' reductions : an empty chunk's 0.0 tops no error."""
+        pool = self.pool
         for name in names:
             j = list(POOL_ENTRIES).index(name)
-            self.check(name, POOL_ENTRIES[name], pool.top[rows, j], pool,
-                       pool.ks.size if samples is None else samples, pool.at[rows, j])
+            self.check(name, POOL_ENTRIES[name], pool.top[:, j], pool,
+                       pool.ks.size if samples is None else samples, pool.at[:, j])
 
     # -- state-level properties --------------------------------------------
 
