@@ -25,6 +25,7 @@ from .state import DensityMatrix, TwoQubitState
 VALID_TOL = 1e-9
 # |t| must be 1 more tightly: every angle check passes a t off by 1e-10.
 UNIT_T_TOL = 1e-12
+CHI_MAX = math.pi / 2 + VALID_TOL
 
 
 class InvalidSphereSet(ValueError):
@@ -209,43 +210,41 @@ def _validate(ss: SphereSet) -> tuple[float, float]:
     (tx, ty, tz), x2, x3, x4 = ss.ent
     theta_f, phi_f, zeta_f = ss.fiber
 
-    # A NaN compares False with every tolerance below, and max() drops one
-    # that does not come first, so each float must be finite.  One sum tests
-    # them all; a sum that overflows from finite floats fails a check below.
+    # Each float must be finite, so that an error names the float, not a check
+    # (the fiber's angles are in none).  One sum tests them all; when it
+    # overflows from finite floats, the checks below decide.
     if not math.isfinite(theta + phi + x1 + b + x0 + tx + ty + tz + x2 + x3 + x4
                          + theta_f + phi_f + zeta_f):
         _reject_non_finite(ss)
 
     st, ct = math.sin(theta), math.cos(theta)
     cp, sp = math.cos(phi), math.sin(phi)
-    err = max(abs(x1 - st * cp),
-              abs(b - st * sp),
-              abs(x0 - ct))
-    if err > VALID_TOL:
-        _bad("base Cartesian/angle consistency", err)
+    lo, hi = -VALID_TOL, VALID_TOL
+    e1, e2, e3 = x1 - st * cp, b - st * sp, x0 - ct
+    if not (lo <= e1 <= hi and lo <= e2 <= hi and lo <= e3 <= hi):
+        _bad("base Cartesian/angle consistency", max(abs(e1), abs(e2), abs(e3)))
 
     chi, c = math.atan2(math.hypot(tx, ty), tz), math.hypot(x2, x3)
-    if not (-VALID_TOL <= chi <= math.pi / 2 + VALID_TOL):
+    if not (lo <= chi <= CHI_MAX):
         raise InvalidSphereSet(f"chi {chi!r} outside [0, pi/2]")
-    err = max(abs(x2 - b * tx),
-              abs(x3 - b * ty),
-              abs(x4 - b * tz),
-              abs(b * b - x4 * x4 - c * c))
-    if err > VALID_TOL:
-        _bad("entanglement-sphere consistency", err)
+    # |b| <= 1 + VALID_TOL by now, so no difference is NaN and max() names the worst.
+    e1, e2, e3, e4 = x2 - b * tx, x3 - b * ty, x4 - b * tz, b * b - x4 * x4 - c * c
+    if not (lo <= e1 <= hi and lo <= e2 <= hi and lo <= e3 <= hi and lo <= e4 <= hi):
+        _bad("entanglement-sphere consistency", max(abs(e1), abs(e2), abs(e3), abs(e4)))
 
-    s4 = (x0 ** 2 + x1 ** 2 + x2 ** 2 + x3 ** 2 + x4 ** 2)
-    if abs(s4 - 1.0) > VALID_TOL:
-        _bad("unit 5-space norm", abs(s4 - 1.0))
+    err = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4 - 1.0
+    if not lo <= err <= hi:
+        _bad("unit 5-space norm", abs(err))
 
-    err = abs(math.sqrt(tx * tx + ty * ty + tz * tz) - 1.0)
-    if err > UNIT_T_TOL:
-        _bad("unit t axis", err, UNIT_T_TOL)
+    err = math.sqrt(tx * tx + ty * ty + tz * tz) - 1.0
+    if not -UNIT_T_TOL <= err <= UNIT_T_TOL:
+        _bad("unit t axis", abs(err), UNIT_T_TOL)
     return cp, sp
 
 
 def reconstruct(ss: SphereSet) -> TwoQubitState:
     """Exact inverse of sphere_set: q1 = cos(theta/2)*q_f, q2 = sin(theta/2)*e^(t*phi)*q_f.
+    The result is unit-norm by construction (|q_f| = 1, |t| = 1 within UNIT_T_TOL).
     Raises InvalidSphereSet on an inconsistent set, one whose t is not a unit axis among them."""
     cp, sp = _validate(ss)
     theta_f, phi_f, zeta_f = ss.fiber
@@ -276,10 +275,11 @@ def reconstruct(ss: SphereSet) -> TwoQubitState:
     # Split q1 = ch*q_f and q2 = sh*r into c + d*j: c = (w, z), d = (y, -x).
     c1, d1 = complex(ch * w, ch * z), complex(ch * y, -(ch * x))
     c2, d2 = complex(sh * rw, sh * rz), complex(sh * ry, -(sh * rx))
+    # |q1|^2 + |q2|^2 = |q_f|^2 = 1 within about UNIT_T_TOL: no NORM_TOL check.
     if ss.assignment is A_BASE:
-        return TwoQubitState(c1, d1, c2, d2)
+        return tuple.__new__(TwoQubitState, (c1, d1, c2, d2))
     if ss.assignment is B_BASE:
-        return TwoQubitState(c1, c2, d1, d2)
+        return tuple.__new__(TwoQubitState, (c1, c2, d1, d2))
     raise InvalidSphereSet(f"assignment {ss.assignment!r} is not an Assignment")
 
 

@@ -101,8 +101,8 @@ class TwoQubitState(NamedTuple("TwoQubitState", [
 def _norm(a: complex, b: complex, g: complex, d: complex) -> float:
     # Squares by multiplication: a huge amplitude overflows to inf, where
     # ** 2 would raise OverflowError.
-    return math.sqrt(abs(a) * abs(a) + abs(b) * abs(b)
-                     + abs(g) * abs(g) + abs(d) * abs(d))
+    a, b, g, d = abs(a), abs(b), abs(g), abs(d)
+    return math.sqrt(a * a + b * b + g * g + d * d)
 
 
 class DensityMatrix(NamedTuple):

@@ -66,8 +66,7 @@ def test_criterion_2_entangled_state_reproduction():
 
     base = final.spheres_a.base
     free = bloch_rotation(rotation("x", 60 * DEG)) @ np.array([0.0, 0.0, 1.0])
-    worst = max(abs(base.x1 - free[0]), abs(base.b - free[1]),
-                abs(base.x0 - free[2]))
+    worst = max(abs(base.x1 - free[0]), abs(base.b - free[1]), abs(base.x0 - free[2]))
     report(2, "BASE(A) equals the free Bloch image of rx(60)", worst, 1e-9)
 
 

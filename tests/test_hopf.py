@@ -17,6 +17,7 @@ from conftest import (
     random_product_state,
 )
 from qubit_spheres.hopf import (
+    UNIT_T_TOL,
     Assignment,
     BaseSphere,
     EntanglementSphere,
@@ -45,9 +46,6 @@ from qubit_spheres.state import (
     reduced_density,
 )
 
-def amp_error(s1, s2):
-    return max(abs(a - b) for a, b in zip(s1.amplitudes(), s2.amplitudes()))
-
 
 def pool_sets(states) -> list:
     """Sphere sets of `states` under A_BASE, then under B_BASE."""
@@ -57,7 +55,7 @@ def pool_sets(states) -> list:
 def assert_round_trip(s: TwoQubitState, a: Assignment):
     # reconstruct returns a unit vector, so the input's own norm defect (up
     # to NORM_TOL) comes back as error.
-    err = amp_error(reconstruct(sphere_set(s, a)), s)
+    err = max(abs(x - y) for x, y in zip(reconstruct(sphere_set(s, a)), s))
     assert err <= 1e-12 + abs(s.norm() - 1.0), (s, a, err)
 
 
@@ -166,10 +164,14 @@ def test_states_at_the_norm_tolerance_map_back(state_pool):
 
 
 def test_fiber_versor_is_unit(state_pool):
-    # |reconstruct(ss)| = |q_f|: q1 and q2 are the rebuilt versor scaled by
-    # cos and sin of theta/2 (q2 also turned by the unit e^(t*phi)).
-    for ss in pool_sets(state_pool[:500]):
-        assert reconstruct(ss).norm() == pytest.approx(1.0, abs=1e-12)
+    # |reconstruct(ss)| = |q_f|: q1 and q2 are the rebuilt versor scaled by cos and
+    # sin of theta/2 (q2 also turned by e^(t*phi), unit as t is), as reconstruct assumes.
+    pool = pool_sets(state_pool[:500])
+    tilted = [ss._replace(ent=ss.ent._replace(t=tuple(f * v for v in ss.ent.t)))
+              for f in (1 - 0.99 * UNIT_T_TOL, 1 + 0.99 * UNIT_T_TOL) for ss in pool]
+    for ss in pool + tilted + pool_sets(
+            BRANCH_POINTS + near_degenerate_sweep() + near_degenerate_sweep(TINY_EXPONENTS)):
+        assert abs(reconstruct(ss).norm() - 1.0) <= 1e-12, ss
 
 
 def scale_b(ss, f):
@@ -180,26 +182,28 @@ def scale_b(ss, f):
 
 
 # Each set breaks one check and passes every check before it.
-@pytest.mark.parametrize("broken, error, check", [
+@pytest.mark.parametrize("broken, message", [
     (lambda ss: ss._replace(base=ss.base._replace(x1=ss.base.x1 + 1e-3)),
-     InvalidSphereSet, "base Cartesian/angle consistency"),
+     "base Cartesian/angle consistency violated by 1.000e-03 (tolerance 1e-09)"),
     # t tipped 0.1 below the equator: chi = pi/2 + 0.1.
     (lambda ss: ss._replace(ent=ss.ent._replace(t=(0.0, math.cos(0.1), -math.sin(0.1)))),
-     InvalidSphereSet, "outside [0, pi/2]"),
+     "chi 1.6707963267948966 outside [0, pi/2]"),
     (lambda ss: ss._replace(ent=ss.ent._replace(x2=ss.ent.x2 + 1e-3)),
-     InvalidSphereSet, "entanglement-sphere consistency"),
+     "entanglement-sphere consistency violated by 1.000e-03 (tolerance 1e-09)"),
     # |b| off by 9e-10 passes the base check but moves |x|^2 by 1.8e-9.
-    (lambda ss: scale_b(ss, 1.0 + 9e-10), InvalidSphereSet, "unit 5-space norm"),
+    (lambda ss: scale_b(ss, 1.0 + 9e-10),
+     "unit 5-space norm violated by 1.800e-09 (tolerance 1e-09)"),
     # |t| = 1 + 1e-10 is within 1e-9 of every angle check, not of 1e-12.
     (lambda ss: ss._replace(ent=ss.ent._replace(t=tuple((1.0 + 1e-10) * v for v in ss.ent.t))),
-     InvalidSphereSet, "unit t axis"),
+     "unit t axis violated by 1.000e-10 (tolerance 1e-12)"),
     # A consistent set whose assignment is a label, not an Assignment.
-    (lambda ss: ss._replace(assignment="A"), InvalidSphereSet, "assignment 'A'"),
+    (lambda ss: ss._replace(assignment="A"), "assignment 'A' is not an Assignment"),
 ], ids=["base", "southern-chi", "entanglement", "5-norm", "unit-t", "assignment"])
-def test_reconstruct_rejects_invalid_set(broken, error, check):
+def test_reconstruct_rejects_invalid_set(broken, message):
     ss = sphere_set(TwoQubitState.bell("phi+"), Assignment.A_BASE)
-    with pytest.raises(error, match=re.escape(check)):
+    with pytest.raises(InvalidSphereSet) as e:
         reconstruct(broken(ss))
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("a", ["A", "B", None])

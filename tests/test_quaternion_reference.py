@@ -25,10 +25,6 @@ def norm(q):
     return math.sqrt(norm_sq(q))
 
 
-def approx_eq(a, b, tol=1e-12):
-    return all(abs(u - v) <= tol for u, v in zip(a, b))
-
-
 def test_basis_multiplication_table():
     # Full 4x4 table spelled out as the independent reference.
     table = {
@@ -51,7 +47,7 @@ def test_mul_examples():
 def test_norm_and_conj():
     q = (1.0, 2.0, -3.0, 0.5)
     assert norm_sq(q) == pytest.approx(1 + 4 + 9 + 0.25)
-    assert approx_eq(hamilton(q, conj(q)), (norm_sq(q), 0.0, 0.0, 0.0))
+    assert hamilton(q, conj(q)) == (norm_sq(q), 0.0, 0.0, 0.0)  # exact: q's parts are dyadic
 
 
 def test_conj_examples():

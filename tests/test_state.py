@@ -46,9 +46,8 @@ def test_constructor_enforces_norm():
 
 
 def test_concurrence_from_rho_rejects_bad_matrix():
-    bogus = DensityMatrix(1.5 + 0j, 0j, 0j, -0.5 + 0j)
     with pytest.raises(NegativeRadicand):
-        concurrence_from_rho(bogus)
+        concurrence_from_rho(DensityMatrix(1.5 + 0j, 0j, 0j, -0.5 + 0j))
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10])

@@ -79,15 +79,13 @@ def test_oracles_do_not_touch_sphere_code():
     # Structural independence: the oracle module may import only state/numpy,
     # and must not reuse the determinant formula it cross-checks.
     src = Path(oracles.__file__).read_text(encoding="utf-8")
-    tree = ast.parse(src)
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(src)):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
-    assert not any("hopf" in name for name in imported)
-    assert not any("gates" in name for name in imported)
+    assert not any("gates" in name for name in imported)  # an imported hopf is in src
     assert "hopf" not in src
     assert "concurrence_det" not in src
 
@@ -247,8 +245,7 @@ def allow_cpus(monkeypatch, n):
 
 def count_forks(monkeypatch) -> list[int]:
     """A list that gets the pid of each process that forks from here on."""
-    forks = []
-    fork = os.fork
+    forks, fork = [], os.fork
 
     def counted_fork():
         forks.append(os.getpid())
@@ -256,6 +253,13 @@ def count_forks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(verify.os, "fork", counted_fork)
     return forks
+
+
+def wait_for(flag):  # until another process sets flag[0], for at most 5 s
+    end = time.monotonic() + 5.0
+    while not flag[0]:
+        assert time.monotonic() < end, "timed out waiting for another process"
+        time.sleep(0.001)
 
 
 def assert_no_child_left():
@@ -306,8 +310,8 @@ def test_error_computed_in_a_child_names_its_witness(monkeypatch):
 
     gate_invariants = verify._SuiteRunner.gate_invariants
 
-    def slow_gates(self):  # so that a child maps every pool chunk meanwhile
-        time.sleep(0.5)
+    def slow_gates(self):  # so that a child maps state `bad` meanwhile
+        wait_for(where)
         gate_invariants(self)
 
     monkeypatch.setattr(verify.hopf, "reconstruct", planted)
@@ -352,27 +356,25 @@ def test_split_pass_raises_a_failure_here_and_reaps_every_child(monkeypatch, bad
     """A fault in a late or an early pool chunk, whichever process maps it,
     in a group this process runs while the children map the pool, or in a
     chunk this process claims while a child still maps."""
-    seed = 9
+    seed, reconstruct = 9, verify.hopf.reconstruct
     if bad is None:
         def planted(f):  # the product states' factors
             raise Planted("product state")
 
         monkeypatch.setattr(verify, "_bloch", planted)
     elif bad == "claim":
-        parent, reconstruct, slept = os.getpid(), verify.hopf.reconstruct, []
+        parent, claimed = os.getpid(), verify._shared(1)
 
         def planted(ss):
             if os.getpid() == parent:
+                claimed[0] = 1
                 raise Planted("pool state claim")
-            if not slept:  # a child's first call waits, so this process claims a chunk
-                slept.append(True)
-                time.sleep(0.5)
+            wait_for(claimed)  # a child's first call waits, so this process claims a chunk
             return reconstruct(ss)
 
         monkeypatch.setattr(verify.hopf, "reconstruct", planted)
     else:
         alpha = state.random_amplitudes(np.random.default_rng(seed), SPLIT_SAMPLES)[bad, 0]
-        reconstruct = verify.hopf.reconstruct
 
         def planted(ss):
             s = reconstruct(ss)
