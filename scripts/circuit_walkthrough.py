@@ -33,8 +33,7 @@ def show(path):
               f"{'BASE(A) x1,b,x0':>28}  {'chi_A':>7} {'x4_A':>8}  {'d_A':>7} {'d_B':>7}")
     print(header)
     for step in run(circuit):
-        base = step.spheres_a.base
-        ent = step.spheres_a.ent
+        _, base, ent, _ = step.spheres_a
         d_a, d_b = (coherence_d(reduced_density(step.state, q)) for q in "AB")
         coords = f"({base.x1:+.4f},{base.b:+.4f},{base.x0:+.4f})"
         print(f"{step.index:<5}{step.description:<12}{step.concurrence:9.6f}  "

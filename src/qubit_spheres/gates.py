@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .hopf import A_BASE, B_BASE, SphereSet, sphere_set
@@ -231,30 +230,30 @@ class Circuit(NamedTuple):
     initial = "00"
 
 
-class TrajectoryStep:
-    """State after step `index` (0 = initial); derived values are computed on first read."""
+class TrajectoryStep(NamedTuple):
+    """State after step `index` (0 = initial); its sphere sets and concurrence
+    are computed on each read."""
 
-    def __init__(self, index: int, gate: Gate | None, state: TwoQubitState):
-        self.index = index
-        self.gate = gate
-        self.state = state
+    index: int
+    gate: Gate | None
+    state: TwoQubitState
 
     @property
     def description(self) -> str:
         return self.gate.describe() if self.gate is not None else "initial"
 
-    @cached_property
+    @property
     def spheres_a(self) -> SphereSet:
         return sphere_set(self.state, A_BASE)
 
-    @cached_property
+    @property
     def spheres_b(self) -> SphereSet:
         return sphere_set(self.state, B_BASE)
 
     def spheres(self, label: str) -> SphereSet:
         return self.spheres_a if _check_qubit(label) == "A" else self.spheres_b
 
-    @cached_property
+    @property
     def concurrence(self) -> float:
         return concurrence_det(self.state)
 

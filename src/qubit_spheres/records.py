@@ -13,7 +13,7 @@ from functools import cache
 from math import degrees
 from typing import TYPE_CHECKING, NamedTuple
 
-from .hopf import A_BASE, B_BASE, SphereSet, sphere_set
+from .hopf import A_BASE, B_BASE, sphere_set
 from .jsonfmt import LEAF, Document, numbers, template
 from .state import TwoQubitState, _check_qubit, coherence_d, concurrence_det, reduced_density
 
@@ -62,24 +62,23 @@ def _text_template(assignments: tuple[str, ...]) -> str:
                       "coherence d_B: %.9f", ""])
 
 
-def _numbers(s: TwoQubitState, sets: list[SphereSet], concurrence: float) -> list[str]:
-    """The number leaves, in _template's order, of a state, its sphere sets and concurrence."""
+def _numbers(s: TwoQubitState, assignments: tuple[str, ...]) -> list[str]:
+    """The number leaves, in _template's order, of a state under each assignment;
+    its sphere sets, density matrices and concurrence are computed here."""
     values = [p for amp in s for p in (amp.real, amp.imag)]
-    for _, base, ent, fib in sets:
+    for label in assignments:
+        _, base, ent, fib = sphere_set(s, A_BASE if _check_qubit(label) == "A" else B_BASE)
         values += (degrees(base.theta), degrees(base.phi), base.x1, base.b, base.x0,
                    degrees(ent.chi), degrees(ent.xi), ent.c, ent.x2, ent.x3, ent.x4,
                    degrees(fib.theta_f), degrees(fib.phi_f), degrees(fib.zeta_f), *fib.bloch)
     rhos = [reduced_density(s, q) for q in "AB"]
     values += [p for rho in rhos for z in rho for p in (z.real, z.imag)]
-    values += (concurrence, *map(coherence_d, rhos))
+    values += (concurrence_det(s), *map(coherence_d, rhos))
     return numbers(values)
 
 
 def state_record(s: TwoQubitState, assignments: tuple[str, ...] = ("A", "B")) -> Record:
-    sets = [sphere_set(s, A_BASE if _check_qubit(label) == "A" else B_BASE)
-            for label in assignments]
-    leaves = _numbers(s, sets, concurrence_det(s))
-    return Record(assignments, tuple(leaves), _template(False, assignments))
+    return Record(assignments, tuple(_numbers(s, assignments)), _template(False, assignments))
 
 
 def text(record: Record) -> str:
@@ -90,8 +89,7 @@ def text(record: Record) -> str:
 
 def step_record(step: TrajectoryStep, assignments: tuple[str, ...] = ("A", "B")) -> Record:
     gate = json.dumps(None if step.gate is None else step.description)
-    sets = [step.spheres(label) for label in assignments]
-    leaves = (str(step.index), gate, *_numbers(step.state, sets, step.concurrence))
+    leaves = (str(step.index), gate, *_numbers(step.state, assignments))
     return Record(assignments, leaves, _template(True, assignments))
 
 

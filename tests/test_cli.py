@@ -7,6 +7,7 @@ import pytest
 from conftest import C_60_70, CIRCUIT_DIR, GOLDEN_DIR, REPO_ROOT, child_env
 from qubit_spheres import cli, gates, records
 from qubit_spheres.hopf import sphere_set
+from qubit_spheres.state import concurrence_det
 
 ENTANGLER_CIRC = str(CIRCUIT_DIR / "entangle_60_70.circ")
 Y90_CIRC = str(CIRCUIT_DIR / "entangle_60_70_y90.circ")
@@ -209,25 +210,30 @@ def test_verify_loads_numpy_on_demand():
     assert proc.returncode == 0, proc.stderr
 
 
+# (sphere_set calls, concurrence_det calls); a test id names the first.
 @pytest.mark.parametrize("argv,calls", [
-    (["render", "--circuit", Y90_CIRC, "--out", "{tmp}/y90.svg"], 2),
-    (["run", Y90_CIRC], 2),
-    (["run", Y90_CIRC, "--steps"], 2 * 4),   # 3 gates: 4 steps, 2 sets each
-    (["map", "--bell", "phi+", "--assignment", "A"], 1),
-])
+    (["render", "--circuit", Y90_CIRC, "--out", "{tmp}/y90.svg"], (2, 0)),
+    (["run", Y90_CIRC], (2, 1)),
+    (["run", Y90_CIRC, "--steps"], (2 * 4, 4)),   # 3 gates: 4 steps, 2 sets each
+    (["map", "--bell", "phi+", "--assignment", "A"], (1, 1)),
+    (["render", "--bell", "phi+", "--out", "{tmp}/bell.svg"], (2, 0)),
+], ids=lambda v: str(v[0]) if isinstance(v, tuple) else None)
 def test_each_command_maps_only_what_it_prints(tmp_path, capsys, monkeypatch, argv, calls):
-    counted = []
+    counted = {sphere_set: [], concurrence_det: []}
 
-    def counting_sphere_set(s, a):
-        counted.append(a)
-        return sphere_set(s, a)
+    def counting(f):
+        def count(*args):
+            counted[f].append(args)
+            return f(*args)
+        return count
 
-    # Every name the map is looked up by: steps map through gates, map's record through records.
+    # Every name they are looked up by: a step's accessors in gates, a record's in records.
     for module in (gates, records):
-        monkeypatch.setattr(module, "sphere_set", counting_sphere_set)
+        for f in counted:
+            monkeypatch.setattr(module, f.__name__, counting(f))
     code, _, _ = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 0
-    assert len(counted) == calls
+    assert tuple(map(len, counted.values())) == calls
 
 
 # -- golden files -------------------------------------------------------------

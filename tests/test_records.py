@@ -135,11 +135,11 @@ def test_writer_matches_reference_on_every_bell_and_basis_map(capsys, choice):
 # -- the writer's rules -------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_leaf_raises(bad):
+def test_non_finite_leaf_raises(monkeypatch, bad):
     with pytest.raises(ValueError, match="not JSON compliant"):
         jsonfmt.numbers([0.5, bad])
     step = run(parse_circuit("rx A 60\n"))[-1]
-    step.concurrence = bad   # the cached value a record reads
+    monkeypatch.setattr(records, "concurrence_det", lambda s: bad)
     with pytest.raises(ValueError, match="not JSON compliant"):
         jsonfmt.dumps(records.document({}, [records.step_record(step)]))
     with pytest.raises(ValueError):
