@@ -7,7 +7,6 @@ amplitude ordering.  Circuit files carry angles in degrees.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -44,8 +43,8 @@ _FIXED_1Q: dict[str, Matrix2] = {
     "h": ((complex(_H), complex(_H)), (complex(_H), complex(-_H))),
     "s": ((1 + 0j, 0j), (0j, 1j)),
     "sdg": ((1 + 0j, 0j), (0j, -1j)),
-    "t": ((1 + 0j, 0j), (0j, cmath.exp(1j * math.pi / 4))),
-    "tdg": ((1 + 0j, 0j), (0j, cmath.exp(-1j * math.pi / 4))),
+    "t": ((1 + 0j, 0j), (0j, complex(math.cos(math.pi / 4), math.sin(math.pi / 4)))),
+    "tdg": ((1 + 0j, 0j), (0j, complex(math.cos(math.pi / 4), -math.sin(math.pi / 4)))),
 }
 
 
@@ -261,10 +260,10 @@ class TrajectoryStep(NamedTuple):
 def run(c: Circuit) -> list[TrajectoryStep]:
     """Evolve the circuit gate by gate; step 0 is the initial state."""
     s = TwoQubitState.basis(c.initial)
-    steps = [TrajectoryStep(0, None, s)]
+    steps = [tuple.__new__(TrajectoryStep, (0, None, s))]
     for i, g in enumerate(c.gates, start=1):
         s = apply(s, g)
-        steps.append(TrajectoryStep(i, g, s))
+        steps.append(tuple.__new__(TrajectoryStep, (i, g, s)))
     return steps
 
 

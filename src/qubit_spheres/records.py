@@ -8,7 +8,6 @@ fills the text form's template with the same leaves.
 
 from __future__ import annotations
 
-import json
 from functools import cache
 from math import degrees
 from typing import TYPE_CHECKING, NamedTuple
@@ -65,20 +64,24 @@ def _text_template(assignments: tuple[str, ...]) -> str:
 def _numbers(s: TwoQubitState, assignments: tuple[str, ...]) -> list[str]:
     """The number leaves, in _template's order, of a state under each assignment;
     its sphere sets, density matrices and concurrence are computed here."""
-    values = [p for amp in s for p in (amp.real, amp.imag)]
+    a, b, g, d = s
+    values = [a.real, a.imag, b.real, b.imag, g.real, g.imag, d.real, d.imag]
     for label in assignments:
         _, base, ent, fib = sphere_set(s, A_BASE if _check_qubit(label) == "A" else B_BASE)
         values += (degrees(base.theta), degrees(base.phi), base.x1, base.b, base.x0,
                    degrees(ent.chi), degrees(ent.xi), ent.c, ent.x2, ent.x3, ent.x4,
                    degrees(fib.theta_f), degrees(fib.phi_f), degrees(fib.zeta_f), *fib.bloch)
-    rhos = [reduced_density(s, q) for q in "AB"]
-    values += [p for rho in rhos for z in rho for p in (z.real, z.imag)]
-    values += (concurrence_det(s), *map(coherence_d, rhos))
+    rho_a, rho_b = reduced_density(s, "A"), reduced_density(s, "B")
+    (a00, a01, a10, a11), (b00, b01, b10, b11) = rho_a, rho_b
+    values += (a00.real, a00.imag, a01.real, a01.imag, a10.real, a10.imag, a11.real, a11.imag,
+               b00.real, b00.imag, b01.real, b01.imag, b10.real, b10.imag, b11.real, b11.imag,
+               concurrence_det(s), coherence_d(rho_a), coherence_d(rho_b))
     return numbers(values)
 
 
 def state_record(s: TwoQubitState, assignments: tuple[str, ...] = ("A", "B")) -> Record:
-    return Record(assignments, tuple(_numbers(s, assignments)), _template(False, assignments))
+    return tuple.__new__(Record, (assignments, tuple(_numbers(s, assignments)),
+                                  _template(False, assignments)))
 
 
 def text(record: Record) -> str:
@@ -88,9 +91,11 @@ def text(record: Record) -> str:
 
 
 def step_record(step: TrajectoryStep, assignments: tuple[str, ...] = ("A", "B")) -> Record:
-    gate = json.dumps(None if step.gate is None else step.description)
-    leaves = (str(step.index), gate, *_numbers(step.state, assignments))
-    return Record(assignments, leaves, _template(True, assignments))
+    # describe() writes a kind, A/B and %g or repr digits, none of which JSON escapes.
+    index, gate, s = step
+    leaves = (str(index), "null" if gate is None else '"%s"' % gate.describe(),
+              *_numbers(s, assignments))
+    return tuple.__new__(Record, (assignments, leaves, _template(True, assignments)))
 
 
 def document(input_block: dict, records: list[Record]) -> Document:

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from qubit_spheres import cli, gates, jsonfmt, records
+from qubit_spheres import cli, gates, jsonfmt, records, verify
 from qubit_spheres.gates import ROTATION_KINDS, TrajectoryStep, parse_circuit, run
 from qubit_spheres.jsonfmt import sig15
 from qubit_spheres.state import (
@@ -107,8 +107,15 @@ def _random_circuits(seed, count=51):
 @pytest.mark.parametrize("choice", CHOICES)
 def test_writer_matches_reference_on_random_circuits(choice):
     assignments = CHOICES[choice]
-    for text in _random_circuits(seed=8):
-        circuit = parse_circuit(text)
+    # verify's random gates, every kind on each target; describe() writes some
+    # angles by repr, and (scaled by 1e-300) some with an exponent.
+    rng = np.random.default_rng(34)
+    odd = [verify._random_gate(rng) for _ in range(200)]
+    odd += [g._replace(angle=1e-300 * g.angle) for g in odd[:40] if g.angle is not None]
+    back = parse_circuit("\n".join(g.describe() for g in odd)).gates
+    assert {(g.kind, g.target) for g in odd} == {(k, q) for k in gates.GATE_KINDS for q in "AB"}
+    assert back != tuple(odd) and any("e" in g.describe() for g in odd)
+    for circuit in [*map(parse_circuit, _random_circuits(seed=8)), gates.Circuit(tuple(odd))]:
         steps = run(circuit)
         block = {"kind": "circuit", "initial": circuit.initial,
                  "gates": [g.describe() for g in circuit.gates]}
@@ -116,7 +123,7 @@ def test_writer_matches_reference_on_random_circuits(choice):
             block, [records.step_record(st, assignments) for st in steps]))
         want = _reference_dumps(block, [_reference_record(st, assignments, True)
                                         for st in steps])
-        assert got == want, text
+        assert got == want, circuit
 
 
 @pytest.mark.parametrize("choice", CHOICES)
