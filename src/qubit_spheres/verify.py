@@ -7,12 +7,12 @@ batch's states names its worst one as a witness.  Products are elementwise
 (gates._matmul) and complex ones real (gates._product), so the report
 depends on neither evaluation order, BLAS kernel nor SIMD level.
 
-A batch is mapped in CHUNKS chunks, claimed from a pipe by this process and
-a forked child per CPU but one (_processes).  A process computes its pool
-chunks' errors (_pool_errors, per row) about FLUSH_STATES states at a time
-and keeps each chunk's largest per entry.  Only those, and the rows later
-groups read, reach shared memory: the report is byte-identical to a
-one-process pass.  Meanwhile this process runs all that reads no pool row.
+A batch of m states is mapped in ceil(m / CHUNK_STATES) chunks, at most 256,
+claimed from a pipe by this process and a forked child per CPU but one
+(_processes: none under MIN_SHARE states, none from CPython 3.12 on).  Each
+pool chunk is reduced where it is mapped, to its largest error per entry
+(_pool_errors).  Only those, and the rows later groups read, reach shared
+memory: the report is byte-identical to a one-process pass.
 """
 
 from __future__ import annotations
@@ -40,13 +40,10 @@ _BASE_QUBITS = tuple(a.base_qubit for a in _ASSIGNMENTS)
 # The fewest pool states worth a forked process: a fork, its page faults and
 # the reaping cost a few ms, and 1000 states map in about 0.08 s.
 MIN_SHARE = 1000
-# Chunks a batch is claimed in, each as one byte from a pipe: at most 256, so
-# that the pipe holds them all.  More chunks even out the processes' ends.
-CHUNKS = 128
-# Pool states whose errors one _pool_errors call computes.  A call costs about
-# 0.3 ms of numpy overhead at any size: 10^4 states take about 22, not 128.
-# Peak RSS rose 0.2 MB at 400 and 3.1 MB at 1250 over one call per chunk.
-FLUSH_STATES = 400
+# States per chunk, whose pool errors one _pool_errors call computes: a call
+# costs about 0.3 ms of numpy overhead at any size.  A batch is claimed in at
+# most 256 chunks, each one byte from a pipe, so that the pipe holds them all.
+CHUNK_STATES = 400
 SUBSET = 1000  # states in the moved and product batches; the moved are the pool's first
 
 # Columns of a sphere-set row (_mapping): base, entanglement, fiber Bloch point.
@@ -168,10 +165,13 @@ class _Batch(NamedTuple):
     at: np.ndarray | None = None       # and its first's flat (state, assignment) index
 
 
-def _pool_errors(amps, conc, sp, stats, rec, rho, trig) -> np.ndarray:
+def _pool_errors(amps, conc, real, cplx) -> np.ndarray:
     """Errors (n, 2, len(POOL_ENTRIES)) of pool states amps (n, 4) under A_BASE, then
-    B_BASE, from concurrence_det conc and the planes (k, n, 2) of _mapping's values.
-    Each is elementwise per row, as the oracles are: any rows' have the pool's bits."""
+    B_BASE, from concurrence_det conc and _mapping's values real (n, 2, 30) and cplx
+    (n, 2, 8).  Each is elementwise per row, as the oracles are: any rows' have the
+    pool's bits."""
+    sp, stats, trig = np.split(real.transpose(2, 0, 1).copy(), [17, 22])
+    rec, rho = np.split(cplx.transpose(2, 0, 1).copy(), [4])
     c, c_ref = conc[:, None], oracles.concurrence(amps)[:, None]
     c_rho, d, rx, ry, rz = stats
     sin_th, sin_ph, sin_chi, sin_xi, cos_th, cos_ph, cos_chi, cos_xi = trig
@@ -233,16 +233,19 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
     a `full` one (the pool) all of _Batch's arrays.  Yields the batch while
     the children map it; its arrays are filled once the block ends."""
     m, width = ks.shape
-    kept, per_entry = min(m, SUBSET) if full else m, (CHUNKS, len(POOL_ENTRIES))
+    chunks = min(256, -(-m // CHUNK_STATES))  # so that none is empty
+    kept, per_entry = min(m, SUBSET) if full else m, (chunks, len(POOL_ENTRIES))
     b = _Batch(amps, ks, _shared(kept, width, 17), *((
         _shared(kept), _shared(*per_entry), _shared(*per_entry, dtype=np.int64)) if full else ()))
-    done = _shared(CHUNKS, dtype=np.uint8)
-    edges = [m * c // CHUNKS for c in range(CHUNKS + 1)]  # chunk c is [edges[c], edges[c + 1])
-    held = []  # pool chunks mapped here and not yet reduced, with their values
+    done = _shared(chunks, dtype=np.uint8)
+    edges = [m * c // chunks for c in range(chunks + 1)]  # chunk c is [edges[c], edges[c + 1])
 
     def map_chunk(c: int):
         lo, hi = edges[c], edges[c + 1]
-        spheres, conc, stats, recs, rhos, trig = [], [], [], [], [], []
+        # Per state and assignment, real gets the 17 sphere columns, then for
+        # the pool the 5 rho statistics and 8 libm sines and cosines; cplx gets
+        # the reconstruct and rho_from_spheres outputs.
+        conc, real, cplx = [], [], []
         sin, cos = math.sin, math.cos
         for v, ks_i in zip(amps[lo:hi].tolist(), ks[lo:hi].tolist()):
             s = TwoQubitState(*v)
@@ -252,51 +255,33 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
                 ss = hopf.sphere_set(s, _ASSIGNMENTS[k])
                 base, ent = ss.base, ss.ent
                 chi, xi = ent.chi, ent.xi
-                spheres += (*base, chi, xi, *ent.t, ent.c, ent.x2, ent.x3, ent.x4,
-                            *ss.fiber.bloch)
+                real += (*base, chi, xi, *ent.t, ent.c, ent.x2, ent.x3, ent.x4, *ss.fiber.bloch)
                 if full:  # the state functions take the assignment's base qubit
                     rho = state.reduced_density(s, _BASE_QUBITS[k])
-                    stats += (state.concurrence_from_rho(rho), state.coherence_d(rho),
-                              *state.bloch_vector(rho))
-                    recs += hopf.reconstruct(ss)
-                    rhos += hopf.rho_from_spheres(ss)
-                    # Sine, then cosine, of theta, phi, chi and xi, by libm.
                     theta, phi = base.theta, base.phi
-                    trig += (sin(theta), sin(phi), sin(chi), sin(xi),
+                    real += (state.concurrence_from_rho(rho), state.coherence_d(rho),
+                             *state.bloch_vector(rho),
+                             sin(theta), sin(phi), sin(chi), sin(xi),
                              cos(theta), cos(phi), cos(chi), cos(xi))
+                    cplx += (*hopf.reconstruct(ss), *hopf.rho_from_spheres(ss))
         # One slice assignment per array: a numpy row write costs about 1.4 us.
-        rows = np.array(spheres, float).reshape(hi - lo, width, 17)
-        b.spheres[lo:hi] = rows[:max(kept - lo, 0)]
-        if not (full and hi > lo):
-            done[c] = 1
-            return
-        b.conc[lo:hi] = conc[:max(kept - lo, 0)]
-        held.append((c, amps[lo:hi], np.array(conc), rows, *(
-            np.array(v, t).reshape(hi - lo, width, k) for v, t, k in
-            ((stats, float, 5), (recs, complex, 4), (rhos, complex, 4), (trig, float, 8)))))
-        if sum(len(h[1]) for h in held) >= FLUSH_STATES:
-            flush()
-
-    def flush():  # the held chunks' errors in one call; a chunk is done once reduced
-        if not held:
-            return
-        cs, *values = zip(*held)
-        a, conc, *planes = (np.concatenate(v) for v in values)
-        err = _pool_errors(a, conc, *(p.transpose(2, 0, 1).copy() for p in planes))
-        ends = width * np.cumsum([len(v) for v in values[0]])  # each chunk's rows of err
-        for c, e in zip(cs, np.split(err.reshape(-1, len(POOL_ENTRIES)), ends[:-1])):
-            b.top[c], b.at[c] = e.max(axis=0), e.argmax(axis=0) + edges[c] * width
-        done[list(cs)] = 1
-        held.clear()
+        rows = np.array(real, float).reshape(hi - lo, width, -1)
+        b.spheres[lo:hi] = rows[:max(kept - lo, 0), :, :17]
+        if full:
+            b.conc[lo:hi] = conc[:max(kept - lo, 0)]
+            err = _pool_errors(amps[lo:hi], np.array(conc), rows,
+                               np.array(cplx, complex).reshape(hi - lo, width, 8))
+            err = err.reshape(-1, len(POOL_ENTRIES))
+            b.top[c], b.at[c] = err.max(axis=0), err.argmax(axis=0) + lo * width
+        done[c] = 1
 
     r, w = os.pipe()
-    os.write(w, bytes(range(CHUNKS)))
+    os.write(w, bytes(range(chunks)))
     os.close(w)
 
-    def claim():  # until the pipe is empty, then the chunks still held
+    def claim():  # until the pipe is empty
         while c := os.read(r, 1):
             map_chunk(c[0])
-        flush()
 
     children = []
     try:
@@ -322,7 +307,6 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
     # A chunk claimed by a child that failed: mapped here, which raises its error.
     for c in np.flatnonzero(done == 0).tolist():
         map_chunk(c)
-    flush()
 
 
 def _map(amps: np.ndarray, ks: np.ndarray, full: bool = False) -> _Batch:
@@ -373,7 +357,7 @@ class _SuiteRunner:
                                             worst, threshold, worst <= threshold, witness))
 
     def pool_checks(self, *names: str, samples: int | None = None):
-        """Record pool entries from the chunks' reductions : an empty chunk's 0.0 tops no error."""
+        """Record pool entries from the chunks' reductions."""
         pool = self.pool
         for name in names:
             j = list(POOL_ENTRIES).index(name)

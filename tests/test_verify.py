@@ -332,10 +332,20 @@ def test_error_computed_in_a_child_names_its_witness(monkeypatch):
 
 def test_pool_batch_keeps_no_pool_sized_array(monkeypatch):
     allow_cpus(monkeypatch, 2)
-    amps = state.random_amplitudes(np.random.default_rng(9), SPLIT_SAMPLES)
-    pool = verify._map(amps, np.tile([0, 1], (SPLIT_SAMPLES, 1)), full=True)
-    assert max(len(x) for x in pool[2:]) <= 1000  # every array but the amps and ks given
-    assert pool.top.shape == pool.at.shape == (verify.CHUNKS, len(verify.POOL_ENTRIES))
+    # ceil(states / CHUNK_STATES) chunks, at most 256: one byte each in the pipe.
+    for samples, chunk_states, chunks in ((SPLIT_SAMPLES, 400, 6), (300, 1, 256)):
+        amps = state.random_amplitudes(np.random.default_rng(9), samples)
+        ks = np.tile([0, 1], (samples, 1))
+        monkeypatch.setattr(verify, "CHUNK_STATES", chunk_states)
+        pool = verify._map(amps, ks, full=True)
+        assert max(len(x) for x in pool[2:]) <= 1000  # every array but the amps and ks given
+        assert pool.top.shape == pool.at.shape == (chunks, len(verify.POOL_ENTRIES))
+        # Each entry's largest error, and its first chunk's index of it, are one chunk's.
+        monkeypatch.setattr(verify, "CHUNK_STATES", samples)
+        whole = verify._map(amps, ks, full=True)
+        first = pool.top.argmax(axis=0)
+        assert pool.top.max(axis=0).tolist() == whole.top[0].tolist()
+        assert pool.at[first, np.arange(len(first))].tolist() == whole.at[0].tolist()
 
 
 def test_pass_stays_in_one_process_from_python_3_12(monkeypatch):
