@@ -13,7 +13,7 @@ _MODULES = {
     "hopf": ("Assignment", "BaseSphere", "EntanglementSphere", "FiberSphere", "SphereSet",
              "reconstruct", "rho_from_spheres", "sphere_set"),
     "state": ("DensityMatrix", "TwoQubitState", "bloch_vector", "coherence_d",
-              "concurrence_det", "concurrence_from_rho", "random_state", "reduced_density"),
+              "concurrence_det", "random_state", "reduced_density"),
     "verify": ("VerificationReport", "run_suite"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}

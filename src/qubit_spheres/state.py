@@ -12,9 +12,6 @@ if TYPE_CHECKING:
 # hopf.reconstruct holds to VALID_TOL = 1e-9: 4*NORM_TOL must stay below it.
 NORM_TOL = 2e-10
 ZERO_NORM_TOL = 1e-12
-# Tr rho^2 scales by |psi|^4 too: a product state's radicand 2*(1 - Tr rho^2)
-# reaches -8*NORM_TOL, so RADICAND_TOL must be at least 8*NORM_TOL.
-RADICAND_TOL = 2e-9
 
 BELL_NAMES = ("phi+", "phi-", "psi+", "psi-")
 BASIS_NAMES = ("00", "01", "10", "11")
@@ -26,10 +23,6 @@ class NotNormalizable(ValueError):
 
 class NormOutOfTolerance(ValueError):
     """Construction with a norm farther than NORM_TOL from 1 (or not finite)."""
-
-
-class NegativeRadicand(ValueError):
-    """Square-root argument below -RADICAND_TOL; the density matrix is invalid."""
 
 
 # The class form of NamedTuple forbids overriding __new__, hence the
@@ -140,20 +133,6 @@ def reduced_density(s: TwoQubitState, which: str) -> DensityMatrix:
 def concurrence_det(s: TwoQubitState) -> float:
     """Concurrence of a pure state: 2|alpha*delta - beta*gamma|."""
     return 2.0 * abs(s.alpha * s.delta - s.beta * s.gamma)
-
-
-def concurrence_from_rho(rho: DensityMatrix) -> float:
-    """Concurrence from a reduced density matrix: sqrt(2*(1 - Tr rho^2)).
-
-    Ill-conditioned near c = 0 whatever the formula: the floats of rho fix
-    c^2 only to about one rounding unit, so c only to about its square root.
-    """
-    r00, r01, _, r11 = rho
-    # Tr rho^2, real for a Hermitian matrix.
-    radicand = 2.0 * (1.0 - (abs(r00) ** 2 + abs(r11) ** 2 + 2 * abs(r01) ** 2))
-    if radicand < -RADICAND_TOL:
-        raise NegativeRadicand(f"radicand {radicand!r} below -{RADICAND_TOL}")
-    return math.sqrt(max(radicand, 0.0))
 
 
 def coherence_d(rho: DensityMatrix) -> float:

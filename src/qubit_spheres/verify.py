@@ -145,7 +145,7 @@ def _shared(*shape: int, dtype=float) -> np.ndarray:
 # The pool entries and their thresholds, in report order: column j of
 # _Batch.top and _Batch.at is entry j's.
 POOL_ENTRIES = {
-    "concurrence_triple_agreement": 1e-10, "coherence_complementarity": 1e-12,
+    "reduced_density_vs_partial_trace": 1e-12, "coherence_complementarity": 1e-12,
     "bloch_vector_norm": 1e-10, "round_trip_reconstruction": 1e-10, "unit_s4_norm": 1e-12,
     "b_squared_decomposition": 1e-12, "concurrence_consistency": 1e-10,
     "chi_northern_hemisphere": 1e-12, "sphere_angle_consistency": 1e-12,
@@ -167,13 +167,13 @@ class _Batch(NamedTuple):
 
 def _pool_errors(amps, conc, real, cplx) -> np.ndarray:
     """Errors (n, 2, len(POOL_ENTRIES)) of pool states amps (n, 4) under A_BASE, then
-    B_BASE, from concurrence_det conc and _mapping's values real (n, 2, 30) and cplx
-    (n, 2, 8).  Each is elementwise per row, as the oracles are: any rows' have the
+    B_BASE, from concurrence_det conc and _mapping's values real (n, 2, 29) and cplx
+    (n, 2, 12).  Each is elementwise per row, as the oracles are: any rows' have the
     pool's bits."""
-    sp, stats, trig = np.split(real.transpose(2, 0, 1).copy(), [17, 22])
-    rec, rho = np.split(cplx.transpose(2, 0, 1).copy(), [4])
+    sp, stats, trig = np.split(real.transpose(2, 0, 1).copy(), [17, 21])
+    rec, rho, rd = np.split(cplx.transpose(2, 0, 1).copy(), [4, 8])
     c, c_ref = conc[:, None], oracles.concurrence(amps)[:, None]
-    c_rho, d, rx, ry, rz = stats
+    d, rx, ry, rz = stats
     sin_th, sin_ph, sin_chi, sin_xi, cos_th, cos_ph, cos_chi, cos_xi = trig
     x1, b, x0, chi, tx, ty, tz, cc, x2, x3, x4 = sp[[X1, B, X0, CHI, TX, TY, TZ, C, X2, X3, X4]]
     # x ** 2 as Python's float power (libm pow) rounds it: x * x differs
@@ -202,7 +202,7 @@ def _pool_errors(amps, conc, real, cplx) -> np.ndarray:
     n2 = (f.real * f.real + f.imag * f.imag).sum(axis=2)
     cond = _bloch(f) / np.where(n2 > 0, n2, 1.0)
     return np.array([
-        np.abs(c_rho - c), np.abs(d * d + c * c - 1.0),
+        np.abs(rd - ref).max(axis=0), np.abs(d * d + c * c - 1.0),
         np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)),
         np.hypot(diff.real, diff.imag).max(axis=0),
         np.abs(sq0 + sq1 + sq2 + sq3 + sq4 - 1.0), np.abs(sq_b - sq4 - sq_c),
@@ -243,8 +243,8 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
     def map_chunk(c: int):
         lo, hi = edges[c], edges[c + 1]
         # Per state and assignment, real gets the 17 sphere columns, then for
-        # the pool the 5 rho statistics and 8 libm sines and cosines; cplx gets
-        # the reconstruct and rho_from_spheres outputs.
+        # the pool the 4 rho statistics and 8 libm sines and cosines; cplx gets
+        # the reconstruct, rho_from_spheres and reduced_density outputs.
         conc, real, cplx = [], [], []
         sin, cos = math.sin, math.cos
         for v, ks_i in zip(amps[lo:hi].tolist(), ks[lo:hi].tolist()):
@@ -259,18 +259,17 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
                 if full:  # the state functions take the assignment's base qubit
                     rho = state.reduced_density(s, _BASE_QUBITS[k])
                     theta, phi = base.theta, base.phi
-                    real += (state.concurrence_from_rho(rho), state.coherence_d(rho),
-                             *state.bloch_vector(rho),
+                    real += (state.coherence_d(rho), *state.bloch_vector(rho),
                              sin(theta), sin(phi), sin(chi), sin(xi),
                              cos(theta), cos(phi), cos(chi), cos(xi))
-                    cplx += (*hopf.reconstruct(ss), *hopf.rho_from_spheres(ss))
+                    cplx += (*hopf.reconstruct(ss), *hopf.rho_from_spheres(ss), *rho)
         # One slice assignment per array: a numpy row write costs about 1.4 us.
         rows = np.array(real, float).reshape(hi - lo, width, -1)
         b.spheres[lo:hi] = rows[:max(kept - lo, 0), :, :17]
         if full:
             b.conc[lo:hi] = conc[:max(kept - lo, 0)]
             err = _pool_errors(amps[lo:hi], np.array(conc), rows,
-                               np.array(cplx, complex).reshape(hi - lo, width, 8))
+                               np.array(cplx, complex).reshape(hi - lo, width, 12))
             err = err.reshape(-1, len(POOL_ENTRIES))
             b.top[c], b.at[c] = err.max(axis=0), err.argmax(axis=0) + lo * width
         done[c] = 1
@@ -373,7 +372,7 @@ class _SuiteRunner:
         c2 = np.array([state.concurrence_det(TwoQubitState(*v)) for v in moved.amps.tolist()])
         yield
         # Both qubits of each state, counted as one sample.
-        self.pool_checks("concurrence_triple_agreement", "coherence_complementarity",
+        self.pool_checks("reduced_density_vs_partial_trace", "coherence_complementarity",
                          "bloch_vector_norm", samples=self.samples)
         self.check("local_unitary_concurrence_invariance", 1e-10,
                    np.abs(c2 - self.pool.conc[:n]), moved)

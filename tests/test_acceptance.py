@@ -7,12 +7,14 @@ lines on stdout.  ``test_invariant_suite`` runs every ``verify`` invariant
 oracles, independent of the sphere-map code path.
 """
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import DEG, GOLDEN_DIR, POOL_SEED, X4_60_70, random_product_state
+from conftest import DEG, GOLDEN_DIR, POOL_SEED, REPO_ROOT, X4_60_70, random_product_state
 from qubit_spheres.gates import Circuit, Gate, bloch_rotation, rotation, run
 from qubit_spheres.hopf import Assignment, sphere_set
 from qubit_spheres.jsonfmt import dumps
@@ -56,6 +58,15 @@ def test_invariant_suite():
     second = run_suite(POOL_SEED, DEFAULT_SAMPLES)
     failed = [r.name for r in second.results if not r.passed]
     assert not failed, f"invariants failed on seed {POOL_SEED}: {', '.join(failed)}"
+
+
+def test_readme_invariant_table_is_the_report():
+    # Its names, order and thresholds; "1 (normalized)" reads as 1.
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| .* \| ([^|]+) \|$", readme, re.M)
+    golden = json.loads((GOLDEN_DIR / "verify_seed42.json").read_text(encoding="utf-8"))
+    assert [(name, float(t.split()[0])) for name, t in rows] == [
+        (e["name"], e["threshold"]) for e in golden["invariants"]]
 
 
 def test_criterion_2_entangled_state_reproduction():

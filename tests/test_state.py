@@ -10,13 +10,11 @@ from conftest import BRANCH_POINTS, SPELLED_STATES, near_degenerate_sweep
 from qubit_spheres.hopf import Assignment, rho_from_spheres, sphere_set
 from qubit_spheres.state import (
     DensityMatrix,
-    NegativeRadicand,
     NormOutOfTolerance,
     NotNormalizable,
     TwoQubitState,
     coherence_d,
     concurrence_det,
-    concurrence_from_rho,
     random_state,
     reduced_density,
 )
@@ -37,11 +35,6 @@ def test_constructor_enforces_norm():
         TwoQubitState(1 + 0j, 1 + 0j, 0j, 0j)
     with pytest.raises(NormOutOfTolerance):
         TwoQubitState(complex(math.nan), 0j, 0j, 0j)
-
-
-def test_concurrence_from_rho_rejects_bad_matrix():
-    with pytest.raises(NegativeRadicand):
-        concurrence_from_rho(DensityMatrix(1.5 + 0j, 0j, 0j, -0.5 + 0j))
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10])
@@ -85,14 +78,7 @@ def test_concurrence_agreement_any_state(a, b, g, d):
     s = TwoQubitState.from_amplitudes(*vec)
     c = concurrence_det(s)
     for which in ("A", "B"):
-        rho = reduced_density(s, which)
-        # sqrt amplifies ~1e-15 radicand noise to ~1e-15/c near c = 0, so the
-        # tight agreement bound only applies away from the separable edge.
-        if c > 1e-3:
-            assert concurrence_from_rho(rho) == pytest.approx(c, abs=1e-10)
-        else:
-            assert concurrence_from_rho(rho) == pytest.approx(c, abs=1e-7)
-        d_val = coherence_d(rho)
+        d_val = coherence_d(reduced_density(s, which))
         assert d_val * d_val + c * c == pytest.approx(1.0, abs=1e-12)
 
 
@@ -116,14 +102,9 @@ def ref_rho_from_spheres(ss):
                          complex(rx / 2.0, ry / 2.0), complex((1.0 - rz) / 2.0, 0.0))
 
 
-def ref_scalars(rho):
-    """coherence_d = hypot(rho00 - rho11, 2|rho01|), the Bloch vector's
-    length, and concurrence_from_rho = sqrt(2 (1 - Tr rho^2)), its radicand
-    clamped at 0, where Tr rho^2 = |rho00|^2 + |rho11|^2 + 2|rho01|^2 for a
-    Hermitian rho."""
-    p = abs(rho.rho00) ** 2 + abs(rho.rho11) ** 2 + 2 * abs(rho.rho01) ** 2
-    d = math.hypot((rho.rho00 - rho.rho11).real, 2.0 * abs(rho.rho01))
-    return d, math.sqrt(max(2.0 * (1.0 - p), 0.0))
+def ref_coherence(rho):
+    """coherence_d = hypot(rho00 - rho11, 2|rho01|), the Bloch vector's length."""
+    return math.hypot((rho.rho00 - rho.rho11).real, 2.0 * abs(rho.rho01))
 
 
 def test_density_maps_match_reference(state_pool):
@@ -133,7 +114,6 @@ def test_density_maps_match_reference(state_pool):
             ss = sphere_set(s, a)
             rho, rho_s = reduced_density(s, a.base_qubit), rho_from_spheres(ss)
             want, want_s = ref_reduced_density(s, a.base_qubit), ref_rho_from_spheres(ss)
-            got = (rho, rho_s, *(f(r) for r in (rho, rho_s)
-                                 for f in (coherence_d, concurrence_from_rho)))
+            got = (rho, rho_s, coherence_d(rho), coherence_d(rho_s))
             assert repr(got) == repr(
-                (want, want_s, *ref_scalars(want), *ref_scalars(want_s))), (s, a)
+                (want, want_s, ref_coherence(want), ref_coherence(want_s))), (s, a)

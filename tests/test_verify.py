@@ -116,35 +116,40 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
             batches.append(amps)
         return map_batch(amps, ks, full)
 
-    # Per case: the hopf function and the call of it that is perturbed (that
+    # Per case: the module and function, the call of it that is perturbed (that
     # of state `bad` of the pool or of a recorded batch, under the witness's
     # assignment) and how, and the entry that fails.
     cases = [
-        ("reconstruct", None,
+        (verify.hopf, "reconstruct", None,
          lambda out: TwoQubitState.from_amplitudes(out.alpha + 1e-6, *out[1:]),
          "round_trip_reconstruction", "B"),
         # A NaN error, whose max_error is written as null.
-        ("rho_from_spheres", None, lambda out: out._replace(rho00=complex(math.nan)),
+        (verify.hopf, "rho_from_spheres", None, lambda out: out._replace(rho00=complex(math.nan)),
          "rho_from_spheres_vs_partial_trace", "B"),
-        ("sphere_set", 0, bent_fiber, "fiber_unitary_bloch_rotation", "B"),
-        ("sphere_set", 2, bent_fiber, "separable_fiber_is_bloch", "A"),
+        # A trace error, which leaves d and the Bloch vector as they are.
+        (verify.state, "reduced_density", None,
+         lambda out: out._replace(rho00=out.rho00 + 2e-12, rho11=out.rho11 + 2e-12),
+         "reduced_density_vs_partial_trace", "A"),
+        (verify.hopf, "sphere_set", 0, bent_fiber, "fiber_unitary_bloch_rotation", "B"),
+        (verify.hopf, "sphere_set", 2, bent_fiber, "separable_fiber_is_bloch", "A"),
     ]
-    for plant, batch, perturb, name, assignment in cases:
-        original = getattr(verify.hopf, plant)
+    for module, plant, batch, perturb, name, assignment in cases:
+        original = getattr(module, plant)
         a = verify.Assignment(assignment)
-        target = verify.hopf.sphere_set(pool_state, a)
+        target = ((pool_state, assignment) if plant == "reduced_density"
+                  else (verify.hopf.sphere_set(pool_state, a),))
         batches.clear()
 
         def perturbed(*args):
             out = original(*args)
-            if plant != "sphere_set":  # reconstruct and rho_from_spheres take the set
-                hit = args[0] == target
+            if plant != "sphere_set":  # reduced_density takes the state, the others the set
+                hit = args == target
             else:
                 hit = len(batches) > batch and args == (tuple(batches[batch][bad].tolist()), a)
             return perturb(out) if hit else out
 
         monkeypatch.setattr(verify, "_map", recorded_map)
-        monkeypatch.setattr(verify.hopf, plant, perturbed)
+        monkeypatch.setattr(module, plant, perturbed)
         assert cli.main(["verify", "--seed", str(seed), "--samples", str(n)]) == 1
         entries = json.loads(capsys.readouterr().out)["invariants"]
         monkeypatch.undo()
