@@ -154,7 +154,7 @@ def sphere_set(s: TwoQubitState, a: Assignment) -> SphereSet:
 
     # atan2 rather than acos: acos loses half its digits near the poles.
     theta = math.atan2(math.hypot(x1, b), x0)
-    # Not from theta, which rounds to a pole while (x1, b) is still nonzero.
+    # theta may round to a pole while (x1, b) still fixes the angle the fiber needs.
     phi = 0.0 if (x1 == 0.0 and b == 0.0) else math.atan2(b, x1)
 
     half = 0.5 * theta
