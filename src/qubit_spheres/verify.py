@@ -11,8 +11,8 @@ A batch of m states is mapped in ceil(m / CHUNK_STATES) chunks, at most 256,
 claimed from a pipe by this process and a forked child per CPU but one
 (_processes: none under MIN_SHARE states, none from CPython 3.12 on).  Each
 pool chunk is reduced where it is mapped, to its largest error per entry
-(_pool_errors).  Only those, and the rows later groups read, reach shared
-memory: the report is byte-identical to a one-process pass.
+(_pool_errors).  Only those reach shared memory from the pool: the report
+is byte-identical to a one-process pass.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ MIN_SHARE = 1000
 # costs about 0.3 ms of numpy overhead at any size.  A batch is claimed in at
 # most 256 chunks, each one byte from a pipe, so that the pipe holds them all.
 CHUNK_STATES = 400
-SUBSET = 1000  # states in the moved and product batches; the moved are the pool's first
+SUBSET = 1000  # states in each smaller batch: the pool's first, moved or not, or products
 
 # Columns of a sphere-set row (_mapping): base, entanglement, fiber Bloch point.
 THETA, PHI, X1, B, X0, CHI, XI, TX, TY, TZ, C, X2, X3, X4 = range(14)
@@ -142,26 +142,43 @@ def _shared(*shape: int, dtype=float) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, math.prod(shape) * dtype.itemsize), dtype).reshape(shape)
 
 
-# The pool entries and their thresholds, in report order: column j of
-# _Batch.top and _Batch.at is entry j's.
-POOL_ENTRIES = {
+# Every entry of the report and its threshold, in report order.
+ENTRIES = {
     "reduced_density_vs_partial_trace": 1e-12, "coherence_complementarity": 1e-12,
-    "bloch_vector_norm": 1e-10, "round_trip_reconstruction": 1e-10, "unit_s4_norm": 1e-12,
+    "bloch_vector_norm": 1e-10, "local_unitary_concurrence_invariance": 1e-10,
+    "round_trip_reconstruction": 1e-10, "unit_s4_norm": 1e-12,
     "b_squared_decomposition": 1e-12, "concurrence_consistency": 1e-10,
     "chi_northern_hemisphere": 1e-12, "sphere_angle_consistency": 1e-12,
     "bloch_vector_is_base_point": 1e-12, "coherence_is_base_bloch_length": 1e-15,
+    "fiber_unitary_base_locality": 1e-12, "fiber_unitary_bloch_rotation": 1e-9,
+    "base_yrotation_fixes_entanglement": 1e-12, "base_yrotation_plane_rotation": 1e-10,
+    "separable_concurrence_zero": 1e-10, "separable_chi_or_b_zero": 1.0,
+    "separable_base_is_bloch": 1e-12, "separable_fiber_is_bloch": 1e-12,
     "rho_from_spheres_vs_partial_trace": 1e-12, "outer_product_structure": 1e-12,
-    "fiber_is_conditional_state": 1e-12}
+    "fiber_is_conditional_state": 1e-12, "expanded_gate_unitarity": 1e-12,
+    "rotation_identities": 1e-12, "entangler_concurrence_law": 1e-9,
+    "entangler_superposition_degree": 1e-12, "trajectory_concurrence_match": 1e-10,
+    "gate_apply_matches_kron": 1e-12}
+
+# The pool entries, in report order: column j of _Batch.top and _Batch.at is
+# entry j's.  Those of the reduced densities count a state once: both of its
+# qubits are one sample.
+_PER_STATE = ("reduced_density_vs_partial_trace", "coherence_complementarity", "bloch_vector_norm")
+POOL_ENTRIES = _PER_STATE + (
+    "round_trip_reconstruction", "unit_s4_norm", "b_squared_decomposition",
+    "concurrence_consistency", "chi_northern_hemisphere", "sphere_angle_consistency",
+    "bloch_vector_is_base_point", "coherence_is_base_bloch_length",
+    "rho_from_spheres_vs_partial_trace", "outer_product_structure", "fiber_is_conditional_state")
 
 
 class _Batch(NamedTuple):
-    """States amps (m, 4) and _mapping's rows: row [i, j] is state i under the
-    assignment _ASSIGNMENTS[ks[i, j]].  Only the pool has those after `spheres`."""
+    """States amps (m, 4), which _mapping maps, state i under each assignment
+    _ASSIGNMENTS[ks[i, j]].  The pool keeps only `top` and `at`, any other
+    batch only `spheres`."""
     amps: np.ndarray
     ks: np.ndarray | None = None
-    spheres: np.ndarray | None = None  # sphere_set (columns THETA...); the pool's first SUBSET
-    conc: np.ndarray | None = None     # concurrence_det, one per state of those
-    top: np.ndarray | None = None      # per chunk and entry, the largest error
+    spheres: np.ndarray | None = None  # row [i, j]: sphere_set, columns THETA...
+    top: np.ndarray | None = None      # per chunk and pool entry, the largest error
     at: np.ndarray | None = None       # and its first's flat (state, assignment) index
 
 
@@ -229,14 +246,14 @@ def _pool_errors(amps, conc, real, cplx) -> np.ndarray:
 @contextlib.contextmanager
 def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
     """The one map: states amps (m, 4) through the CLI's scalar kernel, state
-    i under each assignment index in ks[i].  Every batch gets its sphere rows;
-    a `full` one (the pool) all of _Batch's arrays.  Yields the batch while
-    the children map it; its arrays are filled once the block ends."""
+    i under each assignment index in ks[i].  A batch gets its sphere rows, a
+    `full` one (the pool) only each chunk's largest pool errors.  Yields the
+    batch while the children map it; its arrays are filled once the block ends."""
     m, width = ks.shape
     chunks = min(256, -(-m // CHUNK_STATES))  # so that none is empty
-    kept, per_entry = min(m, SUBSET) if full else m, (chunks, len(POOL_ENTRIES))
-    b = _Batch(amps, ks, _shared(kept, width, 17), *((
-        _shared(kept), _shared(*per_entry), _shared(*per_entry, dtype=np.int64)) if full else ()))
+    per_entry = chunks, len(POOL_ENTRIES)
+    b = (_Batch(amps, ks, top=_shared(*per_entry), at=_shared(*per_entry, dtype=np.int64))
+         if full else _Batch(amps, ks, _shared(m, width, 17)))
     done = _shared(chunks, dtype=np.uint8)
     edges = [m * c // chunks for c in range(chunks + 1)]  # chunk c is [edges[c], edges[c + 1])
 
@@ -265,13 +282,13 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
                     cplx += (*hopf.reconstruct(ss), *hopf.rho_from_spheres(ss), *rho)
         # One slice assignment per array: a numpy row write costs about 1.4 us.
         rows = np.array(real, float).reshape(hi - lo, width, -1)
-        b.spheres[lo:hi] = rows[:max(kept - lo, 0), :, :17]
         if full:
-            b.conc[lo:hi] = conc[:max(kept - lo, 0)]
             err = _pool_errors(amps[lo:hi], np.array(conc), rows,
                                np.array(cplx, complex).reshape(hi - lo, width, 12))
             err = err.reshape(-1, len(POOL_ENTRIES))
             b.top[c], b.at[c] = err.max(axis=0), err.argmax(axis=0) + lo * width
+        else:
+            b.spheres[lo:hi] = rows
         done[c] = 1
 
     r, w = os.pipe()
@@ -337,11 +354,12 @@ class _SuiteRunner:
                          for _ in range(min(self.samples, 200))]
         self.applied_gates = [_random_gate(rng) for _ in range(min(self.samples, 500))]
 
-    def check(self, name: str, threshold: float, err: np.ndarray, batch: _Batch | None = None,
+    def check(self, name: str, err: np.ndarray, batch: _Batch | None = None,
               samples: int | None = None, at: np.ndarray | None = None):
-        """Record an entry from its errors: err[i] of sample i, err[i, j] of batch state
-        i under ks[i, j], or chunk c's largest, first at flat index at[c] of ks.  A
-        failing entry whose samples are `batch`'s states names its worst.  NaN fails."""
+        """Record entry `name` from its errors: err[i] of sample i, err[i, j] of batch
+        state i under ks[i, j], or chunk c's largest, first at flat index at[c] of ks.
+        A failing entry whose samples are `batch`'s states names its worst.  NaN fails."""
+        threshold = ENTRIES[name]
         worst = max(float(err.max()), 0.0)
         witness = None
         if batch is not None and not worst <= threshold:
@@ -352,16 +370,8 @@ class _SuiteRunner:
                        "assignment": _ASSIGNMENTS[batch.ks[i, j[0]]].value if j else None,
                        "state": ",".join(repr(v) for c in batch.amps[i].tolist()
                                          for v in (c.real, c.imag))}
-        self.results.append(InvariantResult(name, err.size if samples is None else samples,
-                                            worst, threshold, worst <= threshold, witness))
-
-    def pool_checks(self, *names: str, samples: int | None = None):
-        """Record pool entries from the chunks' reductions."""
-        pool = self.pool
-        for name in names:
-            j = list(POOL_ENTRIES).index(name)
-            self.check(name, POOL_ENTRIES[name], pool.top[:, j], pool,
-                       pool.ks.size if samples is None else samples, pool.at[:, j])
+        self.results[name] = InvariantResult(name, err.size if samples is None else samples,
+                                             worst, threshold, worst <= threshold, witness)
 
     # -- state-level properties --------------------------------------------
 
@@ -369,22 +379,11 @@ class _SuiteRunner:
         n = min(self.samples, SUBSET)
         moved = _Batch(_act(_su2(_unit(np.array([q for q, _ in self.moves]))), self.amps[:n],
                             [on_a for _, on_a in self.moves]))
-        c2 = np.array([state.concurrence_det(TwoQubitState(*v)) for v in moved.amps.tolist()])
-        yield
-        # Both qubits of each state, counted as one sample.
-        self.pool_checks("reduced_density_vs_partial_trace", "coherence_complementarity",
-                         "bloch_vector_norm", samples=self.samples)
-        self.check("local_unitary_concurrence_invariance", 1e-10,
-                   np.abs(c2 - self.pool.conc[:n]), moved)
+        c1, c2 = (np.array([state.concurrence_det(TwoQubitState(*v)) for v in amps.tolist()])
+                  for amps in (self.amps[:n], moved.amps))
+        self.check("local_unitary_concurrence_invariance", np.abs(c2 - c1), moved)
 
     # -- sphere map ----------------------------------------------------------
-
-    def hopf_invariants(self):
-        yield
-        self.pool_checks("round_trip_reconstruction", "unit_s4_norm", "b_squared_decomposition",
-                         "concurrence_consistency", "chi_northern_hemisphere",
-                         "sphere_angle_consistency", "bloch_vector_is_base_point",
-                         "coherence_is_base_bloch_length")
 
     def equivariance_invariants(self):
         n = min(self.samples, SUBSET)
@@ -399,21 +398,20 @@ class _SuiteRunner:
         u = np.array([gates.rotation("y", m) for m in mu])
         rotated = _map(_act(u, self.amps[:n], ks[:, 0] == 0), ks)
         sin_mu, cos_mu = (np.array([[f(m)] for m in mu]) for f in (math.sin, math.cos))
-        yield
-        before = self.pool.spheres[np.arange(n)[:, None], ks]
+        before = _map(self.amps[:n], ks).spheres
 
         local = [X0, X1, B, THETA, X2, X3, X4, CHI]
-        self.check("fiber_unitary_base_locality", 1e-12,
+        self.check("fiber_unitary_base_locality",
                    np.abs(fibered.spheres[..., local] - before[..., local]).max(axis=2), fibered)
         want = gates._matmul(rot, before[..., BLOCH, None])[..., 0]
-        self.check("fiber_unitary_bloch_rotation", 1e-9,
+        self.check("fiber_unitary_bloch_rotation",
                    np.abs(fibered.spheres[..., BLOCH] - want).max(axis=2), fibered)
 
         fixed = [B, X2, X3, X4, CHI, C]
-        self.check("base_yrotation_fixes_entanglement", 1e-12,
+        self.check("base_yrotation_fixes_entanglement",
                    np.abs(rotated.spheres[..., fixed] - before[..., fixed]).max(axis=2), rotated)
         x0, x1 = before[..., X0], before[..., X1]
-        self.check("base_yrotation_plane_rotation", 1e-10, np.maximum(
+        self.check("base_yrotation_plane_rotation", np.maximum(
             np.abs(rotated.spheres[..., X1] - (x0 * sin_mu + x1 * cos_mu)),
             np.abs(rotated.spheres[..., X0] - (x0 * cos_mu - x1 * sin_mu))), rotated)
 
@@ -425,29 +423,22 @@ class _SuiteRunner:
         rows = products.spheres
         # Disjunction, normalized: chi below 1e-8 or |b| below 1e-10.
         e_cond = np.minimum(rows[..., CHI] / 1e-8, np.abs(rows[..., B]) / 1e-10)
-        self.check("separable_concurrence_zero", 1e-10, rows[..., C], products)
-        self.check("separable_chi_or_b_zero", 1.0, e_cond, products)
+        self.check("separable_concurrence_zero", rows[..., C], products)
+        self.check("separable_chi_or_b_zero", e_cond, products)
         # Base and fiber become the factors' Bloch spheres: under A_BASE the
         # base is A's factor and the fiber B's, under B_BASE the reverse.
         ra, rb = _bloch(fa).T, _bloch(fb).T
         base, fib = np.stack((ra, rb), axis=1), np.stack((rb, ra), axis=1)
-        self.check("separable_base_is_bloch", 1e-12,
+        self.check("separable_base_is_bloch",
                    np.abs(rows[..., [X1, B, X0]] - base).max(axis=2), products)
-        self.check("separable_fiber_is_bloch", 1e-12,
+        self.check("separable_fiber_is_bloch",
                    np.abs(rows[..., BLOCH] - fib).max(axis=2), products)
-
-    # -- oracle cross-checks -------------------------------------------------
-
-    def oracle_invariants(self):
-        yield
-        self.pool_checks("rho_from_spheres_vs_partial_trace", "outer_product_structure",
-                         "fiber_is_conditional_state")
 
     # -- gates ----------------------------------------------------------------
 
     def gate_invariants(self):
         u = np.array([gates.expand(g) for g in self.random_gates])
-        self.check("expanded_gate_unitarity", 1e-12,
+        self.check("expanded_gate_unitarity",
                    np.abs(gates._matmul(u, u.conj().swapaxes(1, 2)) - np.eye(4)).max(axis=(1, 2)))
 
         rx, ry, rz = (np.array([gates.rotation(axis, m) for m in self.angles]) for axis in "xyz")
@@ -455,8 +446,7 @@ class _SuiteRunner:
                                  gates.rotation("z", math.pi / 2))
         e_z = rz - gates._matmul(gates._matmul(gates.rotation("x", math.pi / 2), ry),
                                  gates.rotation("x", -math.pi / 2))
-        self.check("rotation_identities", 1e-12,
-                   np.maximum(np.abs(e_x), np.abs(e_z)).max(axis=(1, 2)))
+        self.check("rotation_identities", np.maximum(np.abs(e_x), np.abs(e_z)).max(axis=(1, 2)))
 
         grid = [(math.radians(eta), math.radians(omega))
                 for eta in range(0, 181, 10) for omega in range(0, 361, 20)]
@@ -468,15 +458,14 @@ class _SuiteRunner:
             e_sweep.append(abs(steps[-1].concurrence - math.sin(eta) * math.sin(omega / 2)))
             r = state.bloch_vector(state.reduced_density(steps[1].state, "A"))
             e_sup.append(abs(math.hypot(r[0], r[1]) - math.sin(eta)))
-        self.check("entangler_concurrence_law", 1e-9, np.array(e_sweep))
-        self.check("entangler_superposition_degree", 1e-12, np.array(e_sup))
+        self.check("entangler_concurrence_law", np.array(e_sweep))
+        self.check("entangler_superposition_degree", np.array(e_sup))
 
         e_traj = []  # one error per step; a circuit is one sample
         for gs in self.circuits:
             e_traj += [abs(step.spheres_a.ent.c - step.spheres_b.ent.c)
                        for step in gates.run(gates.Circuit(gates=tuple(gs)))]
-        self.check("trajectory_concurrence_match", 1e-10, np.array(e_traj),
-                   samples=len(self.circuits))
+        self.check("trajectory_concurrence_match", np.array(e_traj), samples=len(self.circuits))
 
         gs = self.applied_gates
         n = len(gs)
@@ -484,27 +473,23 @@ class _SuiteRunner:
                         for v, g in zip(self.amps[:n].tolist(), gs)])
         diff = got - gates._matmul(np.array([gates.expand(g) for g in gs]),
                                    self.amps[:n, :, None])[:, :, 0]
-        self.check("gate_apply_matches_kron", 1e-12, np.hypot(diff.real, diff.imag).max(axis=1),
-                   self.pool)
+        self.check("gate_apply_matches_kron", np.hypot(diff.real, diff.imag).max(axis=1),
+                   _Batch(self.amps))
 
     def run(self) -> tuple[InvariantResult, ...]:
-        # A group that reads pool rows is a generator that yields before its
-        # first read.  All that comes before a yield, and every other group,
-        # runs while the children map the pool.  Each group keeps its own
-        # entries, so that the report lists them in the groups' order.
-        groups = (self.state_invariants, self.hopf_invariants, self.equivariance_invariants,
-                  self.separability_invariants, self.oracle_invariants, self.gate_invariants)
-        entries = [[] for _ in groups]
-        rests = []
-        # The one pass over the pool, each state under A_BASE, then B_BASE.
-        with _mapping(self.amps, np.tile([0, 1], (self.samples, 1)), full=True) as self.pool:
+        self.results = {}
+        # The one pass over the pool, each state under A_BASE, then B_BASE:
+        # the groups run while the children map it.
+        with _mapping(self.amps, np.tile([0, 1], (self.samples, 1)), full=True) as pool:
             self.draw()
-            for group, self.results in zip(groups, entries):
-                rests.append(iter(group() or ()))
-                next(rests[-1], None)
-        for rest, self.results in zip(rests, entries):
-            next(rest, None)
-        return tuple(r for group in entries for r in group)
+            self.state_invariants()
+            self.equivariance_invariants()
+            self.separability_invariants()
+            self.gate_invariants()
+        for j, name in enumerate(POOL_ENTRIES):
+            self.check(name, pool.top[:, j], pool,
+                       self.samples if name in _PER_STATE else pool.ks.size, pool.at[:, j])
+        return tuple(self.results[name] for name in ENTRIES)
 
 
 def _random_gate(rng: np.random.Generator) -> gates.Gate:

@@ -7,7 +7,6 @@ lines on stdout.  ``test_invariant_suite`` runs every ``verify`` invariant
 oracles, independent of the sphere-map code path.
 """
 
-import json
 import math
 import re
 
@@ -19,7 +18,7 @@ from qubit_spheres.gates import Circuit, Gate, bloch_rotation, rotation, run
 from qubit_spheres.hopf import Assignment, sphere_set
 from qubit_spheres.jsonfmt import dumps
 from qubit_spheres.state import TwoQubitState
-from qubit_spheres.verify import DEFAULT_SAMPLES, DEFAULT_SEED, run_suite
+from qubit_spheres.verify import DEFAULT_SAMPLES, DEFAULT_SEED, ENTRIES, run_suite
 
 # Oracle-derived constants (partial trace / determinant form, frozen).
 PHI_BEFORE_DEG = -90.0           # base azimuth after the entangler
@@ -61,12 +60,10 @@ def test_invariant_suite():
 
 
 def test_readme_invariant_table_is_the_report():
-    # Its names, order and thresholds; "1 (normalized)" reads as 1.
+    # Its names, order and thresholds are verify.ENTRIES'; "1 (normalized)" reads as 1.
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(\w+)` \| .* \| ([^|]+) \|$", readme, re.M)
-    golden = json.loads((GOLDEN_DIR / "verify_seed42.json").read_text(encoding="utf-8"))
-    assert [(name, float(t.split()[0])) for name, t in rows] == [
-        (e["name"], e["threshold"]) for e in golden["invariants"]]
+    assert [(name, float(t.split()[0])) for name, t in rows] == list(ENTRIES.items())
 
 
 def test_criterion_2_entangled_state_reproduction():

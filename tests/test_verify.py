@@ -107,7 +107,8 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
 
     # The amplitudes of every batch _map sends through the kernel but the pool,
     # in the order mapped: the fiber-unitary moved states (state i under
-    # B_BASE if i is odd), the y-rotated ones and the product states.
+    # B_BASE if i is odd), the y-rotated ones, the unmoved ones and the
+    # product states.
     batches = []
     map_batch = verify._map
 
@@ -131,7 +132,7 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
          lambda out: out._replace(rho00=out.rho00 + 2e-12, rho11=out.rho11 + 2e-12),
          "reduced_density_vs_partial_trace", "A"),
         (verify.hopf, "sphere_set", 0, bent_fiber, "fiber_unitary_bloch_rotation", "B"),
-        (verify.hopf, "sphere_set", 2, bent_fiber, "separable_fiber_is_bloch", "A"),
+        (verify.hopf, "sphere_set", 3, bent_fiber, "separable_fiber_is_bloch", "A"),
     ]
     for module, plant, batch, perturb, name, assignment in cases:
         original = getattr(module, plant)
@@ -343,7 +344,7 @@ def test_pool_batch_keeps_no_pool_sized_array(monkeypatch):
         ks = np.tile([0, 1], (samples, 1))
         monkeypatch.setattr(verify, "CHUNK_STATES", chunk_states)
         pool = verify._map(amps, ks, full=True)
-        assert max(len(x) for x in pool[2:]) <= 1000  # every array but the amps and ks given
+        assert pool.spheres is None  # only per-chunk arrays beside the amps and ks given
         assert pool.top.shape == pool.at.shape == (chunks, len(verify.POOL_ENTRIES))
         # Each entry's largest error, and its first chunk's index of it, are one chunk's.
         monkeypatch.setattr(verify, "CHUNK_STATES", samples)
