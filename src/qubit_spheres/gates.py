@@ -57,8 +57,9 @@ def _rotation_table(axis: str, angle: float) -> Matrix2:
     """
     half = 0.5 * angle
     c, s = complex(math.cos(half)), 1j * math.sin(half)
-    p = _PAULI[axis]
-    return tuple(tuple(c * _I2[i][j] - s * p[i][j] for j in range(2)) for i in range(2))
+    (p00, p01), (p10, p11) = _PAULI[axis]
+    return ((c * (1 + 0j) - s * p00, c * 0j - s * p01),
+            (c * 0j - s * p10, c * (1 + 0j) - s * p11))
 
 
 class BadWiring(ValueError):
@@ -211,7 +212,7 @@ def apply(s: TwoQubitState, g: Gate) -> TwoQubitState:
     """The state after gate g: the 2x2 table acts on the target's index of
     the (a, b) amplitude grid, on the control = 1 half for a controlled gate."""
     (u00, u01), (u10, u11) = _table(g)
-    a00, a01, a10, a11 = s.amplitudes()
+    a00, a01, a10, a11 = s
     if g.target == "A":
         if g.control != "B":
             a00, a10 = u00 * a00 + u01 * a10, u10 * a00 + u11 * a10

@@ -1,8 +1,8 @@
 """Deterministic JSON output shared by the CLI and reports.
 
-A CLI document is written in one pass: each record fills its layout's
-template, ``json.dumps(indent=2)`` of the layout with ``%s`` at every leaf,
-with its leaves already written as JSON text.
+A CLI document is written in one pass: each record's leaves, already
+written as JSON text, go between the literal parts of its layout's template,
+``json.dumps(indent=2)`` of the layout split at every leaf, in one join.
 """
 
 from __future__ import annotations
@@ -34,10 +34,19 @@ def numbers(values) -> list[str]:
             for s in text.split()]
 
 
-def template(skeleton) -> str:
-    """`skeleton` as written in a document's records list, with %s at each LEAF."""
-    text = json.dumps(skeleton, indent=2).replace("%", "%%").replace(_LEAF_JSON, "%s")
-    return text.replace("\n", "\n    ")
+def template(skeleton) -> tuple[str, ...]:
+    """`skeleton` as written in a document's records list, split at each LEAF:
+    its literal parts, one more than its leaves."""
+    text = json.dumps(skeleton, indent=2).replace("\n", "\n    ")
+    return tuple(text.split(_LEAF_JSON))
+
+
+def _fill(parts: tuple[str, ...], leaves) -> str:
+    """The parts of a template with the leaves between them; ValueError
+    unless there is one leaf fewer than parts."""
+    text = [None] * (2 * len(parts) - 1)
+    text[::2], text[1::2] = parts, leaves
+    return "".join(text)
 
 
 # A head written by json.dumps, and records that each fill their .template with .leaves.
@@ -51,4 +60,4 @@ def dumps(obj) -> str:
     text = json.dumps({**obj.head, "records": [LEAF] if obj.records else []},
                       indent=2, allow_nan=False)
     head, _, tail = text.rpartition(_LEAF_JSON)
-    return head + ",\n    ".join([r.template % r.leaves for r in obj.records]) + tail + "\n"
+    return head + ",\n    ".join([_fill(r.template, r.leaves) for r in obj.records]) + tail + "\n"

@@ -22,12 +22,13 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = "1"
 
 
-# A snapshot's JSON leaves in field order, and the template they fill.
-Record = NamedTuple("Record", [("assignments", tuple), ("leaves", tuple), ("template", str)])
+# A snapshot's JSON leaves in field order, and its layout's literal parts,
+# which jsonfmt.dumps joins with the leaves between them.
+Record = NamedTuple("Record", [("assignments", tuple), ("leaves", tuple), ("template", tuple)])
 
 
 @cache
-def _template(with_step: bool, assignments: tuple[str, ...]) -> str:
+def _template(with_step: bool, assignments: tuple[str, ...]) -> tuple[str, ...]:
     if repeated := [a for a in assignments if assignments.count(a) > 1]:
         raise ValueError(f"assignment label {repeated[0]!r} is repeated")
     sphere = {
@@ -61,6 +62,11 @@ def _text_template(assignments: tuple[str, ...]) -> str:
                       "coherence d_B: %.9f", ""])
 
 
+def _neg(t: str) -> str:
+    """The text numbers() writes for -x, from t, the one it writes for x."""
+    return t[1:] if t[0] == "-" else t if t == "0.0" else "-" + t
+
+
 def _numbers(s: TwoQubitState, assignments: tuple[str, ...]) -> list[str]:
     """The number leaves, in _template's order, of a state under each assignment;
     its sphere sets, density matrices and concurrence are computed here."""
@@ -72,11 +78,20 @@ def _numbers(s: TwoQubitState, assignments: tuple[str, ...]) -> list[str]:
                    degrees(ent.chi), degrees(ent.xi), ent.c, ent.x2, ent.x3, ent.x4,
                    degrees(fib.theta_f), degrees(fib.phi_f), degrees(fib.zeta_f), *fib.bloch)
     rho_a, rho_b = reduced_density(s, "A"), reduced_density(s, "B")
-    (a00, a01, a10, a11), (b00, b01, b10, b11) = rho_a, rho_b
-    values += (a00.real, a00.imag, a01.real, a01.imag, a10.real, a10.imag, a11.real, a11.imag,
-               b00.real, b00.imag, b01.real, b01.imag, b10.real, b10.imag, b11.real, b11.imag,
+    (a00, a01, _, a11), (b00, b01, _, b11) = rho_a, rho_b
+    values += (a00.real, a01.real, a01.imag, a11.real, b00.real, b01.real, b01.imag, b11.real,
                concurrence_det(s), coherence_d(rho_a), coherence_d(rho_b))
-    return numbers(values)
+    text = numbers(values)
+    # Each rho's four other leaves are written from their twins, exact under
+    # CPython's complex product.  A diagonal imaginary part sums terms -p + p,
+    # so it is +-0, written "0.0".  rho10 is conj(rho01) bit for bit: the real
+    # parts sum the same products in commuted order, and the imaginary parts
+    # sum terms fl(p - q) where rho01's sum fl(q - p).  So rho10.re gets
+    # rho01.re's text, and rho10.im its negation ("0.0" stays "0.0").
+    r00, r01, i01, r11, q00, q01, j01, q11 = text[-11:-3]
+    text[-11:-3] = (r00, "0.0", r01, i01, r01, _neg(i01), r11, "0.0",
+                    q00, "0.0", q01, j01, q01, _neg(j01), q11, "0.0")
+    return text
 
 
 def state_record(s: TwoQubitState, assignments: tuple[str, ...] = ("A", "B")) -> Record:

@@ -145,9 +145,9 @@ def _shared(*shape: int, dtype=float) -> np.ndarray:
 # Every entry of the report and its threshold, in report order.
 ENTRIES = {
     "reduced_density_vs_partial_trace": 1e-12, "coherence_complementarity": 1e-12,
-    "bloch_vector_norm": 1e-10, "local_unitary_concurrence_invariance": 1e-10,
-    "round_trip_reconstruction": 1e-10, "unit_s4_norm": 1e-12,
-    "b_squared_decomposition": 1e-12, "concurrence_consistency": 1e-10,
+    "concurrence_det_vs_oracle": 1e-12, "bloch_vector_norm": 1e-10,
+    "local_unitary_concurrence_invariance": 1e-10, "round_trip_reconstruction": 1e-10,
+    "unit_s4_norm": 1e-12, "b_squared_decomposition": 1e-12, "concurrence_consistency": 1e-10,
     "chi_northern_hemisphere": 1e-12, "sphere_angle_consistency": 1e-12,
     "bloch_vector_is_base_point": 1e-12, "coherence_is_base_bloch_length": 1e-15,
     "fiber_unitary_base_locality": 1e-12, "fiber_unitary_bloch_rotation": 1e-9,
@@ -161,9 +161,9 @@ ENTRIES = {
     "gate_apply_matches_kron": 1e-12}
 
 # The pool entries, in report order: column j of _Batch.top and _Batch.at is
-# entry j's.  Those of the reduced densities count a state once: both of its
-# qubits are one sample.
-_PER_STATE = ("reduced_density_vs_partial_trace", "coherence_complementarity", "bloch_vector_norm")
+# entry j's.  Those per state count a state once: its two rows are one sample.
+_PER_STATE = ("reduced_density_vs_partial_trace", "coherence_complementarity",
+              "concurrence_det_vs_oracle", "bloch_vector_norm")
 POOL_ENTRIES = _PER_STATE + (
     "round_trip_reconstruction", "unit_s4_norm", "b_squared_decomposition",
     "concurrence_consistency", "chi_northern_hemisphere", "sphere_angle_consistency",
@@ -220,6 +220,7 @@ def _pool_errors(amps, conc, real, cplx) -> np.ndarray:
     cond = _bloch(f) / np.where(n2 > 0, n2, 1.0)
     return np.array([
         np.abs(rd - ref).max(axis=0), np.abs(d * d + c * c - 1.0),
+        np.broadcast_to(np.abs(c - c_ref), d.shape),
         np.abs(rx * rx + ry * ry + rz * rz - (1.0 - c * c)),
         np.hypot(diff.real, diff.imag).max(axis=0),
         np.abs(sq0 + sq1 + sq2 + sq3 + sq4 - 1.0), np.abs(sq_b - sq4 - sq_c),
