@@ -1,9 +1,9 @@
 """Build the output records emitted by the CLI (fixed field order).
 
 A record holds a snapshot's leaves, already written as JSON text, in the
-field order of its layout, and the template of that layout, built once per
-assignment choice; ``jsonfmt.dumps`` fills one with the other, and ``text``
-fills the text form's template with the same leaves.
+field order of its layout, and the literal parts of that layout's template,
+built once per assignment choice; ``jsonfmt.dumps`` joins the leaves between
+the parts, and ``text`` fills the text form's template with the same leaves.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ def _numbers(s: TwoQubitState, assignments: tuple[str, ...]) -> list[str]:
                concurrence_det(s), coherence_d(rho_a), coherence_d(rho_b))
     text = numbers(values)
     # Each rho's four other leaves are written from their twins, exact under
-    # CPython's complex product.  A diagonal imaginary part sums terms -p + p,
+    # CPython's complex product, which rounds each real product on its own
+    # (no fused multiply-add).  A diagonal imaginary part sums terms -p + p,
     # so it is +-0, written "0.0".  rho10 is conj(rho01) bit for bit: the real
     # parts sum the same products in commuted order, and the imaginary parts
     # sum terms fl(p - q) where rho01's sum fl(q - p).  So rho10.re gets
