@@ -1,18 +1,12 @@
 """Executable invariant suite: every library-level property, run on random data.
 
 One seeded pool of Haar-random states, and smaller batches derived from it,
-go through the scalar kernel the CLI runs (_mapping).  Every entry is an
-array of per-sample errors reduced by max; an entry whose samples are a
-batch's states names its worst one as a witness.  Products are elementwise
-(gates._matmul) and complex ones real (gates._product), so the report
-depends on neither evaluation order, BLAS kernel nor SIMD level.
-
-A batch of m states is mapped in ceil(m / CHUNK_STATES) chunks, at most 256,
-claimed from a pipe by this process and a forked child per CPU but one
-(_processes: none under MIN_SHARE states, none from CPython 3.12 on).  Each
-pool chunk is reduced where it is mapped, to its largest error per entry
-(_pool_errors).  Only those reach shared memory from the pool: the report
-is byte-identical to a one-process pass.
+go through the scalar kernel the CLI runs: the pool in one pass split over
+processes (_pool_pass), each smaller batch by _map in this process.  Every
+entry is an array of per-sample errors reduced by max; an entry whose samples
+are a batch's states names its worst one as a witness.  Products are
+elementwise (gates._matmul) and complex ones real (gates._product), so the
+report depends on neither evaluation order, BLAS kernel nor SIMD level.
 """
 
 from __future__ import annotations
@@ -35,20 +29,24 @@ DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 10_000
 
 _ASSIGNMENTS = tuple(Assignment)
-_BASE_QUBITS = tuple(a.base_qubit for a in _ASSIGNMENTS)
 
 # The fewest pool states worth a forked process: a fork, its page faults and
 # the reaping cost a few ms, and 1000 states map in about 0.08 s.
 MIN_SHARE = 1000
-# States per chunk, whose pool errors one _pool_errors call computes: a call
-# costs about 0.3 ms of numpy overhead at any size.  A batch is claimed in at
-# most 256 chunks, each one byte from a pipe, so that the pipe holds them all.
+# Pool states per chunk, whose errors one _pool_errors call computes: a call
+# costs about 0.3 ms of numpy overhead at any size.
 CHUNK_STATES = 400
 SUBSET = 1000  # states in each smaller batch: the pool's first, moved or not, or products
 
-# Columns of a sphere-set row (_mapping): base, entanglement, fiber Bloch point.
+# Columns of a sphere-set row (_row): base, entanglement, fiber Bloch point.
 THETA, PHI, X1, B, X0, CHI, XI, TX, TY, TZ, C, X2, X3, X4 = range(14)
 BLOCH = slice(14, 17)
+
+
+def _row(ss: hopf.SphereSet) -> tuple:
+    """The 17 columns THETA...BLOCH of a sphere set."""
+    ent = ss.ent
+    return (*ss.base, ent.chi, ent.xi, *ent.t, ent.c, ent.x2, ent.x3, ent.x4, *ss.fiber.bloch)
 
 
 class InvariantResult(NamedTuple):
@@ -160,7 +158,7 @@ ENTRIES = {
     "entangler_superposition_degree": 1e-12, "trajectory_concurrence_match": 1e-10,
     "gate_apply_matches_kron": 1e-12}
 
-# The pool entries, in report order: column j of _Batch.top and _Batch.at is
+# The pool entries, in report order: column j of _pool_pass's top and at is
 # entry j's.  Those per state count a state once: its two rows are one sample.
 _PER_STATE = ("reduced_density_vs_partial_trace", "coherence_complementarity",
               "concurrence_det_vs_oracle", "bloch_vector_norm")
@@ -172,19 +170,15 @@ POOL_ENTRIES = _PER_STATE + (
 
 
 class _Batch(NamedTuple):
-    """States amps (m, 4), which _mapping maps, state i under each assignment
-    _ASSIGNMENTS[ks[i, j]].  The pool keeps only `top` and `at`, any other
-    batch only `spheres`."""
+    """States amps (m, 4), state i mapped under each assignment _ASSIGNMENTS[ks[i, j]]."""
     amps: np.ndarray
     ks: np.ndarray | None = None
-    spheres: np.ndarray | None = None  # row [i, j]: sphere_set, columns THETA...
-    top: np.ndarray | None = None      # per chunk and pool entry, the largest error
-    at: np.ndarray | None = None       # and its first's flat (state, assignment) index
+    spheres: np.ndarray | None = None  # row [i, j]: _row of its sphere set
 
 
 def _pool_errors(amps, conc, real, cplx) -> np.ndarray:
     """Errors (n, 2, len(POOL_ENTRIES)) of pool states amps (n, 4) under A_BASE, then
-    B_BASE, from concurrence_det conc and _mapping's values real (n, 2, 29) and cplx
+    B_BASE, from concurrence_det conc and _pool_pass's values real (n, 2, 29) and cplx
     (n, 2, 12).  Each is elementwise per row, as the oracles are: any rows' have the
     pool's bits."""
     sp, stats, trig = np.split(real.transpose(2, 0, 1).copy(), [17, 21])
@@ -244,52 +238,59 @@ def _pool_errors(amps, conc, real, cplx) -> np.ndarray:
     ]).transpose(1, 2, 0)
 
 
+def _map(amps: np.ndarray, ks: np.ndarray) -> _Batch:
+    """States amps (m, 4) through the CLI's scalar kernel, state i under each
+    assignment index in ks[i]: the batch with its sphere rows."""
+    rows = (x for v, ks_i in zip(amps.tolist(), ks.tolist()) for s in [TwoQubitState(*v)]
+            for k in ks_i for x in _row(hopf.sphere_set(s, _ASSIGNMENTS[k])))
+    return _Batch(amps, ks, np.fromiter(rows, float, 17 * ks.size).reshape(*ks.shape, 17))
+
+
 @contextlib.contextmanager
-def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
-    """The one map: states amps (m, 4) through the CLI's scalar kernel, state
-    i under each assignment index in ks[i].  A batch gets its sphere rows, a
-    `full` one (the pool) only each chunk's largest pool errors.  Yields the
-    batch while the children map it; its arrays are filled once the block ends."""
-    m, width = ks.shape
+def _pool_pass(amps: np.ndarray):
+    """The pool pass: states amps (m, 4) through the scalar kernel, each under
+    A_BASE, then B_BASE.  Yields (top, at), filled once the block ends: per chunk
+    and pool entry, the largest error (_pool_errors) and the flat (state,
+    assignment) index of its first.  The block runs while the children map.
+
+    The m states are ceil(m / CHUNK_STATES) chunks, at most 256 (one byte each
+    in a pipe, which holds them all).  After a fork per CPU but one
+    (_processes), every process claims chunks until the pipe is empty and
+    writes only top and at, in shared memory.  A chunk a failed child left
+    undone is mapped again here, raising its error; every child is reaped
+    before the block is left.  The values do not depend on the process that
+    maps them: the report is a one-process pass's."""
+    m = len(amps)
     chunks = min(256, -(-m // CHUNK_STATES))  # so that none is empty
     per_entry = chunks, len(POOL_ENTRIES)
-    b = (_Batch(amps, ks, top=_shared(*per_entry), at=_shared(*per_entry, dtype=np.int64))
-         if full else _Batch(amps, ks, _shared(m, width, 17)))
+    top, at = _shared(*per_entry), _shared(*per_entry, dtype=np.int64)
     done = _shared(chunks, dtype=np.uint8)
     edges = [m * c // chunks for c in range(chunks + 1)]  # chunk c is [edges[c], edges[c + 1])
 
     def map_chunk(c: int):
         lo, hi = edges[c], edges[c + 1]
-        # Per state and assignment, real gets the 17 sphere columns, then for
-        # the pool the 4 rho statistics and 8 libm sines and cosines; cplx gets
-        # the reconstruct, rho_from_spheres and reduced_density outputs.
+        # Per state and assignment, real gets the 17 sphere columns, the 4 rho
+        # statistics and 8 libm sines and cosines; cplx gets the reconstruct,
+        # rho_from_spheres and reduced_density outputs.
         conc, real, cplx = [], [], []
         sin, cos = math.sin, math.cos
-        for v, ks_i in zip(amps[lo:hi].tolist(), ks[lo:hi].tolist()):
+        for v in amps[lo:hi].tolist():
             s = TwoQubitState(*v)
-            if full:
-                conc.append(state.concurrence_det(s))
-            for k in ks_i:
-                ss = hopf.sphere_set(s, _ASSIGNMENTS[k])
-                base, ent = ss.base, ss.ent
-                chi, xi = ent.chi, ent.xi
-                real += (*base, chi, xi, *ent.t, ent.c, ent.x2, ent.x3, ent.x4, *ss.fiber.bloch)
-                if full:  # the state functions take the assignment's base qubit
-                    rho = state.reduced_density(s, _BASE_QUBITS[k])
-                    theta, phi = base.theta, base.phi
-                    real += (state.coherence_d(rho), *state.bloch_vector(rho),
-                             sin(theta), sin(phi), sin(chi), sin(xi),
-                             cos(theta), cos(phi), cos(chi), cos(xi))
-                    cplx += (*hopf.reconstruct(ss), *hopf.rho_from_spheres(ss), *rho)
-        # One slice assignment per array: a numpy row write costs about 1.4 us.
-        rows = np.array(real, float).reshape(hi - lo, width, -1)
-        if full:
-            err = _pool_errors(amps[lo:hi], np.array(conc), rows,
-                               np.array(cplx, complex).reshape(hi - lo, width, 12))
-            err = err.reshape(-1, len(POOL_ENTRIES))
-            b.top[c], b.at[c] = err.max(axis=0), err.argmax(axis=0) + lo * width
-        else:
-            b.spheres[lo:hi] = rows
+            conc.append(state.concurrence_det(s))
+            for a in _ASSIGNMENTS:
+                ss = hopf.sphere_set(s, a)
+                row = _row(ss)
+                theta, phi, chi, xi = row[THETA], row[PHI], row[CHI], row[XI]
+                rho = state.reduced_density(s, a.base_qubit)
+                real += (*row, state.coherence_d(rho), *state.bloch_vector(rho),
+                         sin(theta), sin(phi), sin(chi), sin(xi),
+                         cos(theta), cos(phi), cos(chi), cos(xi))
+                cplx += (*hopf.reconstruct(ss), *hopf.rho_from_spheres(ss), *rho)
+        err = _pool_errors(amps[lo:hi], np.array(conc),
+                           np.array(real, float).reshape(hi - lo, 2, -1),
+                           np.array(cplx, complex).reshape(hi - lo, 2, 12))
+        err = err.reshape(-1, len(POOL_ENTRIES))
+        top[c], at[c] = err.max(axis=0), err.argmax(axis=0) + 2 * lo
         done[c] = 1
 
     r, w = os.pipe()
@@ -315,22 +316,14 @@ def _mapping(amps: np.ndarray, ks: np.ndarray, full: bool = False):
                 finally:
                     os._exit(status)
             children.append(pid)
-        yield b
+        yield top, at
         claim()
     finally:
         os.close(r)
         for pid in children:
             os.waitpid(pid, 0)
-    # A chunk claimed by a child that failed: mapped here, which raises its error.
     for c in np.flatnonzero(done == 0).tolist():
         map_chunk(c)
-
-
-def _map(amps: np.ndarray, ks: np.ndarray, full: bool = False) -> _Batch:
-    """The batch _mapping fills, with nothing run beside it."""
-    with _mapping(amps, ks, full) as b:
-        pass
-    return b
 
 
 class _SuiteRunner:
@@ -358,15 +351,16 @@ class _SuiteRunner:
     def check(self, name: str, err: np.ndarray, batch: _Batch | None = None,
               samples: int | None = None, at: np.ndarray | None = None):
         """Record entry `name` from its errors: err[i] of sample i, err[i, j] of batch
-        state i under ks[i, j], or chunk c's largest, first at flat index at[c] of ks.
+        state i under ks[i, j], or chunk c's largest, first at flat index at[c] of ks
+        (of the states, where the batch has no ks).
         A failing entry whose samples are `batch`'s states names its worst.  NaN fails."""
         threshold = ENTRIES[name]
         worst = max(float(err.max()), 0.0)
         witness = None
         if batch is not None and not worst <= threshold:
             k = int(err.argmax())
-            i, *j = (np.unravel_index(k, err.shape) if at is None
-                     else np.unravel_index(int(at[k]), batch.ks.shape))
+            i, *j = (np.unravel_index(k, err.shape) if at is None else np.unravel_index(
+                int(at[k]), batch.amps.shape[:1] if batch.ks is None else batch.ks.shape))
             witness = {"sample": int(i),
                        "assignment": _ASSIGNMENTS[batch.ks[i, j[0]]].value if j else None,
                        "state": ",".join(repr(v) for c in batch.amps[i].tolist()
@@ -479,17 +473,20 @@ class _SuiteRunner:
 
     def run(self) -> tuple[InvariantResult, ...]:
         self.results = {}
-        # The one pass over the pool, each state under A_BASE, then B_BASE:
-        # the groups run while the children map it.
-        with _mapping(self.amps, np.tile([0, 1], (self.samples, 1)), full=True) as pool:
+        # The groups run while the children map the pool.
+        with _pool_pass(self.amps) as (top, at):
             self.draw()
             self.state_invariants()
             self.equivariance_invariants()
             self.separability_invariants()
             self.gate_invariants()
+        pool = _Batch(self.amps, np.tile([0, 1], (self.samples, 1)))
         for j, name in enumerate(POOL_ENTRIES):
-            self.check(name, pool.top[:, j], pool,
-                       self.samples if name in _PER_STATE else pool.ks.size, pool.at[:, j])
+            if name == "concurrence_det_vs_oracle":  # the state's, in both rows: no assignment
+                self.check(name, top[:, j], _Batch(self.amps), self.samples, at[:, j] // 2)
+            else:
+                self.check(name, top[:, j], pool,
+                           self.samples if name in _PER_STATE else pool.ks.size, at[:, j])
         return tuple(self.results[name] for name in ENTRIES)
 
 

@@ -105,17 +105,15 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
     def bent_fiber(ss):
         return ss._replace(fiber=ss.fiber._replace(zeta_f=ss.fiber.zeta_f + 1e-6))
 
-    # The amplitudes of every batch _map sends through the kernel but the pool,
-    # in the order mapped: the fiber-unitary moved states (state i under
-    # B_BASE if i is odd), the y-rotated ones, the unmoved ones and the
-    # product states.
+    # The amplitudes of every batch _map sends through the kernel, in the
+    # order mapped: the fiber-unitary moved states (state i under B_BASE if i
+    # is odd), the y-rotated ones, the unmoved ones and the product states.
     batches = []
     map_batch = verify._map
 
-    def recorded_map(amps, ks, full=False):
-        if not full:
-            batches.append(amps)
-        return map_batch(amps, ks, full)
+    def recorded_map(amps, ks):
+        batches.append(amps)
+        return map_batch(amps, ks)
 
     # Per case: the module and function, the call of it that is perturbed (that
     # of state `bad` of the pool or of a recorded batch, under the witness's
@@ -131,19 +129,23 @@ def test_failing_invariant_names_a_replayable_witness(monkeypatch, capsys):
         (verify.state, "reduced_density", None,
          lambda out: out._replace(rho00=out.rho00 + 2e-12, rho11=out.rho11 + 2e-12),
          "reduced_density_vs_partial_trace", "A"),
+        # A state's error, under no assignment.  Its c is 0.294: above about
+        # 1e-12 / (2c) the shift would fail coherence_complementarity too.
+        (verify.state, "concurrence_det", None, lambda out: out + 1.3e-12,
+         "concurrence_det_vs_oracle", None),
         (verify.hopf, "sphere_set", 0, bent_fiber, "fiber_unitary_bloch_rotation", "B"),
         (verify.hopf, "sphere_set", 3, bent_fiber, "separable_fiber_is_bloch", "A"),
     ]
     for module, plant, batch, perturb, name, assignment in cases:
         original = getattr(module, plant)
-        a = verify.Assignment(assignment)
-        target = ((pool_state, assignment) if plant == "reduced_density"
-                  else (verify.hopf.sphere_set(pool_state, a),))
+        a = assignment and verify.Assignment(assignment)
+        target = {"reduced_density": (pool_state, assignment), "concurrence_det": (pool_state,)
+                  }.get(plant) or (verify.hopf.sphere_set(pool_state, a),)
         batches.clear()
 
         def perturbed(*args):
             out = original(*args)
-            if plant != "sphere_set":  # reduced_density takes the state, the others the set
+            if plant != "sphere_set":  # the state functions take the state, the others the set
                 hit = args == target
             else:
                 hit = len(batches) > batch and args == (tuple(batches[batch][bad].tolist()), a)
@@ -341,17 +343,17 @@ def test_pool_batch_keeps_no_pool_sized_array(monkeypatch):
     # ceil(states / CHUNK_STATES) chunks, at most 256: one byte each in the pipe.
     for samples, chunk_states, chunks in ((SPLIT_SAMPLES, 400, 6), (300, 1, 256)):
         amps = state.random_amplitudes(np.random.default_rng(9), samples)
-        ks = np.tile([0, 1], (samples, 1))
         monkeypatch.setattr(verify, "CHUNK_STATES", chunk_states)
-        pool = verify._map(amps, ks, full=True)
-        assert pool.spheres is None  # only per-chunk arrays beside the amps and ks given
-        assert pool.top.shape == pool.at.shape == (chunks, len(verify.POOL_ENTRIES))
+        with verify._pool_pass(amps) as (top, at):
+            pass
+        assert top.shape == at.shape == (chunks, len(verify.POOL_ENTRIES))
         # Each entry's largest error, and its first chunk's index of it, are one chunk's.
         monkeypatch.setattr(verify, "CHUNK_STATES", samples)
-        whole = verify._map(amps, ks, full=True)
-        first = pool.top.argmax(axis=0)
-        assert pool.top.max(axis=0).tolist() == whole.top[0].tolist()
-        assert pool.at[first, np.arange(len(first))].tolist() == whole.at[0].tolist()
+        with verify._pool_pass(amps) as (whole_top, whole_at):
+            pass
+        first = top.argmax(axis=0)
+        assert top.max(axis=0).tolist() == whole_top[0].tolist()
+        assert at[first, np.arange(len(first))].tolist() == whole_at[0].tolist()
 
 
 def test_pass_stays_in_one_process_from_python_3_12(monkeypatch):
